@@ -40,7 +40,7 @@ from .kernel import (
     compose,
     constant_map,
     count_maps,
-    enumerate_maps,
+    enumerate_sections,
     exponential,
     find_isomorphism,
     horn,
@@ -179,18 +179,8 @@ def criterion_2(depth: int = 3, budget: int = 500) -> CriterionResult:
     for f, g, w_map in instances:
         push = pushforward(f, g, depth=2)
         pb = pullback(w_map, f)
-
-        def over_a(c, cand, pb=pb, g=g):
-            return g.apply(cand) == pb.to_right.apply_cell(c)
-
-        lhs = sum(1 for _ in enumerate_maps(pb.sset, g.source, constraint=over_a))
-
-        def over_b(c, cand, push=push, w_map=w_map):
-            return push.struct.apply(cand) == w_map.apply_cell(c)
-
-        rhs = sum(
-            1 for _ in enumerate_maps(w_map.source, push.sset, constraint=over_b)
-        )
+        lhs = sum(1 for _ in enumerate_sections(g, pb.to_right))
+        rhs = sum(1 for _ in enumerate_sections(push.struct, w_map))
         checks += 1
         if lhs != rhs:
             fails.append(f"pushforward transpose: {lhs} != {rhs}")

@@ -352,7 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, depth=2, budget=300):
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         p.add_argument("--depth", type=int, default=depth, help="skeleton depth for verdicts")
-        p.add_argument("--budget", type=int, default=budget, help="cell/lift budget")
+        p.add_argument(
+            "--budget", type=int, default=budget,
+            help="cell budget of the by-need factorization; read by factor, quasifib, "
+            "gkan, check --interp, interp, audit and suite, echoed by the other verbs",
+        )
 
     p = sub.add_parser("sset", help="validate a serialized simplicial set")
     p.add_argument("file")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .kernel import (
     FinSSet,
@@ -321,20 +321,10 @@ def b_map(f: SMap, level: int = DEFAULT_LEVEL) -> SMap:
         if img.word:
             # the edge collapses: route its interval copy through the vertex
             vertex = by.unit.apply(nondeg(img.base))
-            on_copies[e] = SMap(sk, by.sset, _collapse_assignment(sk, by.sset, vertex))
+            on_copies[e] = constant_map(sk, by.sset, vertex.base)
         else:
             on_copies[e] = by.copies[img.base]
     return bx.induce(on_base, on_copies)
-
-
-def _collapse_assignment(src: FinSSet, tgt: FinSSet, vertex: Simplex) -> dict:
-    out = {}
-    for c in src.nondegenerate():
-        s = vertex
-        for i in range(src.cell_dim(c)):
-            s = tgt.degen(s, i)
-        out[c] = s
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -9,12 +9,8 @@ they need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
-
 from .build import Built, LevelPresentation
-from .homs import enumerate_maps
+from .homs import enumerate_maps, enumerate_sections
 from .limits import Product, Pullback, product, pullback
 from .simplex import Simplex, nondeg
 from .sset import FinSSet, SMap, SSetError, compose
@@ -81,14 +77,6 @@ class Exponential:
         h = self.as_map(s)
         top = nondeg("_".join(str(v) for v in range(n + 1)))
         return h.apply(self._cyl_fn(n).simplex_of(x, top))
-
-    def eval_map(self, prod: Product) -> SMap:
-        """Evaluation base^X x X -> base on a chosen product."""
-        assign = {}
-        for c in prod.sset.nondegenerate():
-            s, x = prod.components(nondeg(c))
-            assign[c] = self.evaluate(s, x)
-        return SMap(prod.sset, self.base, assign)
 
     def curry(self, k: SMap, prod: Product) -> SMap:
         """Transpose W x X -> base into W -> base^X (prod must be W x X)."""
@@ -164,18 +152,10 @@ class Pushforward:
 
         self._fiber = fiber
 
-        def sections(n: int, tau: Simplex) -> Iterator[SMap]:
-            pb = fiber(n, tau)
-
-            def on_fiber(c: str, cand: Simplex) -> bool:
-                return g.apply(cand) == pb.to_right.apply_cell(c)
-
-            return enumerate_maps(pb.sset, g.source, constraint=on_fiber)
-
         def elements(n: int):
             out = []
             for tau in b.simplices(n):
-                for s in sections(n, tau):
+                for s in enumerate_sections(g, fiber(n, tau).to_right):
                     out.append((tau, _encode(s)))
             return out
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
 
-from .simplex import Simplex, nondeg
+from .simplex import Simplex
 from .sset import FinSSet, SMap, SSetError
 
 
@@ -89,7 +89,7 @@ def count_maps(source: FinSSet, target: FinSSet) -> int:
 
 def enumerate_sections(p: SMap, over: SMap, **kw) -> Iterator[SMap]:
     """Maps s: over.source -> p.source with p . s == over."""
-    if p.target != over.target:
+    if p.target is not over.target and p.target != over.target:
         raise SSetError("section enumeration: codomain mismatch")
 
     def fiber(c: str, cand: Simplex) -> bool:

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from .build import Built, LevelPresentation
 from .simplex import Simplex, nondeg
-from .sset import EMPTY, FinSSet, SMap, SSetError, compose, identity
+from .sset import EMPTY, FinSSet, SMap, SSetError, constant_map, identity
 
 __all__ = [
     "terminal",
@@ -39,14 +39,7 @@ def terminal() -> FinSSet:
 def terminal_map(x: FinSSet) -> SMap:
     from .standard import std_simplex
 
-    pt = std_simplex(0)
-    assign = {}
-    for c in x.nondegenerate():
-        s = nondeg("0")
-        for i in range(x.cell_dim(c)):
-            s = pt.degen(s, i)
-        assign[c] = s
-    return SMap(x, pt, assign)
+    return constant_map(x, std_simplex(0), "0")
 
 
 def initial_map(x: FinSSet) -> SMap:

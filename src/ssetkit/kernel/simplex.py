@@ -23,9 +23,6 @@ class Simplex:
     word: tuple[int, ...]
     base: str
 
-    def is_degenerate(self) -> bool:
-        return bool(self.word)
-
     def __repr__(self) -> str:  # compact, used in diagnostics
         if not self.word:
             return f"<{self.base}>"

@@ -9,7 +9,6 @@ truncation: levels <= N are correct, nothing is claimed above.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -372,20 +371,6 @@ def constant_map(x: FinSSet, target: FinSSet, vertex: str) -> SMap:
     return SMap(x, target, assign)
 
 
-def is_isomorphism(f: SMap) -> bool:
-    if sorted(len(l) for l in f.source.cells) != sorted(len(l) for l in f.target.cells):
-        return False
-    if len(f.source.cells) != len(f.target.cells):
-        return False
-    images = set()
-    for c in f.source.nondegenerate():
-        img = f.assignment[c]
-        if img.word:
-            return False
-        images.add(img.base)
-    return len(images) == f.source.size() == f.target.size()
-
-
 def find_isomorphism(x: FinSSet, y: FinSSet) -> Optional[SMap]:
     """Search for an isomorphism by matching nondegenerate cells per dimension."""
     if [len(l) for l in x.cells] != [len(l) for l in y.cells]:
@@ -424,26 +409,3 @@ def find_isomorphism(x: FinSSet, y: FinSSet) -> Optional[SMap]:
     if extend(0, 0, set()):
         return SMap(x, y, dict(assign))
     return None
-
-
-def disjoint_union_levels(xs: Sequence[FinSSet]) -> FinSSet:
-    """Coproduct with cells tagged by summand index (exactness: min of bounds)."""
-    bounds = [x.dim_bound for x in xs]
-    bound = None
-    finite = [b for b in bounds if b is not None]
-    if finite:
-        bound = min(finite)
-    top = max((x.dim for x in xs), default=-1)
-    levels = []
-    faces: dict[str, tuple[Simplex, ...]] = {}
-    for n in range(top + 1):
-        level = []
-        for k, x in enumerate(xs):
-            if n <= x.dim:
-                for c in x.cells[n]:
-                    level.append(f"i{k}_{c}")
-        levels.append(tuple(level))
-    for k, x in enumerate(xs):
-        for c, fs in x.faces.items():
-            faces[f"i{k}_{c}"] = tuple(Simplex(f.word, f"i{k}_{f.base}") for f in fs)
-    return FinSSet(tuple(levels), faces, bound)

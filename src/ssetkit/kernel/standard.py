@@ -8,7 +8,7 @@ diagnostics and serialized files.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
@@ -228,31 +228,6 @@ def nerve(cat: CategoryPresentation, depth: int) -> FinSSet:
         levels.append(tuple(level))
         n += 1
     return FinSSet(tuple(levels), faces, None if exact else depth).assert_valid()
-
-
-def nerve_functor(
-    src: FinSSet,
-    tgt: FinSSet,
-    cat_tgt: CategoryPresentation,
-    on_objects: Mapping[str, str],
-    on_arrows: Mapping[str, Optional[str]],
-) -> SMap:
-    """The map of nerves induced by a functor given on objects and arrows.
-
-    ``on_arrows`` may send an arrow to ``None`` (an identity), in which case
-    chains through it become degenerate.
-    """
-    assign = {}
-    for c in src.nondegenerate():
-        parts = c[2:].split("__")
-        obj, arrows = parts[0], parts[1:]
-        values = [on_objects[obj]] + [on_arrows[a] for a in arrows]
-        reduced = [values[0]] + [a for a in values[1:] if a is not None]
-        word = tuple(
-            sorted((j for j, a in enumerate(values[1:]) if a is None), reverse=True)
-        )
-        assign[c] = Simplex(word, "n_" + "__".join(reduced))
-    return SMap(src, tgt, assign).assert_valid()
 
 
 @lru_cache(maxsize=None)

@@ -8,13 +8,11 @@ check certifies the property "up to depth".
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .kernel import (
-    EMPTY,
     FinSSet,
     SMap,
     SSetError,
@@ -22,6 +20,7 @@ from .kernel import (
     boundary,
     compose,
     enumerate_maps,
+    enumerate_sections,
     horn,
     identity,
     interval_groupoid_skeleton,
@@ -72,33 +71,29 @@ class LiftingProblem:
         return problems
 
 
+def _forced_images(i: SMap, along: SMap) -> Optional[dict[str, Simplex]]:
+    """Images a map out of i.target must give the cells i hits nondegenerately
+    to restrict to ``along`` along i; None when two cells of A clash."""
+    forced: dict[str, Simplex] = {}
+    for c in i.source.nondegenerate():
+        img = i.apply_cell(c)
+        if not img.word:
+            want = along.apply_cell(c)
+            if forced.setdefault(img.base, want) != want:
+                return None
+    return forced
+
+
 def solve_lift(problem: LiftingProblem, *, all_fillers: bool = False):
     """Find the lexicographically least filler B -> X, or None.
 
     With ``all_fillers`` returns the full list instead.
     """
     i, p, top, bottom = problem.left, problem.right, problem.top, problem.bottom
-    forced: dict[str, Simplex] = {}
-    ok = True
-    for c in i.source.nondegenerate():
-        img = i.apply_cell(c)
-        if not img.word:
-            want = top.apply_cell(c)
-            prev = forced.get(img.base)
-            if prev is not None and prev != want:
-                ok = False
-                break
-            forced[img.base] = want
-    if not ok:
+    forced = _forced_images(i, top)
+    if forced is None:
         return [] if all_fillers else None
-
-    def commutes(c: str, cand: Simplex) -> bool:
-        return p.apply(cand) == bottom.apply_cell(c)
-
-    gen = enumerate_maps(
-        i.target, p.source, forced=forced, constraint=commutes,
-        limit=None if all_fillers else 1,
-    )
+    gen = enumerate_sections(p, bottom, forced=forced, limit=None if all_fillers else 1)
     # degenerate images of cells of A also constrain the filler, but only
     # through their bases, which the forced dict above already pins; cells of
     # A hitting degenerate simplices of B constrain nothing extra beyond
@@ -170,16 +165,8 @@ def lifting_problems(gen: SMap, p: SMap) -> Iterator[LiftingProblem]:
     """All commuting squares from a generator to p, in deterministic order."""
     for u in enumerate_maps(gen.source, p.source):
         want = compose(p, u)
-        forced = {}
-        consistent = True
-        for c in gen.source.nondegenerate():
-            img = gen.apply_cell(c)
-            if not img.word:
-                w = want.apply_cell(c)
-                if forced.setdefault(img.base, w) != w:
-                    consistent = False
-                    break
-        if not consistent:
+        forced = _forced_images(gen, want)
+        if forced is None:
             continue
         for v in enumerate_maps(gen.target, p.target, forced=forced):
             if compose(v, gen) == want:
@@ -189,20 +176,24 @@ def lifting_problems(gen: SMap, p: SMap) -> Iterator[LiftingProblem]:
 def has_rlp(p: SMap, family: GeneratorFamily) -> tuple[bool, Optional[LiftingProblem]]:
     """Right lifting property against every generator; returns a
     counterexample square on failure."""
-    for gen in family.generators:
-        for prob in lifting_problems(gen, p):
-            if solve_lift(prob) is None:
-                return False, prob
-    return True, None
+    found = _first_unsolved((gen, p) for gen in family.generators)
+    return (True, None) if found is None else (False, found[1])
 
 
 def has_llp(i: SMap, tests: Sequence[SMap]) -> tuple[bool, Optional[LiftingProblem]]:
     """Left lifting property of i against a finite family of test maps."""
-    for p in tests:
-        for prob in lifting_problems(i, p):
+    found = _first_unsolved((i, p) for p in tests)
+    return (True, None) if found is None else (False, found[1])
+
+
+def _first_unsolved(pairs) -> Optional[tuple[int, LiftingProblem]]:
+    """The index of the first (left, right) pair with a square that has no
+    filler, and that square; None when every square is filled."""
+    for idx, (left, right) in enumerate(pairs):
+        for prob in lifting_problems(left, right):
             if solve_lift(prob) is None:
-                return False, prob
-    return True, None
+                return idx, prob
+    return None
 
 
 @dataclass(frozen=True)
@@ -261,16 +252,6 @@ class CellFactorization:
         return self.left.target
 
 
-def _unsolved_problem(
-    r: SMap, family: GeneratorFamily
-) -> Optional[tuple[int, LiftingProblem]]:
-    for idx, gen in enumerate(family.generators):
-        for prob in lifting_problems(gen, r):
-            if solve_lift(prob) is None:
-                return idx, prob
-    return None
-
-
 def factor_soa(f: SMap, family: GeneratorFamily, budget: int) -> CellFactorization:
     """Factor f as (relative cell map, map with RLP up to depth), by need.
 
@@ -282,7 +263,7 @@ def factor_soa(f: SMap, family: GeneratorFamily, budget: int) -> CellFactorizati
     right = f
     attachments: list[CellAttachment] = []
     while True:
-        found = _unsolved_problem(right, family)
+        found = _first_unsolved((gen, right) for gen in family.generators)
         if found is None:
             return CellFactorization(left, right, tuple(attachments), True)
         if len(attachments) >= budget:

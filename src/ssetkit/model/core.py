@@ -19,11 +19,9 @@ from ..kernel import (
     SSetError,
     Simplex,
     compose,
+    enumerate_sections,
     identity,
-    nondeg,
     pullback,
-    terminal,
-    terminal_map,
 )
 from ..lifting import GeneratorFamily, family_by_name, has_rlp
 
@@ -201,12 +199,4 @@ def factor_through(f: SMap, eps: SMap) -> Optional[SMap]:
 
 def enumerate_terms(a: LUType) -> list[LUTerm]:
     """All terms of a type, by enumerating sections of p over r."""
-    from ..kernel import enumerate_maps
-
-    def over_r(c: str, cand: Simplex) -> bool:
-        return a.p.apply(cand) == a.r.apply_cell(c)
-
-    out = []
-    for s in enumerate_maps(a.ctx.sset, a.total, constraint=over_r):
-        out.append(LUTerm(a, s))
-    return out
+    return [LUTerm(a, s) for s in enumerate_sections(a.p, a.r)]

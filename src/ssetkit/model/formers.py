@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..kernel import (
-    Coproduct,
     FinSSet,
     Pullback,
     SMap,
@@ -20,7 +19,6 @@ from ..kernel import (
     coproduct,
     exponential,
     identity,
-    initial_map,
     product,
     pullback,
     pushforward,
@@ -36,8 +34,6 @@ from ..lifting import (
     GeneratorFamily,
     LiftingProblem,
     factor_soa,
-    has_llp,
-    leibniz,
     quasifibration_check,
     solve_lift,
 )
@@ -79,20 +75,12 @@ __all__ = [
     "dep_coprod",
     "dep_coprod_intro",
     "dep_coprod_elim",
-    "initial_type",
-    "initial_elim",
-    "BinaryCoprodResult",
-    "binary_coprod",
-    "coprod_inl",
-    "coprod_inr",
-    "coprod_case",
     "over_cylinder",
     "extension_type",
     "extension_lam",
     "extension_app",
     "PushoutCells",
     "pushout_cells",
-    "pushout_product_probe",
 ]
 
 
@@ -221,30 +209,40 @@ def pi_type(a: LUType, b: LUType, ext: Extension, variant: str = "plain") -> LUT
     return LUType(a.ctx, r_core, e_pi.struct, a.spec, depth, aux)
 
 
+def _pi_abstract(s: LUType, bt: LUTerm, pb: Pullback) -> LUTerm:
+    """The term of Pi abstracting bt, a term of B over the chosen extension pb."""
+    h = s.aux
+    pb_gu = pullback(s.r, h["p_u"])  # ctx x_{V_u} E_u
+    alpha = compose(h["pb_u"].to_right, pb_gu.to_right)  # -> E_I (= E_A)
+    phi = pb.pair(pb_gu.to_left, alpha)  # -> the chosen extension
+    v = h["prod_ee"].pair(alpha, compose(bt.section, phi))
+    k = h["z"].pair(pb_gu.to_right, v)
+    return LUTerm(s, h["e_pi"].transpose(s.r, k, pb_gu))
+
+
+def _pi_apply(s: LUType, f_sec: SMap, r: SMap, a_sec: SMap) -> SMap:
+    """The section of B given by evaluating f_sec, a section of Pi over r, at
+    a_sec, a section of the domain over the same context."""
+    h = s.aux
+    pb_e = pullback(h["e_pi"].struct, h["p_u"])
+    ev = h["e_pi"].counit(pb_e)  # -> Z
+    x = h["pb_u"].pair(r, a_sec)  # ctx -> E_u
+    z = compose(ev, pb_e.pair(f_sec, x))
+    return compose(h["prod_ee"].proj2, compose(h["z"].to_right, z))
+
+
 def pi_lam(s: LUType, bt: LUTerm) -> LUTerm:
     """Abstraction: a term of B over the extension gives a term of Pi."""
     if s.aux.get("variant") != "plain":
         raise UnsupportedConstruction("abstraction is provided for the plain Pi")
-    h = s.aux
-    ext: Extension = s.aux["ext"]
-    pb_gu = pullback(s.r, h["p_u"])  # ctx x_{V_u} E_u
-    alpha = compose(h["pb_u"].to_right, pb_gu.to_right)  # -> E_I (= E_A)
-    phi = ext.pb.pair(pb_gu.to_left, alpha)  # -> the chosen extension
-    v = h["prod_ee"].pair(alpha, compose(bt.section, phi))
-    k = h["z"].pair(pb_gu.to_right, v)
-    return LUTerm(s, h["e_pi"].transpose(s.r, k, pb_gu))
+    return _pi_abstract(s, bt, s.aux["ext"].pb)
 
 
 def pi_app(s: LUType, f: LUTerm, at: LUTerm) -> LUTerm:
     """Application: f a as a term of B[a]."""
     if s.aux.get("variant") != "plain":
         raise UnsupportedConstruction("application is provided for the plain Pi")
-    h = s.aux
-    pb_e = pullback(h["e_pi"].struct, h["p_u"])
-    ev = h["e_pi"].counit(pb_e)  # -> Z
-    x = h["pb_u"].pair(s.r, at.section)  # ctx -> E_u
-    z = compose(ev, pb_e.pair(f.section, x))
-    section = compose(h["prod_ee"].proj2, compose(h["z"].to_right, z))
+    section = _pi_apply(s, f.section, s.r, at.section)
     b: LUType = s.aux["b"]
     sa = s.aux["ext"].pb.pair(identity(s.ctx.sset), at.section)
     return LUTerm(subst(b, sa), section)
@@ -260,14 +258,10 @@ def pi_app_var(s: LUType, f: LUTerm) -> LUTerm:
     """
     if s.aux.get("variant") != "plain":
         raise UnsupportedConstruction("application is provided for the plain Pi")
-    h = s.aux
     ext: Extension = s.aux["ext"]
     b: LUType = s.aux["b"]
-    pb_e = pullback(h["e_pi"].struct, h["p_u"])
-    ev = h["e_pi"].counit(pb_e)
-    x = h["pb_u"].pair(compose(s.r, ext.proj), ext.pb.to_right)
-    z = compose(ev, pb_e.pair(compose(f.section, ext.proj), x))
-    return LUTerm(b, compose(h["prod_ee"].proj2, compose(h["z"].to_right, z)))
+    proj = ext.proj
+    return LUTerm(b, _pi_apply(s, compose(f.section, proj), compose(s.r, proj), ext.pb.to_right))
 
 
 def hom_type(pi: LUType, base_spec: FibClassSpec, level: int = 2) -> LUType:
@@ -369,27 +363,15 @@ def dep_prod(fam: IndexedFamily) -> LUType:
 
 def dep_prod_lam(s: LUType, bt: LUTerm) -> LUTerm:
     """lambda i. b from a section of p_B over Delta.I."""
-    fam: IndexedFamily = s.aux["fam"]
-    h = s.aux
-    pb_gu = pullback(s.r, h["p_u"])
-    alpha = compose(h["pb_u"].to_right, pb_gu.to_right)  # -> E_I
-    phi = fam.pb.pair(pb_gu.to_left, alpha)  # -> Delta.I
-    v = h["prod_ee"].pair(alpha, compose(bt.section, phi))
-    k = h["z"].pair(pb_gu.to_right, v)
-    return LUTerm(s, h["e_pi"].transpose(s.r, k, pb_gu))
+    return _pi_abstract(s, bt, s.aux["fam"].pb)
 
 
 def dep_prod_app(s: LUType, f: LUTerm, j_sec: SMap) -> LUTerm:
     """f j for a base section j_sec: Delta -> E_I over delta_r."""
     fam: IndexedFamily = s.aux["fam"]
-    h = s.aux
     if compose(fam.i.p, j_sec) != fam.delta_r:
         raise ModelError("dep_prod_app: j is not a section over the base classifier")
-    pb_e = pullback(h["e_pi"].struct, h["p_u"])
-    ev = h["e_pi"].counit(pb_e)
-    x = h["pb_u"].pair(s.r, j_sec)
-    z = compose(ev, pb_e.pair(f.section, x))
-    section = compose(h["prod_ee"].proj2, compose(h["z"].to_right, z))
+    section = _pi_apply(s, f.section, s.r, j_sec)
     sj = fam.pb.pair(identity(s.ctx.sset), j_sec)
     return LUTerm(subst(fam.b, sj), section)
 
@@ -397,13 +379,8 @@ def dep_prod_app(s: LUType, f: LUTerm, j_sec: SMap) -> LUTerm:
 def dep_prod_app_var(s: LUType, f: LUTerm) -> LUTerm:
     """f applied to the generic base variable: a term of B over Delta.I."""
     fam: IndexedFamily = s.aux["fam"]
-    h = s.aux
-    pb_e = pullback(h["e_pi"].struct, h["p_u"])
-    ev = h["e_pi"].counit(pb_e)
     proj = fam.pb.to_left
-    x = h["pb_u"].pair(compose(s.r, proj), fam.pb.to_right)
-    z = compose(ev, pb_e.pair(compose(f.section, proj), x))
-    return LUTerm(fam.b, compose(h["prod_ee"].proj2, compose(h["z"].to_right, z)))
+    return LUTerm(fam.b, _pi_apply(s, compose(f.section, proj), compose(s.r, proj), fam.pb.to_right))
 
 
 def dep_coprod(
@@ -508,102 +485,7 @@ def dep_coprod_elim(s: LUType, d_type: LUType, d_sec: SMap, c: LUTerm) -> LUTerm
     return LUTerm(subst(d_type, point), compose(lift, point))
 
 
-# -- initial and binary coproducts ----------------------------------------------
-
-
-def initial_type(
-    gamma: LUContext, spec: FibClassSpec, family: GeneratorFamily, budget: int, depth: int = 2
-) -> LUType:
-    """The empty type: the factorization R(0) of the empty-to-point map."""
-    fac = factor_soa(initial_map(terminal()), family, budget)
-    aux = dict(fac=fac)
-    return LUType(gamma, terminal_map(gamma.sset), fac.right, spec, depth, aux)
-
-
-def initial_elim(zero: LUType, d_type: LUType, a: LUTerm) -> LUTerm:
-    """0-elim: a section of D whenever a term of 0 exists."""
-    fac: CellFactorization = zero.aux["fac"]
-    prod = product(d_type.universe, fac.middle)
-    prob = LiftingProblem(
-        left=initial_map(prod.sset),
-        right=d_type.p,
-        top=initial_map(d_type.total),
-        bottom=prod.proj1,
-    )
-    s = solve_lift(prob)
-    if s is None:
-        raise ModelError("initial_elim: no section over V_D x R(0)")
-    point = prod.pair(d_type.r, a.section)
-    return LUTerm(d_type, compose(s, point))
-
-
-@dataclass(frozen=True)
-class BinaryCoprodResult:
-    """A + B over the context, with its factorization and injections."""
-
-    type: LUType
-    fac: CellFactorization = field(compare=False)
-    cop: Coproduct = field(compare=False)
-    ext_a: Extension = field(compare=False)
-    ext_b: Extension = field(compare=False)
-
-
-def binary_coprod(a: LUType, b: LUType, family: GeneratorFamily, budget: int) -> BinaryCoprodResult:
-    """The coproduct of the two extension fibrations, factored over the context.
-
-    The universe here is the context itself, so this former is instance-level
-    (not strictly stable); its term calculus is exercised on closed contexts.
-    """
-    if a.ctx.sset != b.ctx.sset:
-        raise ModelError("binary_coprod: types over different contexts")
-    gamma = a.ctx
-    ext_a = ctx_extend(gamma, a)
-    ext_b = ctx_extend(gamma, b)
-    cop = coproduct(ext_a.ctx.sset, ext_b.ctx.sset)
-    induced = cop.induce(ext_a.proj, ext_b.proj)
-    fac = factor_soa(induced, family, budget)
-    t = LUType(
-        gamma, identity(gamma.sset), fac.right, a.spec, max(a.depth, b.depth), dict(a=a, b=b)
-    )
-    return BinaryCoprodResult(t, fac, cop, ext_a, ext_b)
-
-
-def coprod_inl(r: BinaryCoprodResult, at: LUTerm) -> LUTerm:
-    sa = r.ext_a.pb.pair(identity(r.type.ctx.sset), at.section)
-    return LUTerm(r.type, compose(r.fac.left, compose(r.cop.inl, sa)))
-
-
-def coprod_inr(r: BinaryCoprodResult, bt: LUTerm) -> LUTerm:
-    sb = r.ext_b.pb.pair(identity(r.type.ctx.sset), bt.section)
-    return LUTerm(r.type, compose(r.fac.left, compose(r.cop.inr, sb)))
-
-
-def coprod_case(r: BinaryCoprodResult, d_type: LUType, d1: SMap, d2: SMap, c: LUTerm) -> LUTerm:
-    """Case split: defined cellwise by summand when no cells were attached."""
-    if r.fac.attachments:
-        raise UnsupportedConstruction(
-            "coproduct elimination after nontrivial cell attachment"
-        )
-    ext = ctx_extend(r.type.ctx, r.type)
-    if d_type.ctx.sset != ext.ctx.sset:
-        raise ModelError("coprod_case: D is not over the coproduct extension")
-    glued = r.cop.induce(d1, d2)  # E_coprod -> E_D, cellwise by summand
-    point = ext.pb.pair(identity(r.type.ctx.sset), c.section)
-    return LUTerm(subst(d_type, point), compose(glued, c.section))
-
-
 # -- extension types --------------------------------------------------------------
-
-
-def pushout_product_probe(j: SMap, probes: Sequence[SMap], tests: Sequence[SMap]):
-    """Check the pushout-product axiom fragment: each probe's Leibniz map
-    against j keeps the left lifting property against the test fibrations."""
-    results = []
-    for idx, i in enumerate(probes):
-        induced, _ = leibniz(i, j)
-        ok, ce = has_llp(induced, list(tests))
-        results.append((idx, ok, ce))
-    return results
 
 
 def over_cylinder(

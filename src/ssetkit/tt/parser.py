@@ -98,6 +98,12 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
+# Deepest nesting of terms and types the parser accepts.  Each level costs at
+# most three Python frames here, so a program at the bound parses (and
+# checks) well inside the default recursion limit; deeper input is a
+# ParseError rather than a RecursionError.
+_MAX_NESTING = 256
+
 _TERM_KEYWORDS = {
     "one", "i0", "i1", "lam", "app", "spair", "fst", "snd", "refl", "idJ",
     "in", "coprod-elim", "pinl", "pinr", "pglue", "pelim",
@@ -125,6 +131,7 @@ class _Tokens:
                 bol = pos + text.rindex("\n") + 1
             pos = m.end()
         self.idx = 0
+        self.depth = 0
 
     def peek(self, k: int = 0) -> Optional[tuple]:
         if self.idx + k < len(self.toks):
@@ -152,6 +159,26 @@ class _Tokens:
     def err(self, message: str) -> ParseError:
         t = self.peek() or (None, "", 1, 1)
         return ParseError(message, t[2], t[3])
+
+    def deeper(self) -> None:
+        """Go one level deeper in the syntax tree, refusing to pass _MAX_NESTING."""
+        if self.depth >= _MAX_NESTING:
+            raise self.err(f"nesting deeper than {_MAX_NESTING} levels")
+        self.depth += 1
+
+
+def _nested(parse):
+    """Count each ``parse`` call as one level of nesting, for its duration."""
+
+    def nested(ts: _Tokens):
+        depth = ts.depth
+        ts.deeper()
+        try:
+            return parse(ts)
+        finally:
+            ts.depth = depth
+
+    return nested
 
 
 def _parse_name(ts: _Tokens) -> str:
@@ -200,6 +227,7 @@ def _parse_binder_head(ts: _Tokens) -> tuple:
     return n, ty
 
 
+@_nested
 def _parse_type(ts: _Tokens) -> Type:
     t = ts.peek()
     if t is None:
@@ -290,6 +318,7 @@ def _parse_type(ts: _Tokens) -> Type:
 # ---------------------------------------------------------------- terms
 
 
+@_nested
 def _parse_term(ts: _Tokens) -> Term:
     if ts.at("\\"):
         ts.next()
@@ -298,7 +327,9 @@ def _parse_term(ts: _Tokens) -> Term:
         return Lam(x, _parse_term(ts))
     t = _parse_atom(ts)
     while True:
+        # each application wraps the spine built so far one level deeper
         if ts.at("()"):
+            ts.deeper()
             ts.next()
             t = HomApp(t)
             continue
@@ -308,6 +339,7 @@ def _parse_term(ts: _Tokens) -> Term:
             or (nxt[0] == "name" and nxt[1] not in _RESERVED)
             or nxt[1] == "\\"
         ):
+            ts.deeper()
             if nxt[1] == "\\":
                 ts.next()
                 x = _parse_name(ts)
@@ -317,12 +349,6 @@ def _parse_term(ts: _Tokens) -> Term:
             t = App(t, _parse_atom(ts))
             continue
         return t
-
-
-def _parse_binder_term(ts: _Tokens, nbinders: int):
-    names = [_parse_name(ts) for _ in range(nbinders)]
-    ts.expect(".")
-    return names, _parse_term(ts)
 
 
 def _parse_atom(ts: _Tokens) -> Term:

@@ -128,3 +128,15 @@ def test_check_json_reports_rule():
     assert r.returncode == 1
     doc = json.loads(r.stdout)
     assert doc["ok"] is False
+
+
+def test_deep_nesting_is_a_parse_error_not_a_crash(tmp_path):
+    path = tmp_path / "deep.itt"
+    path.write_text(
+        "postulate A () | () : Type\npostulate a0 () | () : A\n"
+        "def x () | () : A := " + "fst(spair(" * 300 + "a0" + ", a0))" * 300 + "\n"
+    )
+    r = run_cli("check", str(path), "--json")
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"]["rule"] == "parse"
+    assert "Traceback" not in r.stderr

@@ -1,0 +1,34 @@
+"""Every top-level function and class of the package has a caller or a test.
+
+A name counts as used when it is read somewhere in ``src/``, ``tests/`` or
+``tools/``: as a plain name or as an attribute.  Its own ``def``, import
+lines and ``__all__`` entries are not reads, so they do not count.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_no_unreferenced_top_level_definitions():
+    defined = {}
+    used = set()
+    for path, tree in _trees("src", "tests", "tools"):
+        if path.is_relative_to(ROOT / "src" / "ssetkit"):
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined[node.name] = path.relative_to(ROOT)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(f"{path}: {name}" for name, path in defined.items() if name not in used)
+    assert unused == []

@@ -13,6 +13,7 @@ from ssetkit.kernel import (
     coproduct,
     count_maps,
     delta_map,
+    enumerate_maps,
     enumerate_sections,
     exponential,
     find_isomorphism,
@@ -34,7 +35,14 @@ from ssetkit.kernel import (
     terminal_map,
     yoneda,
 )
-from ssetkit.corpus import discrete, random_sset, small_objects
+from ssetkit.corpus import (
+    catfib_corpus,
+    discrete,
+    random_map,
+    random_sset,
+    random_ssets,
+    small_objects,
+)
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -171,6 +179,36 @@ def test_pushforward_sections_match_transpose():
     n_direct = sum(1 for _ in enumerate_sections(g, identity(std_simplex(1))))
     n_push = sum(1 for _ in enumerate_sections(pf.struct, identity(std_simplex(1))))
     assert n_direct == n_push
+
+
+def _naive_sections(p, over):
+    return [m for m in enumerate_maps(over.source, p.source) if compose(p, m) == over]
+
+
+def _sections_agree(rng, p, w):
+    """Compare with the naive filter over a map w -> p.target that has a
+    section, then over one drawn freely (which usually has none)."""
+    for over in (compose(p, random_map(rng, w, p.source)), random_map(rng, w, p.target)):
+        assert list(enumerate_sections(p, over)) == _naive_sections(p, over)
+
+
+@given(seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_sections_match_naive_filter_on_random_maps(seed):
+    rng = random.Random(seed)
+    x, y, w = random_ssets(3, seed, max_dim=2, max_cells=5)
+    _sections_agree(rng, random_map(rng, x, y), w)
+
+
+CATFIB = catfib_corpus()
+PROBES = [terminal(), std_simplex(1), boundary(1)[0], horn(2, 1)[0], std_simplex(2)]
+
+
+@given(seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_sections_match_naive_filter_on_catfib_maps(seed):
+    rng = random.Random(seed)
+    _sections_agree(rng, rng.choice(CATFIB), rng.choice(PROBES))
 
 
 def test_pullback_cone():

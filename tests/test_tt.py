@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ssetkit.tt import syntax as S
 from ssetkit.tt.checker import CheckError, check_source
 from ssetkit.tt.equality import equal_terms, equal_types, normalize, step, unfold
-from ssetkit.tt.parser import ParseError, parse_term, parse_type
+from ssetkit.tt.parser import _MAX_NESTING, ParseError, parse_term, parse_type
 
 ITT_DIR = Path(__file__).resolve().parents[1] / "corpus" / "itt"
 ITT_FILES = sorted(ITT_DIR.glob("*.itt"))
@@ -40,6 +40,39 @@ def test_corpus_verdict(path):
     except CheckError as e:
         verdict = f"error {e.rule}"
     assert verdict == expect
+
+
+# -- nesting bound ---------------------------------------------------------------
+
+
+def nested_program(levels: int) -> str:
+    """A definition whose body nests ``levels`` terms deep: fst(spair(..))
+    pairs add two levels each and parentheses make up the rest."""
+    pairs = (levels - 1) // 2
+    parens = levels - 1 - 2 * pairs
+    inner = "(" * parens + "a0" + ")" * parens
+    return PRELUDE + "def x () | () : A := " + "fst(spair(" * pairs + inner + ", a0))" * pairs + "\n"
+
+
+def test_nesting_at_the_bound_checks():
+    ck = check_source(nested_program(_MAX_NESTING))
+    assert "x" in ck.decls
+    assert parse_type("Sigma (y : A) " * (_MAX_NESTING - 1) + "A") is not None
+    # an application spine at the bound is checked (and rejected) without a
+    # RecursionError
+    with pytest.raises(CheckError, match="cannot apply"):
+        check_source(PRELUDE + "def y () | () : A := a0" + " a0" * (_MAX_NESTING - 1) + "\n")
+
+
+def test_nesting_above_the_bound_is_a_parse_error():
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        check_source(nested_program(_MAX_NESTING + 1))
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_type("Sigma (y : A) " * _MAX_NESTING + "A")
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_term("\\x. " * 5000 + "x")
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_term("f" + " a" * _MAX_NESTING)
 
 
 # -- parse/print round trips ----------------------------------------------------
