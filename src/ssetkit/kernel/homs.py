@@ -4,6 +4,13 @@ Maps are determined by images of nondegenerate cells subject to face
 compatibility, so the search assigns cells dimension by dimension.  Results
 come out in a deterministic (lexicographic) order, which the lifting engine
 relies on for reproducible fillers.
+
+Once a cell's faces are assigned, its image must have exactly those faces,
+so its candidates are looked up by face tuple
+(``FinSSet.simplices_with_faces``): forward checking in the sense of
+Haralick and Elliott (1980).  The backtracking keeps one candidate iterator
+per depth on an explicit stack, so large sources do not hit the recursion
+limit.
 """
 
 from __future__ import annotations
@@ -36,51 +43,55 @@ def enumerate_maps(
     for n in range(source.dim + 1):
         cells.extend(sorted(source.cells[n]))
     forced = forced or {}
+    if limit is not None and limit <= 0:
+        return
+    if not cells:
+        yield SMap(source, target, {})
+        return
 
     assign: dict[str, Simplex] = {}
-    count = 0
+
+    def image(f: Simplex) -> Simplex:
+        want = assign[f.base]
+        for w in reversed(f.word):
+            want = target.degen(want, w)
+        return want
 
     def candidates(c: str) -> Iterator[Simplex]:
         n = source.cell_dim(c)
-        if c in forced:
-            options: tuple[Simplex, ...] = (forced[c],)
+        if n == 0:
+            options = (forced[c],) if c in forced else target.simplices(0)
         else:
-            options = target.simplices(n)
-        for cand in options:
-            if n > 0:
-                ok = True
-                for i in range(n + 1):
-                    f = source.faces[c][i]
-                    want = assign[f.base]
-                    for w in reversed(f.word):
-                        want = target.degen(want, w)
-                    if target.face(cand, i) != want:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            if constraint is not None and not constraint(c, cand):
-                continue
-            yield cand
+            wants = tuple(image(f) for f in source.faces[c])
+            if c in forced:
+                cand = forced[c]
+                ok = all(target.face(cand, i) == w for i, w in enumerate(wants))
+                options = (cand,) if ok else ()
+            else:
+                options = target.simplices_with_faces(n, wants)
+        if constraint is None:
+            return iter(options)
+        return (cand for cand in options if constraint(c, cand))
 
-    def search(idx: int) -> Iterator[SMap]:
-        nonlocal count
+    # stack[k] iterates the candidates for cells[k]; a deeper entry of
+    # ``assign`` left over from an abandoned branch is overwritten before it
+    # is read, and its key keeps its place, so yielded dicts are in cell order
+    count = 0
+    stack = [candidates(cells[0])]
+    while stack:
+        k = len(stack) - 1
+        cand = next(stack[k], None)
+        if cand is None:
+            stack.pop()
+            continue
+        assign[cells[k]] = cand
+        if k + 1 < len(cells):
+            stack.append(candidates(cells[k + 1]))
+            continue
+        count += 1
+        yield SMap(source, target, dict(assign))
         if limit is not None and count >= limit:
             return
-        if idx == len(cells):
-            count += 1
-            yield SMap(source, target, dict(assign))
-            return
-        c = cells[idx]
-        for cand in candidates(c):
-            assign[c] = cand
-            yield from search(idx + 1)
-            if limit is not None and count >= limit:
-                del assign[c]
-                return
-            del assign[c]
-
-    yield from search(0)
 
 
 def count_maps(source: FinSSet, target: FinSSet) -> int:

@@ -26,6 +26,7 @@ class FinSSet:
     dim_bound: Optional[int] = None
     _dims: dict = field(default_factory=dict, repr=False, compare=False)
     _simplex_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _face_index: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def make(
@@ -154,14 +155,17 @@ class FinSSet:
 
     # -- enumeration ---------------------------------------------------------
 
-    def simplices(self, n: int) -> tuple[Simplex, ...]:
-        """All n-simplices, degenerate included, in canonical order."""
-        if n < 0:
-            return ()
+    def _check_level(self, n: int) -> None:
         if self.dim_bound is not None and n > self.dim_bound:
             raise SSetError(
                 f"level {n} of a truncated object (bound {self.dim_bound}) is not represented"
             )
+
+    def simplices(self, n: int) -> tuple[Simplex, ...]:
+        """All n-simplices, degenerate included, in canonical order."""
+        if n < 0:
+            return ()
+        self._check_level(n)
         cached = self._simplex_cache.get(n)
         if cached is not None:
             return cached
@@ -173,6 +177,44 @@ class FinSSet:
         result = tuple(sorted(out))
         self._simplex_cache[n] = result
         return result
+
+    def simplices_with_faces(self, n: int, wants: tuple[Simplex, ...]) -> list[Simplex]:
+        """The n-simplices x (n >= 1) with d_i x == wants[i] for all i.
+
+        The result is in ``simplices(n)`` order: nondegenerate matches
+        first, then the degenerate one, if any.  Nondegenerate matches are
+        one lookup in a per-level dict, built on first use, from the face
+        tuple stored in ``faces`` to the names of the cells having it.
+
+        A degenerate simplex whose outermost letter is j is s_j t with
+        d_j = d_{j+1} = t, so the only degenerate candidates are
+        s_j(wants[j]) for each j with wants[j] == wants[j+1]; one is kept
+        when its other faces match too.  The simplicial identities make two
+        degenerate simplices with the same faces equal, so the search stops
+        at the first one kept.
+
+        Only nondegenerate cells are indexed: keying every simplex would
+        keep a face tuple per degenerate simplex alive for as long as the
+        object lives, and ``factor_soa`` keeps every middle object alive.
+        """
+        self._check_level(n)
+        index = self._face_index.get(n)
+        if index is None:
+            groups: dict[tuple[Simplex, ...], list[str]] = {}
+            if n <= self.dim:
+                for c in sorted(self.cells[n]):
+                    groups.setdefault(self.faces[c], []).append(c)
+            index = {fs: tuple(cs) for fs, cs in groups.items()}
+            self._face_index[n] = index
+        out = [nondeg(c) for c in index.get(wants, ())]
+        for j in range(n):
+            t = wants[j]
+            if t == wants[j + 1]:
+                s = self.degen(t, j)
+                if all(self.face(s, i) == wants[i] for i in range(n + 1) if i not in (j, j + 1)):
+                    out.append(s)
+                    break
+        return out
 
     # -- validation ----------------------------------------------------------
 
@@ -372,40 +414,45 @@ def constant_map(x: FinSSet, target: FinSSet, vertex: str) -> SMap:
 
 
 def find_isomorphism(x: FinSSet, y: FinSSet) -> Optional[SMap]:
-    """Search for an isomorphism by matching nondegenerate cells per dimension."""
+    """Search for an isomorphism by matching nondegenerate cells per dimension.
+
+    Cells are matched in the order they are listed, each against the
+    unused cells of y of its dimension in listed order, and the first full
+    match found is returned.  Backtracking keeps one candidate iterator per
+    cell on an explicit stack, so large objects do not hit the recursion
+    limit.
+    """
     if [len(l) for l in x.cells] != [len(l) for l in y.cells]:
         return None
+    order = [c for level in x.cells for c in level]
+    if not order:
+        return SMap(x, y, {})
     assign: dict[str, Simplex] = {}
-    levels = [list(level) for level in x.cells]
-    ylevels = [list(level) for level in y.cells]
+    used: set[str] = set()
 
-    def extend(n: int, idx: int, used: set[str]) -> bool:
-        if n > x.dim:
-            return True
-        if idx == len(levels[n]):
-            return extend(n + 1, 0, set())
-        c = levels[n][idx]
-        for cand in ylevels[n]:
+    def candidates(c: str) -> Iterator[str]:
+        n = x.cell_dim(c)
+        expect = [Simplex(f.word, assign[f.base].base) for f in x.faces[c]] if n else []
+        for cand in y.cells[n]:
             if cand in used:
                 continue
-            if n > 0:
-                ok = True
-                for i in range(n + 1):
-                    f = x.faces[c][i]
-                    expect = Simplex(f.word, assign[f.base].base)
-                    if y.face(nondeg(cand), i) != expect:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            assign[c] = nondeg(cand)
-            used.add(cand)
-            if extend(n, idx + 1, used):
-                return True
-            used.discard(cand)
-            del assign[c]
-        return False
+            if all(y.face(nondeg(cand), i) == e for i, e in enumerate(expect)):
+                yield cand
 
-    if extend(0, 0, set()):
-        return SMap(x, y, dict(assign))
+    # candidates() reads ``used`` lazily, so a cell's previous choice is
+    # released before its iterator resumes
+    stack = [candidates(order[0])]
+    while stack:
+        c = order[len(stack) - 1]
+        if c in assign:
+            used.discard(assign.pop(c).base)
+        cand = next(stack[-1], None)
+        if cand is None:
+            stack.pop()
+            continue
+        assign[c] = nondeg(cand)
+        used.add(cand)
+        if len(stack) == len(order):
+            return SMap(x, y, assign)
+        stack.append(candidates(order[len(stack)]))
     return None
