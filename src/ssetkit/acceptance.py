@@ -29,8 +29,8 @@ from .joyal import (
     b_functor,
     composite_invertibility_check,
     core_G,
+    core_kan_check,
     factor_g_kan,
-    g_fib_check,
     lemma_four_conditions,
 )
 from .kernel import (
@@ -248,7 +248,7 @@ def criterion_5(depth: int = 3, budget: int = 500) -> CriterionResult:
         if not ok_cat:
             fails += 1
             continue
-        rep = g_fib_check(f, level=3)
+        rep = core_kan_check(f, level=3)
         if not rep.kan_ok:
             fails += 1
     ok = fails == 0

@@ -60,6 +60,7 @@ __all__ = [
     "factor_g_kan",
     "GFibReport",
     "g_fib_check",
+    "core_kan_check",
     "CompositeReport",
     "composite_invertibility_check",
     "edge_classifier",
@@ -413,6 +414,12 @@ def g_fib_check(p: SMap, level: int = DEFAULT_LEVEL) -> GFibReport:
     ok, ce = has_rlp(p, cat_family(level))
     if not ok:
         raise SSetError(f"input is not a categorical-type fibration at {level}: {ce}")
+    return core_kan_check(p, level)
+
+
+def core_kan_check(p: SMap, level: int = DEFAULT_LEVEL) -> GFibReport:
+    """The Kan check of ``g_fib_check`` on the core of p, for a p already
+    known to be a categorical-type fibration at ``level``."""
     gp = core_of_map(p, "skeletal", level)
     kan_ok, counter = has_rlp(gp, kan_family(level))
     return GFibReport(gp, kan_ok, counter)

@@ -25,7 +25,7 @@ from .standard import (
     walking_iso_category,
     yoneda,
 )
-from .homs import count_maps, enumerate_maps, enumerate_sections
+from .homs import check_represented, count_maps, enumerate_maps, enumerate_sections
 from .limits import (
     Coproduct,
     Product,

@@ -21,6 +21,12 @@ from .simplex import Simplex
 from .sset import FinSSet, SMap, SSetError
 
 
+def check_represented(target: FinSSet, dim: int) -> None:
+    """Raise unless the target is represented up to dimension ``dim``."""
+    if target.dim_bound is not None and dim > target.dim_bound:
+        raise SSetError(f"target truncated at {target.dim_bound}, below source dimension {dim}")
+
+
 def enumerate_maps(
     source: FinSSet,
     target: FinSSet,
@@ -35,10 +41,7 @@ def enumerate_maps(
     candidate images cell by cell.  The target must be represented at least
     up to the dimension of the source.
     """
-    if target.dim_bound is not None and source.dim > target.dim_bound:
-        raise SSetError(
-            f"target truncated at {target.dim_bound}, below source dimension {source.dim}"
-        )
+    check_represented(target, source.dim)
     cells: list[str] = []
     for n in range(source.dim + 1):
         cells.extend(sorted(source.cells[n]))
@@ -65,7 +68,11 @@ def enumerate_maps(
             wants = tuple(image(f) for f in source.faces[c])
             if c in forced:
                 cand = forced[c]
-                ok = all(target.face(cand, i) == w for i, w in enumerate(wants))
+                # a nondegenerate pin of the cell's dimension has its faces stored
+                if not cand.word and target.cell_dim(cand.base) == n:
+                    ok = target.faces[cand.base] == wants
+                else:
+                    ok = all(target.face(cand, i) == w for i, w in enumerate(wants))
                 options = (cand,) if ok else ()
             else:
                 options = target.simplices_with_faces(n, wants)

@@ -4,6 +4,27 @@ by-need small object argument.
 Depth semantics: every check is relative to a family of generating maps cut
 off at a declared dimension.  A failed lift is a sound refutation; a passed
 check certifies the property "up to depth".
+
+Squares against horn and boundary inclusions are decided by face lookups.
+When the left leg i: A -> Δ^n is ``horn(n, k)[1]`` or ``boundary(n)[1]``
+(the generators of the kan, inner and trivial families), a map Δ^n -> Y is
+an n-simplex y of Y by Yoneda, and a filler of the square (u, y) against
+p: X -> Y is an n-simplex x of X with x|A = u and p x = y.  A is the union
+of the facets d_i ι it contains, so x|A = u says d_i x = u(d_i ι) for those
+i: the matching-set form of the Kan condition (Goerss and Jardine,
+*Simplicial Homotopy Theory*, I.3).  For each u, in ``enumerate_maps``
+order, ``_first_unmatched`` looks the bottoms y up with
+``FinSSet.simplices_with_faces`` by the faces p u gives them, in the order
+``enumerate_maps(Δ^n, Y, forced=...)`` yields them: the missing facet of a
+horn first, then the top cell, each level-0 cell by a scan of
+``simplices(0)``.  It looks the fillers x up the same way, by the faces u
+gives them, lazily.  The first y that is no p x gives the counterexample
+(u, ``yoneda(Y, y)``), the square the general path reports first.
+Everything is per square: nothing is built per object or over a level, and
+the truncation checks fall where the general path's searches make them.
+Every other left leg, such as the vertex inclusion of ``cat_family`` or a
+map given to ``has_llp``, takes the general path: ``lifting_problems``
+searches maps for each bottom and ``solve_lift`` a section for each filler.
 """
 
 from __future__ import annotations
@@ -18,6 +39,7 @@ from .kernel import (
     SSetError,
     Simplex,
     boundary,
+    check_represented,
     compose,
     enumerate_maps,
     enumerate_sections,
@@ -27,6 +49,7 @@ from .kernel import (
     nondeg,
     pushout,
     std_simplex,
+    yoneda,
 )
 
 __all__ = [
@@ -190,10 +213,73 @@ def _first_unsolved(pairs) -> Optional[tuple[int, LiftingProblem]]:
     """The index of the first (left, right) pair with a square that has no
     filler, and that square; None when every square is filled."""
     for idx, (left, right) in enumerate(pairs):
-        for prob in lifting_problems(left, right):
-            if solve_lift(prob) is None:
-                return idx, prob
+        free = _free_cells(left)
+        if free is None:
+            unsolved = (prob for prob in lifting_problems(left, right) if solve_lift(prob) is None)
+            prob = next(unsolved, None)
+        else:
+            prob = _first_unmatched(left, right, free)
+        if prob is not None:
+            return idx, prob
     return None
+
+
+def _free_cells(i: SMap) -> Optional[tuple[str, ...]]:
+    """The cells of Δ^n outside A, in ``enumerate_maps`` order, when i is
+    ``horn(n, k)[1]`` or ``boundary(n)[1]``; None for every other map."""
+    delta = i.target
+    n = delta.dim
+    # the size test keeps std_simplex from being built for large targets
+    if n < 0 or delta.size() != 2 ** (n + 1) - 1 or delta is not std_simplex(n):
+        return None
+    top = delta.cells[n][0]
+    if i is boundary(n)[1]:
+        return (top,)
+    for k in range(n + 1 if n else 0):
+        if i is horn(n, k)[1]:
+            return (delta.faces[top][k].base, top)
+    return None
+
+
+def _first_unmatched(i: SMap, p: SMap, free: tuple[str, ...]) -> Optional[LiftingProblem]:
+    """The first unfilled square from a horn or boundary inclusion i to p,
+    found by face lookups; see the module docstring."""
+    delta, x, y = i.target, p.source, p.target
+    for u in enumerate_maps(i.source, x):
+        check_represented(y, delta.dim)
+        fills, seen = None, set()
+        for bottom in _top_images(y, delta, {c: p.apply(s) for c, s in u.assignment.items()}, free):
+            if fills is None:
+                check_represented(x, delta.dim)
+                fills = map(p.apply, _top_images(x, delta, dict(u.assignment), free))
+            while bottom not in seen:
+                filled = next(fills, None)
+                if filled is None:
+                    return LiftingProblem(i, p, u, yoneda(y, bottom))
+                seen.add(filled)
+    return None
+
+
+def _top_images(
+    target: FinSSet, delta: FinSSet, image: dict, free: tuple[str, ...]
+) -> Iterator[Simplex]:
+    """The images of the top cell of Δ^n under the maps Δ^n -> target that
+    extend ``image`` (given on A) over the free cells, in ``enumerate_maps``
+    order.  ``image`` gets the free facet's image written into it."""
+
+    def candidates(c: str):
+        n = delta.cell_dim(c)
+        if n == 0:
+            return target.simplices(0)
+        return target.simplices_with_faces(n, tuple(image[f.base] for f in delta.faces[c]))
+
+    if len(free) == 1:
+        yield from candidates(free[0])
+        return
+    facet, top = free
+    for z in candidates(facet):
+        image[facet] = z
+        yield from candidates(top)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from ssetkit.joyal import (
     lemma_four_conditions,
 )
 from ssetkit.kernel import (
+    SSetError,
     boundary,
     compose,
     find_isomorphism,
@@ -147,6 +148,11 @@ def test_g_fib_check_on_inner_collapse():
     rep = g_fib_check(terminal_map(std_simplex(1)), 2)
     assert rep.kan_ok
     assert rep.counterexample is None
+
+
+def test_g_fib_check_refuses_a_non_categorical_fibration():
+    with pytest.raises(SSetError, match="not a categorical-type fibration"):
+        g_fib_check(terminal_map(horn(2, 1)[0]), 2)
 
 
 def test_composite_invertibility_on_simplex():

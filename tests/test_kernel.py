@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import reference
 from ssetkit.kernel import (
     Simplex,
+    SSetError,
     boundary,
     compose,
     coproduct,
@@ -211,6 +212,20 @@ PROBES = [terminal(), std_simplex(1), boundary(1)[0], horn(2, 1)[0], std_simplex
 def test_sections_match_naive_filter_on_catfib_maps(seed):
     rng = random.Random(seed)
     _sections_agree(rng, rng.choice(CATFIB), rng.choice(PROBES))
+
+
+@pytest.mark.parametrize("pin", ["0", "0_1", "0_1_2", "0_1_2_3"])
+def test_pins_of_the_wrong_dimension_behave_as_in_the_naive_search(pin):
+    # a pinned nondegenerate simplex is checked against its stored face
+    # tuple only when it has the cell's dimension; lower ones still raise
+    def outcome(search):
+        try:
+            return [m.assignment for m in search(std_simplex(2), std_simplex(3), forced=forced)]
+        except SSetError as e:
+            return str(e)
+
+    forced = {"0_1_2": nondeg(pin)}
+    assert outcome(enumerate_maps) == outcome(reference.enumerate_maps)
 
 
 def test_pullback_cone():
