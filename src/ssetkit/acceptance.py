@@ -487,28 +487,26 @@ def criterion_9(depth: int = 3, budget: int = 500) -> CriterionResult:
 
 
 def _leftmost_step(t):
-    from typing import get_args
-
-    from .tt import syntax as S
+    """One beta step at the leftmost-outermost redex, or None in normal form."""
     from .tt.equality import step
+    from .tt.syntax import map_children
 
-    term_nodes = get_args(S.Term)
     red = step(t)
     if red is not None:
         return red
-    for name in ("f", "a", "t", "b", "body", "d", "q", "scrut", "j", "v", "r", "d1", "d2", "d3"):
-        sub = getattr(t, name, None)
-        if sub is not None and isinstance(sub, term_nodes):
-            red = _leftmost_step(sub)
+    found = False
+
+    def first(u):
+        nonlocal found
+        if not found:
+            red = _leftmost_step(u)
             if red is not None:
-                return _replace_field(t, name, red)
-    return None
+                found = True
+                return red
+        return u
 
-
-def _replace_field(t, name, value):
-    import dataclasses
-
-    return dataclasses.replace(t, **{name: value})
+    out = map_children(t, first)
+    return out if found else None
 
 
 def _random_redex_term(rng: random.Random):

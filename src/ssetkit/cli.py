@@ -2,8 +2,9 @@
 
 Verbs operate on serialized objects (.sset), maps (.smap), and programs
 (.itt).  Exit codes: 0 the check passed, 1 it failed, 2 usage or input
-error, 3 a cell/lift budget was exhausted.  ``--json`` emits a single
-versioned JSON document (sorted keys, fixed layout) instead of text.
+error, 3 a cell/lift budget was exhausted or normalization ran out of fuel,
+so the verdict is unknown.  ``--json`` emits a single versioned JSON
+document (sorted keys, fixed layout) instead of text.
 """
 
 from __future__ import annotations
@@ -232,8 +233,8 @@ def _check_program(path: str):
     from .tt.parser import ParseError
 
     try:
-        src = Path(path).read_text()
-    except OSError as e:
+        src = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from None
     try:
         return check_source(src), None
@@ -271,16 +272,22 @@ def _interp_decls(ck, depth: int, budget: int) -> dict:
 
 
 def cmd_check(args) -> int:
-    ck, err = _check_program(args.file)
+    from .tt.equality import OutOfFuel
+
+    try:
+        ck, err = _check_program(args.file)
+        report = None
+        if err is None and args.interp:
+            report = _interp_decls(ck, args.depth, args.budget)
+    except OutOfFuel as e:
+        print(f"ssetkit: {e}", file=sys.stderr)
+        return EXIT_BUDGET
     if err is not None:
         return _emit(args, {"file": args.file, "error": err}, False)
     payload = {"file": args.file, "declarations": len(ck.decls)}
-    ok = True
-    if args.interp:
-        report = _interp_decls(ck, args.depth, args.budget)
+    if report is not None:
         payload["interpretation"] = report
-        ok = not report["failed"]
-    return _emit(args, payload, ok)
+    return _emit(args, payload, report is None or not report["failed"])
 
 
 def cmd_interp(args) -> int:

@@ -28,14 +28,35 @@ def sset_to_dict(x: FinSSet) -> dict:
     }
 
 
+def _malformed(shape: str) -> SSetError:
+    return SSetError(f"malformed file: expected {shape}")
+
+
+def _lists_of(d, item: type) -> bool:
+    return isinstance(d, dict) and all(
+        isinstance(v, list) and all(isinstance(i, item) for i in v) for v in d.values()
+    )
+
+
+def _simplex(f) -> Simplex:
+    degen = f.get("degen") if isinstance(f, dict) else None
+    if not (isinstance(degen, list) and all(type(i) is int for i in degen)
+            and isinstance(f.get("base"), str)):
+        raise _malformed('a simplex {"degen": [ints], "base": name}')
+    return Simplex(tuple(degen), f["base"])
+
+
 def sset_from_dict(data: dict) -> FinSSet:
+    """The simplicial set of a parsed .sset file; ``SSetError`` when ``data``
+    does not have the shape of one."""
+    if not (isinstance(data, dict) and _lists_of(data.get("cells", {}), str)
+            and _lists_of(data.get("faces", {}), object)
+            and type(data.get("dim_bound", "exact")) in (int, str)):
+        raise _malformed('{"cells": {level: [names]}, "faces": {name: [simplices]}}')
     bound = data.get("dim_bound", "exact")
     dim_bound = None if bound == "exact" else int(bound)
     cells = {int(n): tuple(level) for n, level in data.get("cells", {}).items()}
-    faces = {
-        c: tuple(Simplex(tuple(f["degen"]), f["base"]) for f in fs)
-        for c, fs in data.get("faces", {}).items()
-    }
+    faces = {c: tuple(map(_simplex, fs)) for c, fs in data.get("faces", {}).items()}
     return FinSSet.make(cells, faces, dim_bound)
 
 
@@ -72,11 +93,12 @@ def save_smap(m: SMap, path: PathLike, source_path: str, target_path: str) -> No
 def load_smap(path: PathLike, validate: bool = True) -> SMap:
     path = Path(path)
     data = json.loads(path.read_text())
+    if not (isinstance(data, dict) and isinstance(data.get("source"), str)
+            and isinstance(data.get("target"), str) and isinstance(data.get("assignment"), dict)):
+        raise _malformed('{"source": path, "target": path, "assignment": {name: simplex}}')
     src = load_sset(path.parent / data["source"], validate=validate)
     tgt = load_sset(path.parent / data["target"], validate=validate)
-    assign = {
-        c: Simplex(tuple(s["degen"]), s["base"]) for c, s in data["assignment"].items()
-    }
+    assign = {c: _simplex(s) for c, s in data["assignment"].items()}
     m = SMap(src, tgt, assign)
     if validate:
         m.assert_valid()

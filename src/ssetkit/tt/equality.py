@@ -45,37 +45,35 @@ from .syntax import (
     Type,
     Var,
     alpha_equal,
-    alpha_equal_type,
     free_vars,
     fresh,
+    map_children,
     subst,
     subst_type,
 )
 
-__all__ = ["normalize", "equal_terms", "equal_types", "step", "unfold"]
+__all__ = ["FUEL", "OutOfFuel", "normalize", "equal_terms", "equal_types", "step", "unfold"]
 
 Defs = Optional[dict]
 
+#: beta steps ``normalize`` may take along one path of reductions
+FUEL = 10000
 
-def unfold(t: Term, defs: Defs) -> Term:
-    """Replace global definitions (stored pre-unfolded) by their bodies."""
+
+class OutOfFuel(Exception):
+    """``normalize`` used up its ``FUEL`` steps with a redex left: the
+    verdict is unknown, not "different"."""
+
+
+def unfold(t, defs: Defs):
+    """Replace the global definitions free in a term or a type by their
+    bodies, which are stored pre-unfolded; in name order, so the result
+    does not depend on set order."""
     if not defs:
         return t
-    fv = free_vars(t)
-    for name, body in defs.items():
-        if name in fv:
-            t = subst(t, name, body)
+    for name in sorted(defs.keys() & free_vars(t)):
+        t = subst(t, name, defs[name])
     return t
-
-
-def _unfold_type(ty: Type, defs: Defs) -> Type:
-    from . import syntax as S
-
-    if not defs:
-        return ty
-    for name, body in defs.items():
-        ty = S.subst_type(ty, name, body)
-    return ty
 
 
 def step(t: Term) -> Optional[Term]:
@@ -112,60 +110,25 @@ def step(t: Term) -> Optional[Term]:
     return None
 
 
-def normalize(t: Term, fuel: int = 10000) -> Term:
-    """Full beta-normal form (the calculus is terminating on checked terms)."""
-    while fuel > 0:
+def normalize(t: Term, fuel: Optional[int] = None) -> Term:
+    """Full beta-normal form (the calculus is terminating on checked terms).
+
+    Each path of reductions may take ``FUEL`` steps; ``OutOfFuel`` is
+    raised when a redex is left after them.
+    """
+    if fuel is None:
+        fuel = FUEL
+    while True:
         red = step(t)
         if red is None:
-            break
-        t = red
-        fuel -= 1
-    # normalize subterms, then retry the root (an inner step may expose one)
-    out = _map_sub(t, lambda u: normalize(u, fuel))
-    red = step(out)
-    if red is not None and fuel > 0:
-        return normalize(red, fuel - 1)
-    return out
-
-
-def _map_sub(t: Term, f) -> Term:
-    if isinstance(t, (Var, One, I0, I1)):
-        return t
-    if isinstance(t, Lam):
-        return Lam(t.x, f(t.body))
-    if isinstance(t, App):
-        return App(f(t.f), f(t.a))
-    if isinstance(t, HomLam):
-        return HomLam(f(t.body))
-    if isinstance(t, HomApp):
-        return HomApp(f(t.f))
-    if isinstance(t, EApp):
-        return EApp(tuple(EAppClause(c.x, f(c.body)) for c in t.clauses), f(t.f), f(t.v))
-    if isinstance(t, SPair):
-        return SPair(f(t.a), f(t.b))
-    if isinstance(t, Fst):
-        return Fst(f(t.t))
-    if isinstance(t, Snd):
-        return Snd(f(t.t))
-    if isinstance(t, Refl):
-        return Refl(f(t.t))
-    if isinstance(t, IdJ):
-        return IdJ(t.z, t.p, t.dtype, t.x, f(t.d), f(t.q))
-    if isinstance(t, In):
-        return In(f(t.j), f(t.b))
-    if isinstance(t, CPair):
-        return CPair(f(t.j), f(t.b))
-    if isinstance(t, CoprodElim):
-        return CoprodElim(t.z, t.dtype, t.i, t.x, f(t.d), f(t.scrut))
-    if isinstance(t, Pinl):
-        return Pinl(f(t.t))
-    if isinstance(t, Pinr):
-        return Pinr(f(t.t))
-    if isinstance(t, Pglue):
-        return Pglue(f(t.t), f(t.r))
-    if isinstance(t, PushElim):
-        return PushElim(t.w, t.dtype, t.y, f(t.d1), t.z, f(t.d2), t.x, t.i, f(t.d3), f(t.scrut))
-    raise TypeError(f"not a term node: {t!r}")
+            # normalize subterms, then retry the root (an inner step may expose one)
+            t = map_children(t, lambda u: normalize(u, fuel))
+            red = step(t)
+            if red is None:
+                return t
+        if fuel == 0:
+            raise OutOfFuel(f"normalization ran out of fuel after {FUEL} beta steps")
+        t, fuel = red, fuel - 1
 
 
 def _match_one_hole(pattern: Term, hole: str, value: Term) -> Optional[Term]:
@@ -221,49 +184,18 @@ def _glue_endpoint(ty: "TPushout", t: Term) -> Term:
 
 def equal_types(t: Type, u: Type, defs: Defs = None) -> bool:
     """Type equality: alpha after normalizing all embedded terms."""
-    t, u = _unfold_type(t, defs), _unfold_type(u, defs)
-    return alpha_equal_type(_norm_type(t), _norm_type(u))
+    return alpha_equal(_normal_type(unfold(t, defs)), _normal_type(unfold(u, defs)))
 
 
-def _norm_type(t: Type):
-    from . import syntax as S
-
-    if isinstance(t, S.TConst):
-        return S.TConst(t.name, tuple(normalize(a) for a in t.args))
-    if isinstance(t, (S.TUnit, S.TInterval)):
-        return t
-    if isinstance(t, S.THom):
-        return S.THom(_norm_type(t.a), _norm_type(t.b))
-    if isinstance(t, S.TDepHom):
-        return S.TDepHom(tuple((n, _norm_type(ty)) for n, ty in t.tele), _norm_type(t.b))
-    if isinstance(t, (S.TPi, S.TCoprod)):
-        cls = S.TPi if isinstance(t, S.TPi) else S.TCoprod
-        return cls(t.i, _norm_type(t.itype), _norm_type(t.body))
-    if isinstance(t, S.TSigma):
-        return S.TSigma(t.x, _norm_type(t.xtype), _norm_type(t.body))
-    if isinstance(t, (S.TId, S.TPath)):
-        cls = S.TId if isinstance(t, S.TId) else S.TPath
-        return cls(_norm_type(t.a), normalize(t.left), normalize(t.right))
-    if isinstance(t, S.TExt):
-        return S.TExt(
-            t.y,
-            _norm_type(t.v),
-            _norm_type(t.a),
-            tuple(
-                S.ExtClause(c.x, _norm_type(c.u), normalize(c.j), normalize(c.body))
-                for c in t.clauses
-            ),
-        )
-    if isinstance(t, S.TPushout):
-        return S.TPushout(normalize(t.f), normalize(t.g))
-    raise TypeError(f"not a type node: {t!r}")
+def _normal_type(ty: Type) -> Type:
+    return map_children(ty, normalize, _normal_type)
 
 
 def equal_terms(t: Term, u: Term, ty: Optional[Type] = None, defs: Defs = None) -> bool:
     """Definitional equality at a type: normalize, eta-expand, alpha-compare."""
     if defs:
         t, u = unfold(t, defs), unfold(u, defs)
-        ty = _unfold_type(ty, defs) if ty is not None else None
+        ty = unfold(ty, defs) if ty is not None else None
     t, u = normalize(t), normalize(u)
     if ty is not None:
         avoid = free_vars(t) | free_vars(u)

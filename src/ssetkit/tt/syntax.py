@@ -1,14 +1,24 @@
 """AST for the two-zone type theory, with printing and substitution.
 
-Terms and types are named (not de Bruijn); alpha-equivalence and
-capture-avoiding substitution are provided here, and the printer is the
-inverse of the parser on ASTs.
+Terms and types are named (not de Bruijn), and the printer is the inverse
+of the parser on ASTs.  The binding structure is declared once, in
+``BINDERS``: for each node with binders, its scopes, each a pair (binder
+fields, child fields those binders scope over); every other child is in no
+scope.  Free names, capture-avoiding substitution, alpha-equivalence and
+the child map (``free_vars``, ``subst``, ``alpha_equal``, ``map_children``)
+are each written once over that table and serve terms and types alike;
+``free_vars_type``, ``subst_type`` and ``alpha_equal_type`` are the same
+functions.  The telescope of ``TDepHom``, where each name scopes over the
+rest of the telescope and the body, is the one binder form they handle by
+hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple, Union
+from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import is_not
+from typing import Union, get_args
 
 __all__ = [
     "Type",
@@ -445,88 +455,74 @@ def _head_src(t: Term) -> str:
     return s
 
 
-# ---------------------------------------------------------------- variables
+# ---------------------------------------------------------------- binders
+
+#: node -> scopes (binder fields in field order, child fields they scope over)
+BINDERS = {
+    Lam: ((("x",), ("body",)),),
+    EAppClause: ((("x",), ("body",)),),
+    IdJ: ((("z", "p"), ("dtype",)), (("x",), ("d",))),
+    CoprodElim: ((("z",), ("dtype",)), (("i", "x"), ("d",))),
+    PushElim: ((("w",), ("dtype",)), (("y",), ("d1",)), (("z",), ("d2",)), (("x", "i"), ("d3",))),
+    TPi: ((("i",), ("body",)),),
+    TCoprod: ((("i",), ("body",)),),
+    TSigma: ((("x",), ("body",)),),
+    TExt: ((("y",), ("a",)),),
+    ExtClause: ((("x",), ("j", "body")),),
+}
+
+_TYPES = frozenset(get_args(Type))
+_CLAUSES = frozenset((EAppClause, ExtClause))
+# substitution renames a lambda or clause binder away from the lambda and
+# clause binders around it too, up to the nearest other binder or type; the
+# names it picks there show in error messages, which tests/golden/check pins
+_LEXICAL = frozenset((Lam, EAppClause))
+_EMPTY: frozenset = frozenset()
 
 
-def free_vars(t: Term) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset([t.name])
-    if isinstance(t, Lam):
-        return free_vars(t.body) - {t.x}
-    if isinstance(t, App):
-        return free_vars(t.f) | free_vars(t.a)
-    if isinstance(t, HomLam):
-        return free_vars(t.body)
-    if isinstance(t, HomApp):
-        return free_vars(t.f)
-    if isinstance(t, EApp):
-        out = free_vars(t.f) | free_vars(t.v)
-        for c in t.clauses:
-            out |= free_vars(c.body) - {c.x}
-        return out
-    if isinstance(t, (One, I0, I1)):
-        return frozenset()
-    if isinstance(t, SPair):
-        return free_vars(t.a) | free_vars(t.b)
-    if isinstance(t, (Fst, Snd, Refl, Pinl, Pinr)):
-        inner = t.t
-        return free_vars(inner)
-    if isinstance(t, IdJ):
-        return (
-            (free_vars_type(t.dtype) - {t.z, t.p})
-            | (free_vars(t.d) - {t.x})
-            | free_vars(t.q)
-        )
-    if isinstance(t, (In, CPair)):
-        return free_vars(t.j) | free_vars(t.b)
-    if isinstance(t, CoprodElim):
-        return (
-            (free_vars_type(t.dtype) - {t.z})
-            | (free_vars(t.d) - {t.i, t.x})
-            | free_vars(t.scrut)
-        )
-    if isinstance(t, Pglue):
-        return free_vars(t.t) | free_vars(t.r)
-    if isinstance(t, PushElim):
-        return (
-            (free_vars_type(t.dtype) - {t.w})
-            | (free_vars(t.d1) - {t.y})
-            | (free_vars(t.d2) - {t.z})
-            | (free_vars(t.d3) - {t.x, t.i})
-            | free_vars(t.scrut)
-        )
-    raise TypeError(f"not a term node: {t!r}")
+def _shape(cls) -> tuple:
+    """(field names, data fields, scopes, child fields): a ``str`` field that
+    binds nothing is data (a variable's or a constant's name), every other
+    field that is not a binder is a child, and the children that no binder
+    scopes over make one more scope, with no binders."""
+    names = tuple(f.name for f in fields(cls))
+    strs = {f.name for f in fields(cls) if f.type == "str"}
+    scopes = BINDERS.get(cls, ())
+    children = tuple(n for n in names if n not in strs)
+    free = tuple(n for n in children if all(n not in kids for _, kids in scopes))
+    data = tuple(n for n in names if n in strs and all(n not in bs for bs, _ in scopes))
+    return names, data, (((), free), *scopes) if free else scopes, children
 
 
-def free_vars_type(t: Type) -> frozenset:
-    if isinstance(t, TConst):
-        out = frozenset()
-        for a in t.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(t, (TUnit, TInterval)):
-        return frozenset()
-    if isinstance(t, THom):
-        return free_vars_type(t.a) | free_vars_type(t.b)
-    if isinstance(t, TDepHom):
-        out = free_vars_type(t.b)
+# every node but TDepHom, whose telescope the walkers handle by hand
+_SHAPES = {cls: _shape(cls) for cls in (*get_args(Term), *_TYPES, *_CLAUSES) if cls is not TDepHom}
+
+
+def free_vars(t) -> frozenset:
+    """The free names of a term or a type."""
+    cls = type(t)
+    if cls is Var:
+        return frozenset((t.name,))
+    if cls is TDepHom:
+        out = free_vars(t.b)
         for n, ty in reversed(t.tele):
-            out = (out - {n}) | free_vars_type(ty)
+            out = (out - {n}) | free_vars(ty)
         return out
-    if isinstance(t, (TPi, TCoprod)):
-        return free_vars_type(t.itype) | (free_vars_type(t.body) - {t.i})
-    if isinstance(t, TSigma):
-        return free_vars_type(t.xtype) | (free_vars_type(t.body) - {t.x})
-    if isinstance(t, (TId, TPath)):
-        return free_vars_type(t.a) | free_vars(t.left) | free_vars(t.right)
-    if isinstance(t, TExt):
-        out = free_vars_type(t.v) | (free_vars_type(t.a) - {t.y})
-        for c in t.clauses:
-            out |= free_vars_type(c.u) | (free_vars(c.j) - {c.x}) | (free_vars(c.body) - {c.x})
-        return out
-    if isinstance(t, TPushout):
-        return free_vars(t.f) | free_vars(t.g)
-    raise TypeError(f"not a type node: {t!r}")
+    out = _EMPTY
+    for binders, kids in _SHAPES[cls][2]:
+        inner = _EMPTY
+        for k in kids:
+            v = getattr(t, k)
+            if type(v) is tuple:
+                for e in v:
+                    inner |= free_vars(e)
+            else:
+                inner |= free_vars(v)
+        out |= inner.difference([getattr(t, b) for b in binders]) if binders else inner
+    return out
+
+
+free_vars_type = free_vars
 
 
 def fresh(base: str, avoid) -> str:
@@ -540,249 +536,142 @@ def fresh(base: str, avoid) -> str:
 # ---------------------------------------------------------------- substitution
 
 
-def subst(t: Term, name: str, value: Term) -> Term:
-    """Capture-avoiding substitution of ``value`` for ``name`` in a term."""
-    fv = free_vars(value)
+def subst(t, name: str, value: Term):
+    """Capture-avoiding substitution of the term ``value`` for ``name`` in a
+    term or a type.
 
-    def go(t: Term, bound: frozenset) -> Term:
-        if isinstance(t, Var):
+    A binder that is free in ``value`` is renamed by priming, away from the
+    free names of ``value`` and of its scope, from ``name`` and from the
+    other binders of its scope (and, for lambda and clause binders, from the
+    lambda and clause binders around it).
+    """
+    fv = None  # the free names of value, computed at the first binder met
+
+    def rename(b, kids: list, avoid, shadowed: bool = False) -> tuple:
+        # a fresh name for the binder b, and the kids of its scope with it put
+        # for b, unless a later binder of the scope shadows b there
+        nb = fresh(b, avoid.union(*map(free_vars, kids)))
+        return nb, kids if shadowed else [subst(k, b, Var(nb)) for k in kids]
+
+    def go(t, bound: frozenset):
+        nonlocal fv
+        cls = type(t)
+        if cls is Var:
             return value if t.name == name else t
-        if isinstance(t, Lam):
-            if t.x == name:
-                return t
-            if t.x in fv:
-                nx = fresh(t.x, fv | free_vars(t.body) | bound | {name})
-                return Lam(nx, go(subst(t.body, t.x, Var(nx)), bound | {nx}))
-            return Lam(t.x, go(t.body, bound | {t.x}))
-        if isinstance(t, App):
-            return App(go(t.f, bound), go(t.a, bound))
-        if isinstance(t, HomLam):
-            return HomLam(go(t.body, bound))
-        if isinstance(t, HomApp):
-            return HomApp(go(t.f, bound))
-        if isinstance(t, EApp):
-            cls = []
-            for c in t.clauses:
-                if c.x == name:
-                    cls.append(c)
-                elif c.x in fv:
-                    nx = fresh(c.x, fv | free_vars(c.body) | bound | {name})
-                    cls.append(EAppClause(nx, go(subst(c.body, c.x, Var(nx)), bound | {nx})))
-                else:
-                    cls.append(EAppClause(c.x, go(c.body, bound | {c.x})))
-            return EApp(tuple(cls), go(t.f, bound), go(t.v, bound))
-        if isinstance(t, (One, I0, I1)):
+        if cls is TDepHom:
+            if not t.tele:
+                return TDepHom((), go(t.b, _EMPTY))
+            (n, ty), rest = t.tele[0], TDepHom(t.tele[1:], t.b)
+            if n != name:
+                fv = free_vars(value) if fv is None else fv
+                if n in fv:
+                    n, (rest,) = rename(n, [rest], fv | {name})
+                rest = go(rest, _EMPTY)
+            return TDepHom(((n, go(ty, _EMPTY)),) + rest.tele, rest.b)
+        names, _, scopes, _ = _SHAPES[cls]
+        new = {}  # the fields that change
+        for binders, kids in scopes:
+            inner = bound
+            if binders:
+                bs = [getattr(t, b) for b in binders]
+                if name in bs:
+                    continue  # shadowed
+                fv = free_vars(value) if fv is None else fv
+                if not fv.isdisjoint(bs):
+                    sub = [getattr(t, k) for k in kids]
+                    for j, b in enumerate(bs):
+                        if b in fv:
+                            avoid = fv | bound | {name, *bs}
+                            bs[j], sub = rename(b, sub, avoid, b in bs[j + 1:])
+                            new[binders[j]] = bs[j]
+                    new.update(zip(kids, sub))
+                inner = bound.union(bs) if cls in _LEXICAL else _EMPTY
+            for k in kids:
+                old = getattr(t, k)
+                v = new.get(k, old)
+                if type(v) is tuple:
+                    v = tuple([go(e, inner) for e in v])
+                    if any(map(is_not, v, old)):
+                        new[k] = v
+                elif (v := go(v, inner)) is not old:
+                    new[k] = v
+        return cls(*[new.get(f, getattr(t, f)) for f in names]) if new else t
+
+    return go(t, _EMPTY)
+
+
+subst_type = subst
+
+
+def map_children(t, on_term, on_type=None):
+    """``t`` with ``on_term`` applied to each term child and ``on_type`` to
+    each type child, in field order, walking through tuples and clauses; the
+    type children are kept when ``on_type`` is None."""
+    cls = type(t)
+    if cls is TDepHom:
+        if on_type is None:
             return t
-        if isinstance(t, SPair):
-            return SPair(go(t.a, bound), go(t.b, bound))
-        if isinstance(t, Fst):
-            return Fst(go(t.t, bound))
-        if isinstance(t, Snd):
-            return Snd(go(t.t, bound))
-        if isinstance(t, Refl):
-            return Refl(go(t.t, bound))
-        if isinstance(t, Pinl):
-            return Pinl(go(t.t, bound))
-        if isinstance(t, Pinr):
-            return Pinr(go(t.t, bound))
-        if isinstance(t, Pglue):
-            return Pglue(go(t.t, bound), go(t.r, bound))
-        if isinstance(t, IdJ):
-            dt = t.dtype if name in (t.z, t.p) else subst_type(t.dtype, name, value)
-            d = t.d if name == t.x else subst(t.d, name, value)
-            return IdJ(t.z, t.p, dt, t.x, d, go(t.q, bound))
-        if isinstance(t, In):
-            return In(go(t.j, bound), go(t.b, bound))
-        if isinstance(t, CPair):
-            return CPair(go(t.j, bound), go(t.b, bound))
-        if isinstance(t, CoprodElim):
-            dt = t.dtype if name == t.z else subst_type(t.dtype, name, value)
-            d = t.d if name in (t.i, t.x) else subst(t.d, name, value)
-            return CoprodElim(t.z, dt, t.i, t.x, d, go(t.scrut, bound))
-        if isinstance(t, PushElim):
-            dt = t.dtype if name == t.w else subst_type(t.dtype, name, value)
-            d1 = t.d1 if name == t.y else subst(t.d1, name, value)
-            d2 = t.d2 if name == t.z else subst(t.d2, name, value)
-            d3 = t.d3 if name in (t.x, t.i) else subst(t.d3, name, value)
-            return PushElim(t.w, dt, t.y, d1, t.z, d2, t.x, t.i, d3, go(t.scrut, bound))
-        raise TypeError(f"not a term node: {t!r}")
-
-    return go(t, frozenset())
-
-
-def subst_type(t: Type, name: str, value: Term) -> Type:
-    """Capture-avoiding substitution into a type."""
-    if isinstance(t, TConst):
-        return TConst(t.name, tuple(subst(a, name, value) for a in t.args))
-    if isinstance(t, (TUnit, TInterval)):
+        return TDepHom(tuple((n, on_type(ty)) for n, ty in t.tele), on_type(t.b))
+    names, _, _, children = _SHAPES[cls]
+    if not children:
         return t
-    if isinstance(t, THom):
-        return THom(subst_type(t.a, name, value), subst_type(t.b, name, value))
-    if isinstance(t, TDepHom):
-        tele = []
-        shadowed = False
-        for n, ty in t.tele:
-            tele.append((n, ty if shadowed else subst_type(ty, name, value)))
-            if n == name:
-                shadowed = True
-        body = t.b if shadowed else subst_type(t.b, name, value)
-        return TDepHom(tuple(tele), body)
-    if isinstance(t, (TPi, TCoprod)):
-        cls = TPi if isinstance(t, TPi) else TCoprod
-        it = subst_type(t.itype, name, value)
-        if t.i == name:
-            return cls(t.i, it, t.body)
-        fv = free_vars(value)
-        if t.i in fv:
-            ni = fresh(t.i, fv | free_vars_type(t.body) | {name})
-            return cls(ni, it, subst_type(subst_type(t.body, t.i, Var(ni)), name, value))
-        return cls(t.i, it, subst_type(t.body, name, value))
-    if isinstance(t, TSigma):
-        xt = subst_type(t.xtype, name, value)
-        if t.x == name:
-            return TSigma(t.x, xt, t.body)
-        fv = free_vars(value)
-        if t.x in fv:
-            nx = fresh(t.x, fv | free_vars_type(t.body) | {name})
-            return TSigma(nx, xt, subst_type(subst_type(t.body, t.x, Var(nx)), name, value))
-        return TSigma(t.x, xt, subst_type(t.body, name, value))
-    if isinstance(t, (TId, TPath)):
-        cls = TId if isinstance(t, TId) else TPath
-        return cls(
-            subst_type(t.a, name, value),
-            subst(t.left, name, value),
-            subst(t.right, name, value),
-        )
-    if isinstance(t, TExt):
-        v = subst_type(t.v, name, value)
-        a = t.a if t.y == name else subst_type(t.a, name, value)
-        cls = []
-        for c in t.clauses:
-            u = subst_type(c.u, name, value)
-            if c.x == name:
-                cls.append(ExtClause(c.x, u, c.j, c.body))
-            else:
-                cls.append(
-                    ExtClause(c.x, u, subst(c.j, name, value), subst(c.body, name, value))
-                )
-        return TExt(t.y, v, a, tuple(cls))
-    if isinstance(t, TPushout):
-        return TPushout(subst(t.f, name, value), subst(t.g, name, value))
-    raise TypeError(f"not a type node: {t!r}")
+    vals = {}
+    for k in children:
+        v = getattr(t, k)
+        if type(v) is tuple:
+            vals[k] = tuple(
+                map_children(e, on_term, on_type) if type(e) in _CLAUSES else on_term(e)
+                for e in v
+            )
+        elif type(v) not in _TYPES:
+            vals[k] = on_term(v)
+        elif on_type is not None:
+            vals[k] = on_type(v)
+    return cls(*[vals.get(f, getattr(t, f)) for f in names])
 
 
 # ---------------------------------------------------------------- alpha
 
 
-def alpha_equal(t: Term, u: Term, env: tuple = ()) -> bool:
-    """Alpha-equivalence of terms; env pairs bound names left-to-right."""
+def _look(env: tuple, n: str, side: int) -> object:
+    for i, pair in enumerate(reversed(env)):
+        if pair[side] == n:
+            return ("b", i)
+    return ("f", n)
 
-    def look(n: str, side: int) -> object:
-        for i, pair in enumerate(reversed(env)):
-            if pair[side] == n:
-                return ("b", i)
-        return ("f", n)
 
-    if type(t) is not type(u):
+def alpha_equal(t, u, env: tuple = ()) -> bool:
+    """Alpha-equivalence of terms or of types; env pairs bound names
+    left-to-right."""
+    cls = type(t)
+    if cls is not type(u):
         return False
-    if isinstance(t, Var):
-        return look(t.name, 0) == look(u.name, 1)
-    if isinstance(t, Lam):
-        return alpha_equal(t.body, u.body, env + ((t.x, u.x),))
-    if isinstance(t, App):
-        return alpha_equal(t.f, u.f, env) and alpha_equal(t.a, u.a, env)
-    if isinstance(t, HomLam):
-        return alpha_equal(t.body, u.body, env)
-    if isinstance(t, HomApp):
-        return alpha_equal(t.f, u.f, env)
-    if isinstance(t, EApp):
-        if len(t.clauses) != len(u.clauses):
-            return False
-        for c, d in zip(t.clauses, u.clauses):
-            if not alpha_equal(c.body, d.body, env + ((c.x, d.x),)):
-                return False
-        return alpha_equal(t.f, u.f, env) and alpha_equal(t.v, u.v, env)
-    if isinstance(t, (One, I0, I1)):
-        return True
-    if isinstance(t, SPair):
-        return alpha_equal(t.a, u.a, env) and alpha_equal(t.b, u.b, env)
-    if isinstance(t, (Fst, Snd, Refl, Pinl, Pinr)):
-        return alpha_equal(t.t, u.t, env)
-    if isinstance(t, IdJ):
-        return (
-            alpha_equal_type(t.dtype, u.dtype, env + ((t.z, u.z), (t.p, u.p)))
-            and alpha_equal(t.d, u.d, env + ((t.x, u.x),))
-            and alpha_equal(t.q, u.q, env)
-        )
-    if isinstance(t, (In, CPair)):
-        return alpha_equal(t.j, u.j, env) and alpha_equal(t.b, u.b, env)
-    if isinstance(t, CoprodElim):
-        return (
-            alpha_equal_type(t.dtype, u.dtype, env + ((t.z, u.z),))
-            and alpha_equal(t.d, u.d, env + ((t.i, u.i), (t.x, u.x)))
-            and alpha_equal(t.scrut, u.scrut, env)
-        )
-    if isinstance(t, Pglue):
-        return alpha_equal(t.t, u.t, env) and alpha_equal(t.r, u.r, env)
-    if isinstance(t, PushElim):
-        return (
-            alpha_equal_type(t.dtype, u.dtype, env + ((t.w, u.w),))
-            and alpha_equal(t.d1, u.d1, env + ((t.y, u.y),))
-            and alpha_equal(t.d2, u.d2, env + ((t.z, u.z),))
-            and alpha_equal(t.d3, u.d3, env + ((t.x, u.x), (t.i, u.i)))
-            and alpha_equal(t.scrut, u.scrut, env)
-        )
-    raise TypeError(f"not a term node: {t!r}")
-
-
-def alpha_equal_type(t: Type, u: Type, env: tuple = ()) -> bool:
-    if type(t) is not type(u):
-        return False
-    if isinstance(t, TConst):
-        return t.name == u.name and len(t.args) == len(u.args) and all(
-            alpha_equal(a, b, env) for a, b in zip(t.args, u.args)
-        )
-    if isinstance(t, (TUnit, TInterval)):
-        return True
-    if isinstance(t, THom):
-        return alpha_equal_type(t.a, u.a, env) and alpha_equal_type(t.b, u.b, env)
-    if isinstance(t, TDepHom):
+    if cls is Var:
+        return _look(env, t.name, 0) == _look(env, u.name, 1)
+    if cls is TDepHom:
         if len(t.tele) != len(u.tele):
             return False
-        e = env
         for (n1, t1), (n2, t2) in zip(t.tele, u.tele):
-            if not alpha_equal_type(t1, t2, e):
+            if not alpha_equal(t1, t2, env):
                 return False
-            e = e + ((n1, n2),)
-        return alpha_equal_type(t.b, u.b, e)
-    if isinstance(t, (TPi, TCoprod)):
-        return alpha_equal_type(t.itype, u.itype, env) and alpha_equal_type(
-            t.body, u.body, env + ((t.i, u.i),)
-        )
-    if isinstance(t, TSigma):
-        return alpha_equal_type(t.xtype, u.xtype, env) and alpha_equal_type(
-            t.body, u.body, env + ((t.x, u.x),)
-        )
-    if isinstance(t, (TId, TPath)):
-        return (
-            alpha_equal_type(t.a, u.a, env)
-            and alpha_equal(t.left, u.left, env)
-            and alpha_equal(t.right, u.right, env)
-        )
-    if isinstance(t, TExt):
-        if len(t.clauses) != len(u.clauses):
+            env = env + ((n1, n2),)
+        return alpha_equal(t.b, u.b, env)
+    _, data, scopes, _ = _SHAPES[cls]
+    for k in data:
+        if getattr(t, k) != getattr(u, k):
             return False
-        if not alpha_equal_type(t.v, u.v, env):
-            return False
-        if not alpha_equal_type(t.a, u.a, env + ((t.y, u.y),)):
-            return False
-        for c, d in zip(t.clauses, u.clauses):
-            if not alpha_equal_type(c.u, d.u, env):
+    for binders, kids in scopes:
+        e = env
+        for b in binders:
+            e = e + ((getattr(t, b), getattr(u, b)),)
+        for k in kids:
+            a, b = getattr(t, k), getattr(u, k)
+            if type(a) is not tuple:
+                if not alpha_equal(a, b, e):
+                    return False
+            elif len(a) != len(b) or not all(map(alpha_equal, a, b, repeat(e))):
                 return False
-            e = env + ((c.x, d.x),)
-            if not alpha_equal(c.j, d.j, e) or not alpha_equal(c.body, d.body, e):
-                return False
-        return True
-    if isinstance(t, TPushout):
-        return alpha_equal(t.f, u.f, env) and alpha_equal(t.g, u.g, env)
-    raise TypeError(f"not a type node: {t!r}")
+    return True
+
+
+alpha_equal_type = alpha_equal

@@ -12,6 +12,12 @@ verbatim: ``lifting_problems`` searches maps for every square's bottom and
 ``solve_lift`` searches sections for its filler.  It runs on the kernel's
 ``enumerate_maps`` and ``enumerate_sections``, which are tested against the
 naive search above.
+
+``free_vars``, ``free_vars_type``, ``subst``, ``subst_type``,
+``alpha_equal`` and ``alpha_equal_type`` are the per-node walkers over
+``.itt`` syntax that the binder table of ``ssetkit.tt.syntax`` replaced,
+kept verbatim.  Their ``subst`` renames a capturing binder only under
+``Lam``, ``EApp`` clauses, ``TPi``, ``TCoprod`` and ``TSigma``.
 """
 
 from __future__ import annotations
@@ -22,6 +28,46 @@ from ssetkit import kernel
 from ssetkit.kernel.simplex import Simplex, nondeg
 from ssetkit.kernel.sset import FinSSet, SMap, SSetError, compose
 from ssetkit.lifting import GeneratorFamily, LiftingProblem
+from ssetkit.tt.syntax import (
+    App,
+    CoprodElim,
+    CPair,
+    EApp,
+    EAppClause,
+    ExtClause,
+    Fst,
+    HomApp,
+    HomLam,
+    I0,
+    I1,
+    IdJ,
+    In,
+    Lam,
+    One,
+    Pglue,
+    Pinl,
+    Pinr,
+    PushElim,
+    Refl,
+    SPair,
+    Snd,
+    TConst,
+    TCoprod,
+    TDepHom,
+    TExt,
+    THom,
+    TId,
+    TInterval,
+    TPath,
+    TPi,
+    TPushout,
+    TSigma,
+    TUnit,
+    Term,
+    Type,
+    Var,
+    fresh,
+)
 
 
 def enumerate_maps(
@@ -196,3 +242,332 @@ def has_rlp(p: SMap, family: GeneratorFamily) -> tuple[bool, Optional[LiftingPro
     counterexample square on failure."""
     found = _first_unsolved((gen, p) for gen in family.generators)
     return (True, None) if found is None else (False, found[1])
+
+
+# ------------------------------------------------------- .itt syntax walkers
+
+
+def free_vars(t: Term) -> frozenset:
+    if isinstance(t, Var):
+        return frozenset([t.name])
+    if isinstance(t, Lam):
+        return free_vars(t.body) - {t.x}
+    if isinstance(t, App):
+        return free_vars(t.f) | free_vars(t.a)
+    if isinstance(t, HomLam):
+        return free_vars(t.body)
+    if isinstance(t, HomApp):
+        return free_vars(t.f)
+    if isinstance(t, EApp):
+        out = free_vars(t.f) | free_vars(t.v)
+        for c in t.clauses:
+            out |= free_vars(c.body) - {c.x}
+        return out
+    if isinstance(t, (One, I0, I1)):
+        return frozenset()
+    if isinstance(t, SPair):
+        return free_vars(t.a) | free_vars(t.b)
+    if isinstance(t, (Fst, Snd, Refl, Pinl, Pinr)):
+        inner = t.t
+        return free_vars(inner)
+    if isinstance(t, IdJ):
+        return (
+            (free_vars_type(t.dtype) - {t.z, t.p})
+            | (free_vars(t.d) - {t.x})
+            | free_vars(t.q)
+        )
+    if isinstance(t, (In, CPair)):
+        return free_vars(t.j) | free_vars(t.b)
+    if isinstance(t, CoprodElim):
+        return (
+            (free_vars_type(t.dtype) - {t.z})
+            | (free_vars(t.d) - {t.i, t.x})
+            | free_vars(t.scrut)
+        )
+    if isinstance(t, Pglue):
+        return free_vars(t.t) | free_vars(t.r)
+    if isinstance(t, PushElim):
+        return (
+            (free_vars_type(t.dtype) - {t.w})
+            | (free_vars(t.d1) - {t.y})
+            | (free_vars(t.d2) - {t.z})
+            | (free_vars(t.d3) - {t.x, t.i})
+            | free_vars(t.scrut)
+        )
+    raise TypeError(f"not a term node: {t!r}")
+
+
+def free_vars_type(t: Type) -> frozenset:
+    if isinstance(t, TConst):
+        out = frozenset()
+        for a in t.args:
+            out |= free_vars(a)
+        return out
+    if isinstance(t, (TUnit, TInterval)):
+        return frozenset()
+    if isinstance(t, THom):
+        return free_vars_type(t.a) | free_vars_type(t.b)
+    if isinstance(t, TDepHom):
+        out = free_vars_type(t.b)
+        for n, ty in reversed(t.tele):
+            out = (out - {n}) | free_vars_type(ty)
+        return out
+    if isinstance(t, (TPi, TCoprod)):
+        return free_vars_type(t.itype) | (free_vars_type(t.body) - {t.i})
+    if isinstance(t, TSigma):
+        return free_vars_type(t.xtype) | (free_vars_type(t.body) - {t.x})
+    if isinstance(t, (TId, TPath)):
+        return free_vars_type(t.a) | free_vars(t.left) | free_vars(t.right)
+    if isinstance(t, TExt):
+        out = free_vars_type(t.v) | (free_vars_type(t.a) - {t.y})
+        for c in t.clauses:
+            out |= free_vars_type(c.u) | (free_vars(c.j) - {c.x}) | (free_vars(c.body) - {c.x})
+        return out
+    if isinstance(t, TPushout):
+        return free_vars(t.f) | free_vars(t.g)
+    raise TypeError(f"not a type node: {t!r}")
+
+
+def subst(t: Term, name: str, value: Term) -> Term:
+    """Capture-avoiding substitution of ``value`` for ``name`` in a term."""
+    fv = free_vars(value)
+
+    def go(t: Term, bound: frozenset) -> Term:
+        if isinstance(t, Var):
+            return value if t.name == name else t
+        if isinstance(t, Lam):
+            if t.x == name:
+                return t
+            if t.x in fv:
+                nx = fresh(t.x, fv | free_vars(t.body) | bound | {name})
+                return Lam(nx, go(subst(t.body, t.x, Var(nx)), bound | {nx}))
+            return Lam(t.x, go(t.body, bound | {t.x}))
+        if isinstance(t, App):
+            return App(go(t.f, bound), go(t.a, bound))
+        if isinstance(t, HomLam):
+            return HomLam(go(t.body, bound))
+        if isinstance(t, HomApp):
+            return HomApp(go(t.f, bound))
+        if isinstance(t, EApp):
+            cls = []
+            for c in t.clauses:
+                if c.x == name:
+                    cls.append(c)
+                elif c.x in fv:
+                    nx = fresh(c.x, fv | free_vars(c.body) | bound | {name})
+                    cls.append(EAppClause(nx, go(subst(c.body, c.x, Var(nx)), bound | {nx})))
+                else:
+                    cls.append(EAppClause(c.x, go(c.body, bound | {c.x})))
+            return EApp(tuple(cls), go(t.f, bound), go(t.v, bound))
+        if isinstance(t, (One, I0, I1)):
+            return t
+        if isinstance(t, SPair):
+            return SPair(go(t.a, bound), go(t.b, bound))
+        if isinstance(t, Fst):
+            return Fst(go(t.t, bound))
+        if isinstance(t, Snd):
+            return Snd(go(t.t, bound))
+        if isinstance(t, Refl):
+            return Refl(go(t.t, bound))
+        if isinstance(t, Pinl):
+            return Pinl(go(t.t, bound))
+        if isinstance(t, Pinr):
+            return Pinr(go(t.t, bound))
+        if isinstance(t, Pglue):
+            return Pglue(go(t.t, bound), go(t.r, bound))
+        if isinstance(t, IdJ):
+            dt = t.dtype if name in (t.z, t.p) else subst_type(t.dtype, name, value)
+            d = t.d if name == t.x else subst(t.d, name, value)
+            return IdJ(t.z, t.p, dt, t.x, d, go(t.q, bound))
+        if isinstance(t, In):
+            return In(go(t.j, bound), go(t.b, bound))
+        if isinstance(t, CPair):
+            return CPair(go(t.j, bound), go(t.b, bound))
+        if isinstance(t, CoprodElim):
+            dt = t.dtype if name == t.z else subst_type(t.dtype, name, value)
+            d = t.d if name in (t.i, t.x) else subst(t.d, name, value)
+            return CoprodElim(t.z, dt, t.i, t.x, d, go(t.scrut, bound))
+        if isinstance(t, PushElim):
+            dt = t.dtype if name == t.w else subst_type(t.dtype, name, value)
+            d1 = t.d1 if name == t.y else subst(t.d1, name, value)
+            d2 = t.d2 if name == t.z else subst(t.d2, name, value)
+            d3 = t.d3 if name in (t.x, t.i) else subst(t.d3, name, value)
+            return PushElim(t.w, dt, t.y, d1, t.z, d2, t.x, t.i, d3, go(t.scrut, bound))
+        raise TypeError(f"not a term node: {t!r}")
+
+    return go(t, frozenset())
+
+
+def subst_type(t: Type, name: str, value: Term) -> Type:
+    """Capture-avoiding substitution into a type."""
+    if isinstance(t, TConst):
+        return TConst(t.name, tuple(subst(a, name, value) for a in t.args))
+    if isinstance(t, (TUnit, TInterval)):
+        return t
+    if isinstance(t, THom):
+        return THom(subst_type(t.a, name, value), subst_type(t.b, name, value))
+    if isinstance(t, TDepHom):
+        tele = []
+        shadowed = False
+        for n, ty in t.tele:
+            tele.append((n, ty if shadowed else subst_type(ty, name, value)))
+            if n == name:
+                shadowed = True
+        body = t.b if shadowed else subst_type(t.b, name, value)
+        return TDepHom(tuple(tele), body)
+    if isinstance(t, (TPi, TCoprod)):
+        cls = TPi if isinstance(t, TPi) else TCoprod
+        it = subst_type(t.itype, name, value)
+        if t.i == name:
+            return cls(t.i, it, t.body)
+        fv = free_vars(value)
+        if t.i in fv:
+            ni = fresh(t.i, fv | free_vars_type(t.body) | {name})
+            return cls(ni, it, subst_type(subst_type(t.body, t.i, Var(ni)), name, value))
+        return cls(t.i, it, subst_type(t.body, name, value))
+    if isinstance(t, TSigma):
+        xt = subst_type(t.xtype, name, value)
+        if t.x == name:
+            return TSigma(t.x, xt, t.body)
+        fv = free_vars(value)
+        if t.x in fv:
+            nx = fresh(t.x, fv | free_vars_type(t.body) | {name})
+            return TSigma(nx, xt, subst_type(subst_type(t.body, t.x, Var(nx)), name, value))
+        return TSigma(t.x, xt, subst_type(t.body, name, value))
+    if isinstance(t, (TId, TPath)):
+        cls = TId if isinstance(t, TId) else TPath
+        return cls(
+            subst_type(t.a, name, value),
+            subst(t.left, name, value),
+            subst(t.right, name, value),
+        )
+    if isinstance(t, TExt):
+        v = subst_type(t.v, name, value)
+        a = t.a if t.y == name else subst_type(t.a, name, value)
+        cls = []
+        for c in t.clauses:
+            u = subst_type(c.u, name, value)
+            if c.x == name:
+                cls.append(ExtClause(c.x, u, c.j, c.body))
+            else:
+                cls.append(
+                    ExtClause(c.x, u, subst(c.j, name, value), subst(c.body, name, value))
+                )
+        return TExt(t.y, v, a, tuple(cls))
+    if isinstance(t, TPushout):
+        return TPushout(subst(t.f, name, value), subst(t.g, name, value))
+    raise TypeError(f"not a type node: {t!r}")
+
+
+def alpha_equal(t: Term, u: Term, env: tuple = ()) -> bool:
+    """Alpha-equivalence of terms; env pairs bound names left-to-right."""
+
+    def look(n: str, side: int) -> object:
+        for i, pair in enumerate(reversed(env)):
+            if pair[side] == n:
+                return ("b", i)
+        return ("f", n)
+
+    if type(t) is not type(u):
+        return False
+    if isinstance(t, Var):
+        return look(t.name, 0) == look(u.name, 1)
+    if isinstance(t, Lam):
+        return alpha_equal(t.body, u.body, env + ((t.x, u.x),))
+    if isinstance(t, App):
+        return alpha_equal(t.f, u.f, env) and alpha_equal(t.a, u.a, env)
+    if isinstance(t, HomLam):
+        return alpha_equal(t.body, u.body, env)
+    if isinstance(t, HomApp):
+        return alpha_equal(t.f, u.f, env)
+    if isinstance(t, EApp):
+        if len(t.clauses) != len(u.clauses):
+            return False
+        for c, d in zip(t.clauses, u.clauses):
+            if not alpha_equal(c.body, d.body, env + ((c.x, d.x),)):
+                return False
+        return alpha_equal(t.f, u.f, env) and alpha_equal(t.v, u.v, env)
+    if isinstance(t, (One, I0, I1)):
+        return True
+    if isinstance(t, SPair):
+        return alpha_equal(t.a, u.a, env) and alpha_equal(t.b, u.b, env)
+    if isinstance(t, (Fst, Snd, Refl, Pinl, Pinr)):
+        return alpha_equal(t.t, u.t, env)
+    if isinstance(t, IdJ):
+        return (
+            alpha_equal_type(t.dtype, u.dtype, env + ((t.z, u.z), (t.p, u.p)))
+            and alpha_equal(t.d, u.d, env + ((t.x, u.x),))
+            and alpha_equal(t.q, u.q, env)
+        )
+    if isinstance(t, (In, CPair)):
+        return alpha_equal(t.j, u.j, env) and alpha_equal(t.b, u.b, env)
+    if isinstance(t, CoprodElim):
+        return (
+            alpha_equal_type(t.dtype, u.dtype, env + ((t.z, u.z),))
+            and alpha_equal(t.d, u.d, env + ((t.i, u.i), (t.x, u.x)))
+            and alpha_equal(t.scrut, u.scrut, env)
+        )
+    if isinstance(t, Pglue):
+        return alpha_equal(t.t, u.t, env) and alpha_equal(t.r, u.r, env)
+    if isinstance(t, PushElim):
+        return (
+            alpha_equal_type(t.dtype, u.dtype, env + ((t.w, u.w),))
+            and alpha_equal(t.d1, u.d1, env + ((t.y, u.y),))
+            and alpha_equal(t.d2, u.d2, env + ((t.z, u.z),))
+            and alpha_equal(t.d3, u.d3, env + ((t.x, u.x), (t.i, u.i)))
+            and alpha_equal(t.scrut, u.scrut, env)
+        )
+    raise TypeError(f"not a term node: {t!r}")
+
+
+def alpha_equal_type(t: Type, u: Type, env: tuple = ()) -> bool:
+    if type(t) is not type(u):
+        return False
+    if isinstance(t, TConst):
+        return t.name == u.name and len(t.args) == len(u.args) and all(
+            alpha_equal(a, b, env) for a, b in zip(t.args, u.args)
+        )
+    if isinstance(t, (TUnit, TInterval)):
+        return True
+    if isinstance(t, THom):
+        return alpha_equal_type(t.a, u.a, env) and alpha_equal_type(t.b, u.b, env)
+    if isinstance(t, TDepHom):
+        if len(t.tele) != len(u.tele):
+            return False
+        e = env
+        for (n1, t1), (n2, t2) in zip(t.tele, u.tele):
+            if not alpha_equal_type(t1, t2, e):
+                return False
+            e = e + ((n1, n2),)
+        return alpha_equal_type(t.b, u.b, e)
+    if isinstance(t, (TPi, TCoprod)):
+        return alpha_equal_type(t.itype, u.itype, env) and alpha_equal_type(
+            t.body, u.body, env + ((t.i, u.i),)
+        )
+    if isinstance(t, TSigma):
+        return alpha_equal_type(t.xtype, u.xtype, env) and alpha_equal_type(
+            t.body, u.body, env + ((t.x, u.x),)
+        )
+    if isinstance(t, (TId, TPath)):
+        return (
+            alpha_equal_type(t.a, u.a, env)
+            and alpha_equal(t.left, u.left, env)
+            and alpha_equal(t.right, u.right, env)
+        )
+    if isinstance(t, TExt):
+        if len(t.clauses) != len(u.clauses):
+            return False
+        if not alpha_equal_type(t.v, u.v, env):
+            return False
+        if not alpha_equal_type(t.a, u.a, env + ((t.y, u.y),)):
+            return False
+        for c, d in zip(t.clauses, u.clauses):
+            if not alpha_equal_type(c.u, d.u, env):
+                return False
+            e = env + ((c.x, d.x),)
+            if not alpha_equal(c.j, d.j, e) or not alpha_equal(c.body, d.body, e):
+                return False
+        return True
+    if isinstance(t, TPushout):
+        return alpha_equal(t.f, u.f, env) and alpha_equal(t.g, u.g, env)
+    raise TypeError(f"not a type node: {t!r}")
