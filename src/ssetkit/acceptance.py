@@ -35,7 +35,6 @@ from .joyal import (
 )
 from .kernel import (
     FinSSet,
-    SMap,
     boundary,
     compose,
     constant_map,
@@ -56,8 +55,9 @@ from .kernel import (
 )
 from .lifting import cat_family, classify, has_rlp, identity_closure_check, inner_family, kan_family
 from .model import (
+    Binder,
+    Cylinder,
     FibClassSpec,
-    IndexedFamily,
     LUContext,
     LUTerm,
     LUType,
@@ -65,10 +65,6 @@ from .model import (
     dep_coprod,
     dep_coprod_elim,
     dep_coprod_intro,
-    dep_prod,
-    dep_prod_app,
-    dep_prod_app_var,
-    dep_prod_lam,
     extension_app,
     extension_lam,
     extension_type,
@@ -77,12 +73,11 @@ from .model import (
     hom_type,
     id_refl,
     id_type,
-    indexed_extend,
-    over_cylinder,
     pi_app,
     pi_app_var,
     pi_lam,
     pi_type,
+    q_map,
     sigma_pair,
     sigma_proj1,
     sigma_proj2,
@@ -322,11 +317,6 @@ def criterion_8(depth: int = 3, budget: int = 500) -> CriterionResult:
 # --------------------------------------- 9: strict substitution and equations
 
 
-def _ext_map(ext_tgt, sigma: SMap, ext_src):
-    """The induced map between chosen context extensions over sigma."""
-    return ext_tgt.pb.pair(compose(sigma, ext_src.proj), ext_src.var.section)
-
-
 def _constant_type(gamma: LUContext, fiber: FinSSet, spec: FibClassSpec) -> LUType:
     return LUType(gamma, terminal_map(gamma.sset), terminal_map(fiber), spec)
 
@@ -363,7 +353,7 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     out.append(("const-subst", subst(k_g, sigma) == k_d))
     ext_g = ctx_extend(gamma, k_g)
     ext_d = ctx_extend(delta, k_d)
-    sig_ext = _ext_map(ext_g, sigma, ext_d)
+    sig_ext = q_map(sigma, ext_g.pb, ext_d.pb)
     out.append(("ext-proj-natural", compose(sigma, ext_d.proj) == compose(ext_g.proj, sig_ext)))
     out.append(("ext-var-strict", subst_term(ext_g.var, sig_ext) == ext_d.var))
 
@@ -376,8 +366,8 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     # sigma
     b_g = _constant_type(ext_g.ctx, discrete(2), spec)
     b_d = _constant_type(ext_d.ctx, discrete(2), spec)
-    s_g = sigma_type(k_g, b_g, ext_g)
-    s_d = sigma_type(k_d, b_d, ext_d)
+    s_g = sigma_type(bd_g := Binder(k_g, ext_g.pb, b_g))
+    s_d = sigma_type(bd_d := Binder(k_d, ext_d.pb, b_d))
     out.append(("sigma-subst", subst(s_g, sigma) == s_d))
     sa = ext_g.pb.pair(identity(gamma.sset), p0_g.section)
     bt = LUTerm(subst(b_g, sa), constant_map(gamma.sset, discrete(2), "p1"))
@@ -396,8 +386,8 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     out.append(("id-refl-subst", subst_term(id_refl(id_g, p0_g), sigma) == id_refl(id_d, p0_d)))
 
     # pi and hom
-    pi_g = pi_type(k_g, b_g, ext_g)
-    pi_d = pi_type(k_d, b_d, ext_d)
+    pi_g = pi_type(bd_g)
+    pi_d = pi_type(bd_d)
     out.append(("pi-subst", subst(pi_g, sigma) == pi_d))
     body = LUTerm(b_g, constant_map(ext_g.ctx.sset, discrete(2), "p0"))
     f_g = pi_lam(pi_g, body)
@@ -413,21 +403,25 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     out.append(("hom-eta", hom_lam(hom_g, hom_app(hom_g, h_g)) == h_g))
     out.append(("hom-lam-subst", subst_term(h_g, sigma) == hom_lam(hom_d, subst_term(f_g, sigma))))
 
-    # dependent product over a base type
+    # dependent product over a base type: Pi over the base type reindexed to the context
     i_type = LUType(LUContext(terminal()), identity(terminal()), terminal_map(discrete(2)), base_spec)
-    fam_g = IndexedFamily(i_type, terminal_map(gamma.sset), pb_g := indexed_extend(i_type, terminal_map(gamma.sset)), _constant_type(LUContext(pb_g.sset), discrete(2), spec))
-    fam_d = IndexedFamily(i_type, terminal_map(delta.sset), pb_d := indexed_extend(i_type, terminal_map(delta.sset)), _constant_type(LUContext(pb_d.sset), discrete(2), spec))
-    dp_g = dep_prod(fam_g)
-    dp_d = dep_prod(fam_d)
+    i_g = subst(i_type, terminal_map(gamma.sset))
+    i_d = subst(i_type, terminal_map(delta.sset))
+    pb_g = ctx_extend(gamma, i_g).pb
+    pb_d = ctx_extend(delta, i_d).pb
+    fam_g = Binder(i_g, pb_g, _constant_type(LUContext(pb_g.sset), discrete(2), spec))
+    fam_d = Binder(i_d, pb_d, _constant_type(LUContext(pb_d.sset), discrete(2), spec))
+    dp_g = pi_type(fam_g)
+    dp_d = pi_type(fam_d)
     out.append(("dep-prod-subst", subst(dp_g, sigma) == dp_d))
     dbody = LUTerm(fam_g.b, constant_map(pb_g.sset, discrete(2), "p1"))
-    df = dep_prod_lam(dp_g, dbody)
+    df = pi_lam(dp_g, dbody)
     j_sec = constant_map(gamma.sset, discrete(2), "p0")
     sj = pb_g.pair(identity(gamma.sset), j_sec)
-    out.append(("dep-prod-beta", dep_prod_app(dp_g, df, j_sec).section == compose(dbody.section, sj)))
-    out.append(("dep-prod-eta", dep_prod_lam(dp_g, dep_prod_app_var(dp_g, df)) == df))
-    sig_pb = pb_g.pair(compose(sigma, pb_d.to_left), pb_d.to_right)
-    out.append(("dep-prod-lam-subst", subst_term(df, sigma) == dep_prod_lam(dp_d, LUTerm(fam_d.b, compose(dbody.section, sig_pb)))))
+    out.append(("dep-prod-beta", pi_app(dp_g, df, LUTerm(i_g, j_sec)).section == compose(dbody.section, sj)))
+    out.append(("dep-prod-eta", pi_lam(dp_g, pi_app_var(dp_g, df)) == df))
+    sig_pb = q_map(sigma, pb_g, pb_d)
+    out.append(("dep-prod-lam-subst", subst_term(df, sigma) == pi_lam(dp_d, LUTerm(fam_d.b, compose(dbody.section, sig_pb)))))
 
     # dependent coproduct (stable variant, so the eliminator is available)
     dc_g = dep_coprod(fam_g, family, budget, variant="stable")
@@ -448,21 +442,21 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     # extension (path) types
     interval = std_simplex(1)
     prod_gv = product(gamma.sset, interval)
-    a_over = over_cylinder(gamma, interval, terminal_map(prod_gv.sset), terminal_map(discrete(2)), spec, depth)
+    a_over = LUType(LUContext(prod_gv.sset), terminal_map(prod_gv.sset), terminal_map(discrete(2)), spec, depth)
     bd, j_incl = boundary(1)
     prod_gu = product(gamma.sset, bd)
     partial = constant_map(prod_gu.sset, discrete(2), "p0")
-    pth_g = extension_type(gamma, a_over, j_incl, partial, depth)
+    pth_g = extension_type(gamma, Cylinder(prod_gv, a_over), j_incl, partial, depth)
     prod_dv = product(delta.sset, interval)
-    a_over_d = over_cylinder(delta, interval, terminal_map(prod_dv.sset), terminal_map(discrete(2)), spec, depth)
+    a_over_d = LUType(LUContext(prod_dv.sset), terminal_map(prod_dv.sset), terminal_map(discrete(2)), spec, depth)
     prod_du = product(delta.sset, bd)
     partial_d = constant_map(prod_du.sset, discrete(2), "p0")
-    pth_d = extension_type(delta, a_over_d, j_incl, partial_d, depth)
+    pth_d = extension_type(delta, Cylinder(prod_dv, a_over_d), j_incl, partial_d, depth)
     out.append(("extension-subst", subst(pth_g, sigma) == pth_d))
     total_sec = constant_map(prod_gv.sset, discrete(2), "p0")
     lam = extension_lam(pth_g, total_sec)
     v_pt = constant_map(gamma.sset, interval, "0")
-    app_sec = extension_app(pth_g, lam, v_pt)
+    app_sec = extension_app(pth_g, lam, v_pt).section
     out.append(("extension-beta", app_sec == compose(total_sec, prod_gv.pair(identity(gamma.sset), v_pt))))
 
     # weakening is substitution along the chosen projection
@@ -609,7 +603,7 @@ def criterion_11(depth: int = 3, budget: int = 500) -> CriterionResult:
     ]
     k = suite[1]
     ext = ctx_extend(gamma, k)
-    suite.append(sigma_type(k, unit_type(ext.ctx, fine), ext))
+    suite.append(sigma_type(Binder(k, ext.pb, unit_type(ext.ctx, fine))))
     p0 = LUTerm(k, constant_map(gamma.sset, discrete(2), "p0"))
     suite.append(id_type(k, p0, p0, kan_family(2), budget))
     fails = []
@@ -619,8 +613,7 @@ def criterion_11(depth: int = 3, budget: int = 500) -> CriterionResult:
             fails.append(f"type {idx}: rejected by the coarser class")
             continue
         ext_a = ctx_extend(gamma, a)
-        b = LUType(ext_a.ctx, compose(a.r, ext_a.proj), a.p, a.spec, a.depth, a.aux)
-        pi = pi_type(a, b, ext_a)
+        pi = pi_type(Binder(a, ext_a.pb, subst(a, ext_a.proj)))
         hom = hom_type(pi, coarse)
         try:
             hom.validate_fibration()

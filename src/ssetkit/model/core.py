@@ -5,15 +5,23 @@ certified fibration; a term is a section G -> E over r.  Substitution is
 precomposition of r, so it is strictly functorial, and extended contexts are
 chosen pullbacks (the chooser returns the other leg unchanged along an
 identity, which makes extension by the unit type literally the base context).
+
+A type former records what its term operations read in a frozen
+:class:`Former` record.  Every field of a record is either universe-level,
+and so passes through substitution unchanged, or part of the binder -- a type
+over the context, a :class:`Binder` or a :class:`Cylinder` -- which
+:func:`subst` reindexes: a binder along q(sigma, A), a cylinder along
+sigma x V.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from ..kernel import (
     FinSSet,
+    Product,
     Pullback,
     SMap,
     SSetError,
@@ -21,6 +29,7 @@ from ..kernel import (
     compose,
     enumerate_sections,
     identity,
+    product,
     pullback,
 )
 from ..lifting import GeneratorFamily, family_by_name, has_rlp
@@ -33,7 +42,11 @@ __all__ = [
     "LUType",
     "LUTerm",
     "Extension",
+    "Former",
+    "Binder",
+    "Cylinder",
     "ctx_extend",
+    "q_map",
     "subst",
     "subst_term",
     "weaken",
@@ -73,23 +86,20 @@ class FibClassSpec:
 
 @dataclass(frozen=True)
 class LUContext:
-    """A base- or indexed-side context: an object with its extension history."""
+    """A base- or indexed-side context: an object of simplicial sets."""
 
     sset: FinSSet
-    steps: tuple = field(default=(), compare=False)
-
-    @staticmethod
-    def of(x: FinSSet) -> "LUContext":
-        return LUContext(x)
 
 
 @dataclass(frozen=True)
 class LUType:
     """A type over ctx: the span ctx -> V <- E with p a fibration.
 
-    ``aux`` carries construction-specific handles (pushforwards, fibers)
-    needed by the term operations; it never participates in equality, so
-    type equality is the strict field-by-field comparison of (ctx, r, p).
+    ``former`` is the record of the former that built the type, holding what
+    its term operations read: universe-level handles, which substitution
+    passes through, and the binder, which substitution reindexes.  It never
+    participates in equality, so type equality is the strict field-by-field
+    comparison of (ctx, r, p, spec, depth).
     """
 
     ctx: LUContext
@@ -97,7 +107,7 @@ class LUType:
     p: SMap  # E ->> V, certified against spec
     spec: FibClassSpec
     depth: int = 2
-    aux: dict = field(default_factory=dict, compare=False)
+    former: Optional["Former"] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.r.source != self.ctx.sset:
@@ -140,22 +150,100 @@ class Extension:
     pb: Pullback = field(compare=False)
 
 
+def _extension(a: LUType, pb: Pullback) -> Extension:
+    var = LUTerm(subst(a, pb.to_left), pb.to_right)
+    return Extension(LUContext(pb.sset), pb.to_left, var, pb)
+
+
 def ctx_extend(gamma: LUContext, a: LUType) -> Extension:
     """The chosen pullback of p_A along r_A, with projection and variable."""
     if a.ctx.sset != gamma.sset:
         raise ModelError("type is not over the context being extended")
-    pb = pullback(a.r, a.p)
-    ext = LUContext(pb.sset, gamma.steps + ((a, pb),))
-    weak = LUType(ext, compose(a.r, pb.to_left), a.p, a.spec, a.depth, a.aux)
-    var = LUTerm(weak, pb.to_right)
-    return Extension(ext, pb.to_left, var, pb)
+    return _extension(a, pullback(a.r, a.p))
+
+
+def q_map(sigma: SMap, pb: Pullback, pb_sigma: Pullback) -> SMap:
+    """q(sigma, A): Delta.sigma*A -> Gamma.A between chosen extensions.
+
+    ``pb`` is the chosen extension of Gamma by A and ``pb_sigma`` that of
+    Delta by the reindexed type sigma*A, for sigma: Delta -> Gamma.
+    """
+    return pb.pair(compose(sigma, pb_sigma.to_left), pb_sigma.to_right)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Binder:
+    """A family b over the chosen extension pb of a's context by a.
+
+    Sigma, Pi and the coproduct over a base type bind through this record;
+    :func:`subst` reindexes it along q(sigma, A).
+    """
+
+    a: LUType
+    pb: Pullback  # the chosen pullback of a.r along a.p
+    b: LUType
+
+    def __post_init__(self) -> None:
+        if self.b.ctx.sset != self.pb.sset:
+            raise ModelError("binder: the family must live over the chosen extension")
+
+    @property
+    def ext(self) -> Extension:
+        """The extension by a, with its projection and generic variable."""
+        return _extension(self.a, self.pb)
+
+    def at(self, section: SMap) -> LUType:
+        """B[a]: the family at a section of a."""
+        return subst(self.b, self.pb.pair(identity(self.a.ctx.sset), section))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Cylinder:
+    """A type a over the chosen product prod = Gamma x V of a context and V."""
+
+    prod: Product
+    a: LUType
+
+    def __post_init__(self) -> None:
+        if self.a.ctx.sset != self.prod.sset:
+            raise ModelError("cylinder: the type must live over the chosen product")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Former:
+    """Base of the type formers' records; see the module docstring.
+
+    Records, like binders and cylinders, compare and print by identity:
+    their handles are large, and type equality never reads them.
+    """
+
+
+def _reindex(x, sigma: SMap):
+    """A record field reindexed along sigma: Delta -> Gamma."""
+    if isinstance(x, LUType):
+        return subst(x, sigma)
+    if isinstance(x, Binder):  # along q(sigma, A): Delta.sigma*A -> Gamma.A
+        a = subst(x.a, sigma)
+        pb = pullback(a.r, a.p)
+        return Binder(a, pb, subst(x.b, q_map(sigma, x.pb, pb)))
+    if isinstance(x, Cylinder):  # along sigma x V: Delta x V -> Gamma x V
+        prod = product(sigma.source, x.prod.right)
+        return Cylinder(prod, subst(x.a, x.prod.pair(compose(sigma, prod.proj1), prod.proj2)))
+    if isinstance(x, Former):
+        return replace(x, **{f.name: _reindex(getattr(x, f.name), sigma) for f in fields(x)})
+    return x  # universe-level
 
 
 def subst(a: LUType, sigma: SMap) -> LUType:
-    """Reindex a type along sigma: precompose r (strictly functorial)."""
+    """Reindex a type along sigma: precompose r (strictly functorial).
+
+    The former's record moves with the type: its types, binders and
+    cylinders are reindexed along sigma, its universe-level handles stay.
+    """
     if sigma.target != a.ctx.sset:
         raise ModelError("substitution does not target the type's context")
-    return LUType(LUContext(sigma.source), compose(a.r, sigma), a.p, a.spec, a.depth, a.aux)
+    former = _reindex(a.former, sigma)
+    return LUType(LUContext(sigma.source), compose(a.r, sigma), a.p, a.spec, a.depth, former)
 
 
 def subst_term(t: LUTerm, sigma: SMap) -> LUTerm:

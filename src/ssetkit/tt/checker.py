@@ -231,7 +231,7 @@ class Checker:
         if isinstance(t, (I0, I1)):
             return TInterval()
         if isinstance(t, App):
-            ft = self._norm(self.infer(ctx, t.f))
+            ft = self.infer(ctx, t.f)
             if isinstance(ft, THom):
                 self.check_term(ctx, t.a, ft.a)
                 return ft.b
@@ -240,7 +240,7 @@ class Checker:
                 return subst_type(ft.body, ft.i, t.a)
             raise CheckError("app", f"cannot apply a term of type {type(ft).__name__}")
         if isinstance(t, HomApp):
-            ft = self._norm(self.infer(ctx, t.f))
+            ft = self.infer(ctx, t.f)
             if not isinstance(ft, TDepHom):
                 raise CheckError("dep-hom-app", "f () requires a dependent-Hom type")
             # the current indexed telescope must end with the Hom's telescope
@@ -260,12 +260,12 @@ class Checker:
             bt = self.infer(ctx, t.b)
             return TSigma("_", at, bt)
         if isinstance(t, Fst):
-            st = self._norm(self.infer(ctx, t.t))
+            st = self.infer(ctx, t.t)
             if not isinstance(st, TSigma):
                 raise CheckError("sigma-elim", "fst requires a Sigma type")
             return st.xtype
         if isinstance(t, Snd):
-            st = self._norm(self.infer(ctx, t.t))
+            st = self.infer(ctx, t.t)
             if not isinstance(st, TSigma):
                 raise CheckError("sigma-elim", "snd requires a Sigma type")
             return subst_type(st.body, st.x, Fst(t.t))
@@ -273,7 +273,7 @@ class Checker:
             at = self.infer(ctx, t.t)
             return TId(at, t.t, t.t)
         if isinstance(t, IdJ):
-            qt = self._norm(self.infer(ctx, t.q))
+            qt = self.infer(ctx, t.q)
             if not isinstance(qt, TId):
                 raise CheckError("Id-elim", "idJ requires an Id-typed target")
             a, l, r = qt.a, qt.left, qt.right
@@ -283,7 +283,7 @@ class Checker:
             self.check_term(ctx.bind_ind(t.x, a), t.d, dexp)
             return subst_type(subst_type(t.dtype, t.z, r), t.p, t.q)
         if isinstance(t, CoprodElim):
-            st = self._norm(self.infer(ctx, t.scrut))
+            st = self.infer(ctx, t.scrut)
             if not isinstance(st, TCoprod):
                 raise CheckError("coprod-elim", "scrutinee is not a coproduct")
             self.check_type(ctx.bind_ind(t.z, st), t.dtype, "ind")
@@ -293,7 +293,7 @@ class Checker:
             self.check_term(dctx, t.d, subst_type(t.dtype, t.z, intro))
             return subst_type(t.dtype, t.z, t.scrut)
         if isinstance(t, EApp):
-            ft = self._norm(self.infer(ctx, t.f))
+            ft = self.infer(ctx, t.f)
             if isinstance(ft, TPath):
                 if len(t.clauses) != 2:
                     raise CheckError("ext-app", "path application takes the two endpoint clauses")
@@ -313,7 +313,7 @@ class Checker:
             self.check_term(ctx.with_ind(()), t.v, ft.v)
             return subst_type(ft.a, ft.y, t.v)
         if isinstance(t, PushElim):
-            st = self._norm(self.infer(ctx, t.scrut))
+            st = self.infer(ctx, t.scrut)
             if not isinstance(st, TPushout):
                 raise CheckError("pushout-elim", "scrutinee is not a pushout")
             a, b, c = self._pushout_span(ctx, st)
@@ -339,7 +339,6 @@ class Checker:
         raise CheckError("infer", f"cannot infer a type for {type(t).__name__}; add an annotation")
 
     def check_term(self, ctx: Ctx, t: Term, ty: Type) -> None:
-        ty = self._norm(ty)
         if isinstance(t, Lam):
             if isinstance(ty, THom):
                 if ctx.ind:
@@ -436,10 +435,6 @@ class Checker:
             )
 
     # -------------------------------------------------------------- helpers
-
-    def _norm(self, ty: Type) -> Type:
-        # unfold type constants defined with a body? type constants are opaque
-        return ty
 
     def _convertible(self, got: Type, want: Type) -> bool:
         return equal_types(got, want, defs=self.defs)

@@ -21,7 +21,6 @@ from ..kernel import (
     boundary,
     compose,
     constant_map,
-    identity,
     product,
     std_simplex,
     terminal,
@@ -29,19 +28,20 @@ from ..kernel import (
 )
 from ..lifting import GeneratorFamily
 from ..model import (
+    Binder,
+    Cylinder,
+    Ext,
     Extension,
     FibClassSpec,
-    IndexedFamily,
+    Hom,
     LUContext,
     LUTerm,
     LUType,
+    Pi,
     UnsupportedConstruction,
     ctx_extend,
     dep_coprod,
     dep_coprod_intro,
-    dep_prod,
-    dep_prod_app,
-    dep_prod_lam,
     extension_app,
     extension_lam,
     extension_type,
@@ -50,8 +50,6 @@ from ..model import (
     hom_type,
     id_refl,
     id_type,
-    indexed_extend,
-    over_cylinder,
     pi_app,
     pi_lam,
     pi_type,
@@ -130,7 +128,7 @@ class Elaborator:
             ext = ctx_extend(ctx.gamma, a)
             inner = self._bind_ind(ctx, ext, ty.x)
             b = self.elab_type(inner, ty.body)
-            return sigma_type(a, b, ext)
+            return sigma_type(Binder(a, ext.pb, b))
         if isinstance(ty, S.TId):
             a = self.elab_type(ctx, ty.a)
             left = self.elab_term(ctx, ty.left, a)
@@ -144,23 +142,14 @@ class Elaborator:
                 raise UnsupportedConstruction(
                     "dependent Hom elaborates for indexed telescopes of length <= 1"
                 )
-            if len(ty.tele) == 1:
-                (x, a_ty), = ty.tele
-                pi = self._hom_pi(ctx, a_ty, x, ty.b)
-                tele_var = x
-            else:
-                pi = self._hom_pi(ctx, S.TUnit(), "_", ty.b)
-                tele_var = "_"
-            hom = hom_type(pi, env.base_spec)
-            hom.aux["tele_var"] = tele_var
-            return hom
+            (x, a_ty), = ty.tele or (("_", S.TUnit()),)
+            return hom_type(self._hom_pi(ctx, a_ty, x, ty.b), env.base_spec, var=x)
         if isinstance(ty, S.TPi):
-            fam, _ = self._indexed_family(ctx, ty.i, ty.itype, ty.body)
-            return dep_prod(fam)
+            return pi_type(self._base_binder(ctx, ty.i, ty.itype, ty.body))
         if isinstance(ty, S.TCoprod):
-            fam, _ = self._indexed_family(ctx, ty.i, ty.itype, ty.body)
+            bd = self._base_binder(ctx, ty.i, ty.itype, ty.body)
             variant = "stable" if env.stable_coproducts else "unstable"
-            return dep_coprod(fam, env.family, env.budget, variant=variant)
+            return dep_coprod(bd, env.family, env.budget, variant=variant)
         if isinstance(ty, S.TPath):
             return self._path_type(ctx, ty.a, ty.left, ty.right)
         if isinstance(ty, S.TExt):
@@ -208,9 +197,9 @@ class Elaborator:
                 return LUTerm(subst(glob.type, sigma), compose(glob.section, sigma))
             raise UnsupportedConstruction(f"no semantic binding for {t.name}")
         if isinstance(t, S.SPair):
-            at = self.elab_term(ctx, t.a, expected.aux["a"])
-            sa = expected.aux["ext"].pb.pair(identity(ctx.gamma.sset), at.section)
-            bt = self.elab_term(ctx, t.b, subst(expected.aux["b"], sa))
+            bd = expected.former.binder
+            at = self.elab_term(ctx, t.a, bd.a)
+            bt = self.elab_term(ctx, t.b, bd.at(at.section))
             return sigma_pair(expected, at, bt)
         if isinstance(t, S.Fst):
             inner = self._infer(ctx, t.t)
@@ -219,42 +208,34 @@ class Elaborator:
             inner = self._infer(ctx, t.t)
             return sigma_proj2(inner.type, inner)
         if isinstance(t, S.Refl):
-            base = self.elab_term(ctx, t.t, expected.aux["a"])
+            base = self.elab_term(ctx, t.t, expected.former.a)
             return id_refl(expected, base)
         if isinstance(t, S.Lam):
-            if "pi" in expected.aux:  # a Hom type
-                pi = expected.aux["pi"]
-                inner = self._bind_ind(ctx, pi.aux["ext"], t.x)
-                body = self.elab_term(inner, t.body, pi.aux["b"])
-                return hom_lam(expected, pi_lam(pi, body))
-            if "fam" in expected.aux:  # a dependent product over a base type
-                fam: IndexedFamily = expected.aux["fam"]
-                inner = self._bind_base_pb(ctx, fam.pb, t.x)
-                body = self.elab_term(inner, t.body, fam.b)
-                return dep_prod_lam(expected, body)
-            if "ev" in expected.aux:  # extension / path type
-                a: LUType = expected.aux["a"]
-                prod_gv = expected.aux["prod_gv"]
+            rec = expected.former
+            if isinstance(rec, Hom):
+                return self._hom_lam(ctx, expected, t.x, t.body)
+            if isinstance(rec, Pi):  # a product over a base type
+                bd = rec.binder
+                inner = self._bind_base_pb(ctx, bd.pb, t.x)
+                body = self.elab_term(inner, t.body, bd.b)
+                return pi_lam(expected, body)
+            if isinstance(rec, Ext):  # extension / path type
+                prod_gv = rec.cyl.prod
                 inner = ctx.reindexed(prod_gv.proj1, LUContext(prod_gv.sset))
                 inner.base_vars[t.x] = prod_gv.proj2
-                body = self.elab_term(inner, t.body, a)
+                body = self.elab_term(inner, t.body, rec.cyl.a)
                 return extension_lam(expected, body.section)
             raise UnsupportedConstruction(
                 "lambda against a type with no semantic function structure"
             )
         if isinstance(t, S.HomLam):
-            pi = expected.aux["pi"]
-            name = expected.aux.get("tele_var", "_")
-            inner = self._bind_ind(ctx, pi.aux["ext"], name)
-            body = self.elab_term(inner, t.body, pi.aux["b"])
-            return hom_lam(expected, pi_lam(pi, body))
+            return self._hom_lam(ctx, expected, expected.former.var, t.body)
         if isinstance(t, (S.App, S.HomApp, S.EApp)):
             return self._infer(ctx, t)
         if isinstance(t, (S.CPair, S.In)):
-            fam: IndexedFamily = expected.aux["fam"]
-            j = self._base_term(ctx, t.j, fam.i.total)
-            sj = fam.pb.pair(identity(ctx.gamma.sset), j)
-            bt = self.elab_term(ctx, t.b, subst(fam.b, sj))
+            bd = expected.former.binder
+            j = self._base_term(ctx, t.j, bd.a.total)
+            bt = self.elab_term(ctx, t.b, bd.at(j))
             return dep_coprod_intro(expected, j, bt)
         if isinstance(t, (S.PushElim, S.Pinl, S.Pinr, S.Pglue)):
             raise UnsupportedConstruction(
@@ -270,29 +251,25 @@ class Elaborator:
             return self.elab_term(ctx, t, None)
         if isinstance(t, S.App):
             f = self._infer(ctx, t.f)
-            ft = f.type
-            if "pi" in ft.aux:  # Hom application
-                pi = ft.aux["pi"]
-                a = self.elab_term(ctx, t.a, pi.aux["a"])
-                return pi_app(pi, hom_app(ft, f), a)
-            if "fam" in ft.aux:  # dependent product application
-                fam: IndexedFamily = ft.aux["fam"]
-                j = self._base_term(ctx, t.a, fam.i.total)
-                return dep_prod_app(ft, f, j)
+            rec = f.type.former
+            if isinstance(rec, Hom):
+                a = self.elab_term(ctx, t.a, rec.pi.former.binder.a)
+                return pi_app(rec.pi, hom_app(f.type, f), a)
+            if isinstance(rec, Pi):  # a product over a base type
+                a = rec.binder.a
+                return pi_app(f.type, f, LUTerm(a, self._base_term(ctx, t.a, a.total)))
             raise UnsupportedConstruction("application of a non-function semantic type")
         if isinstance(t, S.HomApp):
             f = self._infer(ctx, t.f)
-            pi = f.type.aux["pi"]
-            name = f.type.aux.get("tele_var", "_")
-            arg = ctx.ind_vars.get(name)
+            rec: Hom = f.type.former
+            arg = ctx.ind_vars.get(rec.var)
             if arg is None:
-                arg = unit_term(pi.aux["a"])
-            return pi_app(pi, hom_app(f.type, f), arg)
+                arg = unit_term(rec.pi.former.binder.a)
+            return pi_app(rec.pi, hom_app(f.type, f), arg)
         if isinstance(t, S.EApp):
             f = self._infer(ctx, t.f)
             v = self._base_term(ctx, t.v, std_simplex(1))
-            a_base: LUType = f.type.aux["a_base"]
-            return LUTerm(a_base, extension_app(f.type, f, v))
+            return extension_app(f.type, f, v)
         raise UnsupportedConstruction(
             f"cannot infer a semantic type for {type(t).__name__}"
         )
@@ -334,42 +311,39 @@ class Elaborator:
                 return fib
         raise UnsupportedConstruction("base types elaborate for I1 and bound constants")
 
-    def _indexed_family(self, ctx: SemCtx, i: str, itype: S.Type, body: S.Type):
+    def _base_binder(self, ctx: SemCtx, i: str, itype: S.Type, body: S.Type) -> Binder:
+        """The base type I reindexed to the context, and the family over it."""
         fiber = self._base_type(ctx, itype)
-        i_type = LUType(
-            LUContext(terminal()),
-            identity(terminal()),
-            terminal_map(fiber),
-            self.env.base_spec,
-        )
-        delta_r = terminal_map(ctx.gamma.sset)
-        pb = indexed_extend(i_type, delta_r)
-        inner = self._bind_base_pb(ctx, pb, i)
-        b = self.elab_type(inner, body)
-        return IndexedFamily(i_type, delta_r, pb, b), inner
+        a = LUType(ctx.gamma, terminal_map(ctx.gamma.sset), terminal_map(fiber), self.env.base_spec)
+        pb = ctx_extend(ctx.gamma, a).pb
+        b = self.elab_type(self._bind_base_pb(ctx, pb, i), body)
+        return Binder(a, pb, b)
 
     def _hom_pi(self, ctx: SemCtx, a_ty: S.Type, x: str, b_ty: S.Type) -> LUType:
         a = self.elab_type(ctx, a_ty)
         ext = ctx_extend(ctx.gamma, a)
         inner = self._bind_ind(ctx, ext, x)
         b = self.elab_type(inner, b_ty)
-        return pi_type(a, b, ext)
+        return pi_type(Binder(a, ext.pb, b))
+
+    def _hom_lam(self, ctx: SemCtx, hom: LUType, x: str, body: S.Term) -> LUTerm:
+        pi = hom.former.pi
+        bd = pi.former.binder
+        inner = self._bind_ind(ctx, bd.ext, x)
+        return hom_lam(hom, pi_lam(pi, self.elab_term(inner, body, bd.b)))
 
     def _path_type(self, ctx: SemCtx, a_ty: S.Type, left: S.Term, right: S.Term) -> LUType:
         interval = std_simplex(1)
         prod_gv = product(ctx.gamma.sset, interval)
         cyl_ctx = ctx.reindexed(prod_gv.proj1, LUContext(prod_gv.sset))
         a_cyl = self.elab_type(cyl_ctx, a_ty)
-        a_over = over_cylinder(ctx.gamma, interval, a_cyl.r, a_cyl.p, a_cyl.spec, a_cyl.depth)
         a_base = self.elab_type(ctx, a_ty)
         lt = self.elab_term(ctx, left, a_base)
         rt = self.elab_term(ctx, right, a_base)
         bd, j_incl = boundary(1)
         prod_gu = product(ctx.gamma.sset, bd)
-        partial = self._glue_endpoints(prod_gu, lt.section, rt.section, a_over.total)
-        ext = extension_type(ctx.gamma, a_over, j_incl, partial, depth=a_cyl.depth)
-        ext.aux["a_base"] = a_base
-        return ext
+        partial = self._glue_endpoints(prod_gu, lt.section, rt.section, a_cyl.total)
+        return extension_type(ctx.gamma, Cylinder(prod_gv, a_cyl), j_incl, partial, depth=a_cyl.depth)
 
     @staticmethod
     def _glue_endpoints(prod_gu, left_sec: SMap, right_sec: SMap, total: FinSSet) -> SMap:

@@ -32,3 +32,39 @@ def test_no_unreferenced_top_level_definitions():
                 used.add(node.attr)
     unused = sorted(f"{path}: {name}" for name, path in defined.items() if name not in used)
     assert unused == []
+
+
+def test_every_former_record_field_is_read():
+    """Each field of a type former's record, or of a binder, is read in ``src/``.
+
+    The records are ``Binder``, ``Cylinder`` and the subclasses of
+    ``Former``; a field counts as read when some attribute load in ``src/``
+    names it.
+    """
+    classes = {}
+    reads = set()
+    for path, tree in _trees("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    records = {"Binder", "Cylinder"}
+    grew = True
+    while grew:
+        subclasses = {
+            name
+            for name, node in classes.items()
+            if any(isinstance(b, ast.Name) and b.id in records | {"Former"} for b in node.bases)
+        }
+        grew = not subclasses <= records
+        records |= subclasses
+    assert records >= {"Binder", "Cylinder", "Sigma", "Pi", "Hom", "Id", "Coprod", "UnstableCoprod", "Ext"}
+    unread = sorted(
+        f"{name}.{stmt.target.id}"
+        for name in records
+        for stmt in classes[name].body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in reads
+    )
+    assert unread == []

@@ -5,7 +5,15 @@ import pytest
 from ssetkit.corpus import discrete
 from ssetkit.kernel import constant_map, identity, terminal, terminal_map
 from ssetkit.lifting import kan_family
-from ssetkit.model import FibClassSpec, LUContext, LUTerm, LUType, UnsupportedConstruction
+from ssetkit.model import (
+    FibClassSpec,
+    LUContext,
+    LUTerm,
+    LUType,
+    UnsupportedConstruction,
+    sigma_proj1,
+    sigma_proj2,
+)
 from ssetkit.tt import syntax as S
 from ssetkit.tt.checker import check_source
 from ssetkit.tt.elaborate import Elaborator, ModelEnv, elaborate_term, elaborate_type
@@ -82,6 +90,27 @@ def test_id_type_elaborates():
     env = make_env()
     i = elaborate_type(env, parse_type("Id(K, k0, k0)"))
     i.validate_fibration()
+
+
+def test_nested_sigma_pair_elaborates():
+    """The inner pair is checked against the family reindexed to the outer context."""
+    src = (
+        "postulate A () | () : Type\n"
+        "postulate B () | () : Type\n"
+        "postulate a0 () | () : A\n"
+        "postulate b0 () | () : B\n"
+        "def ns () | () : Sigma (x : A) Sigma (y : B) A := spair(a0, spair(b0, a0))\n"
+    )
+    env = make_env()
+    pt = LUContext(terminal())
+    for ty, term in (("A", "a0"), ("B", "b0")):
+        env.types[ty] = LUType(pt, terminal_map(terminal()), terminal_map(discrete(2)), env.spec)
+        env.terms[term] = LUTerm(env.types[ty], constant_map(terminal(), discrete(2), "p0"))
+    pair = Elaborator(env).elab_decl(check_source(src).decls["ns"])
+    assert sigma_proj1(pair.type, pair) == env.terms["a0"]
+    inner = sigma_proj2(pair.type, pair)
+    assert sigma_proj1(inner.type, inner).section == env.terms["b0"].section
+    assert sigma_proj2(inner.type, inner).section == env.terms["a0"].section
 
 
 # -- declared-out-of-scope constructions ----------------------------------------

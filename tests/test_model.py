@@ -15,7 +15,9 @@ from ssetkit.kernel import (
 )
 from ssetkit.lifting import kan_family
 from ssetkit.model import (
+    Binder,
     FibClassSpec,
+    Former,
     LUContext,
     LUTerm,
     LUType,
@@ -49,8 +51,8 @@ def constant_type(gamma: LUContext, fiber) -> LUType:
 def test_type_equality_ignores_aux():
     gamma = LUContext(terminal())
     a = constant_type(gamma, discrete(2))
-    b = LUType(gamma, a.r, a.p, SPEC, aux={"note": "different handles"})
-    assert a == b
+    b = LUType(gamma, a.r, a.p, SPEC, former=Former())
+    assert a.former is None and a == b
 
 
 def test_type_rejects_misaligned_span():
@@ -108,7 +110,7 @@ def test_sigma_projections_invert_pairing():
     a = constant_type(gamma, discrete(2))
     ext = ctx_extend(gamma, a)
     b = constant_type(ext.ctx, discrete(2))
-    s = sigma_type(a, b, ext)
+    s = sigma_type(Binder(a, ext.pb, b))
     at = LUTerm(a, constant_map(gamma.sset, discrete(2), "p0"))
     sa = ext.pb.pair(identity(gamma.sset), at.section)
     bt = LUTerm(subst(b, sa), constant_map(gamma.sset, discrete(2), "p1"))
