@@ -56,7 +56,6 @@ from .kernel import (
 from .lifting import cat_family, classify, has_rlp, identity_closure_check, inner_family, kan_family
 from .model import (
     Binder,
-    Cylinder,
     FibClassSpec,
     LUContext,
     LUTerm,
@@ -439,25 +438,25 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     elim = dep_coprod_elim(dc_g, d_type, d_sec, intro)
     out.append(("dep-coprod-beta", elim.section == constant_map(gamma.sset, discrete(2), "p1")))
 
-    # extension (path) types
+    # extension (path) types: y : I binds through the chosen extension by the constant type
     interval = std_simplex(1)
-    prod_gv = product(gamma.sset, interval)
-    a_over = LUType(LUContext(prod_gv.sset), terminal_map(prod_gv.sset), terminal_map(discrete(2)), spec, depth)
-    bd, j_incl = boundary(1)
-    prod_gu = product(gamma.sset, bd)
-    partial = constant_map(prod_gu.sset, discrete(2), "p0")
-    pth_g = extension_type(gamma, Cylinder(prod_gv, a_over), j_incl, partial, depth)
-    prod_dv = product(delta.sset, interval)
-    a_over_d = LUType(LUContext(prod_dv.sset), terminal_map(prod_dv.sset), terminal_map(discrete(2)), spec, depth)
-    prod_du = product(delta.sset, bd)
-    partial_d = constant_map(prod_du.sset, discrete(2), "p0")
-    pth_d = extension_type(delta, Cylinder(prod_dv, a_over_d), j_incl, partial_d, depth)
-    out.append(("extension-subst", subst(pth_g, sigma) == pth_d))
-    total_sec = constant_map(prod_gv.sset, discrete(2), "p0")
+    u, j_incl = boundary(1)
+
+    def path_type(ctx: LUContext) -> LUType:
+        v = _constant_type(ctx, interval, base_spec)
+        pb_v = ctx_extend(ctx, v).pb
+        partial = constant_map(pullback(v.r, terminal_map(u)).sset, discrete(2), "p0")
+        a_over = _constant_type(LUContext(pb_v.sset), discrete(2), spec)
+        return extension_type(Binder(v, pb_v, a_over), j_incl, partial, depth)
+
+    pth_g = path_type(gamma)
+    out.append(("extension-subst", subst(pth_g, sigma) == path_type(delta)))
+    pb_gv = pth_g.former.binder.pb
+    total_sec = constant_map(pb_gv.sset, discrete(2), "p0")
     lam = extension_lam(pth_g, total_sec)
     v_pt = constant_map(gamma.sset, interval, "0")
     app_sec = extension_app(pth_g, lam, v_pt).section
-    out.append(("extension-beta", app_sec == compose(total_sec, prod_gv.pair(identity(gamma.sset), v_pt))))
+    out.append(("extension-beta", app_sec == compose(total_sec, pb_gv.pair(identity(gamma.sset), v_pt))))
 
     # weakening is substitution along the chosen projection
     out.append(("weaken-as-subst", subst(k_g, ext_g.proj) == LUType(ext_g.ctx, compose(k_g.r, ext_g.proj), k_g.p, spec, depth)))

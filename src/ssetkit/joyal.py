@@ -191,29 +191,17 @@ class CoreResult:
     core: FinSSet
     inclusion: SMap  # the monomorphism into the ambient complex
     verdicts: Mapping[str, InvertVerdict] = field(compare=False)
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = ()  # always empty; the core --json document reports it
 
 
-def core_G(
-    x: FinSSet,
-    mode: str = "skeletal",
-    level: int = DEFAULT_LEVEL,
-    policy: str = "skeptical",
-) -> CoreResult:
+def core_G(x: FinSSet, mode: str = "skeletal", level: int = DEFAULT_LEVEL) -> CoreResult:
     """Compute the core: simplices whose edges all carry a "yes" verdict.
 
-    Under the default skeptical policy "unknown" edges are excluded; the
-    permissive policy includes them and records a warning per edge used.
+    "Unknown" edges are excluded, so the core never includes an edge that
+    was not shown invertible.
     """
     verdicts = _edge_verdicts(x, mode, level)
-    warnings: list[str] = []
-    good: set[str] = set()
-    for c, verdict in verdicts.items():
-        if verdict.is_yes:
-            good.add(c)
-        elif verdict.status == "unknown" and policy == "permissive":
-            good.add(c)
-            warnings.append(f"edge {c}: unknown at level {verdict.level}, included")
+    good = {c for c, verdict in verdicts.items() if verdict.is_yes}
 
     def admissible(cell: str) -> bool:
         n = x.cell_dim(cell)
@@ -230,18 +218,13 @@ def core_G(
     if x.dim_bound is not None:
         core = _retag(core, x.dim_bound)
         incl = SMap(core, x, incl.assignment)
-    return CoreResult(core, incl, verdicts, tuple(warnings))
+    return CoreResult(core, incl, verdicts)
 
 
-def core_of_map(
-    f: SMap,
-    mode: str = "skeletal",
-    level: int = DEFAULT_LEVEL,
-    policy: str = "skeptical",
-) -> SMap:
+def core_of_map(f: SMap, mode: str = "skeletal", level: int = DEFAULT_LEVEL) -> SMap:
     """The restriction of f to cores (functorial action of the core)."""
-    src = core_G(f.source, mode, level, policy)
-    tgt = core_G(f.target, mode, level, policy)
+    src = core_G(f.source, mode, level)
+    tgt = core_G(f.target, mode, level)
     assign: dict[str, Simplex] = {}
     for c in src.core.nondegenerate():
         img = f.apply_cell(c)

@@ -1,8 +1,12 @@
-"""Cartesian-closed structure: exponentials and pushforwards.
+"""Closed structure: pushforwards (dependent products) and exponentials.
 
-Both constructions can be infinite-dimensional even for finite inputs, so
-they take an explicit ``depth`` and return an honest truncation: every level
-up to ``depth`` is the true level.  Downstream consumers (map enumeration,
+An exponential is the point case of the pushforward: Y^X is the dependent
+product of the projection Y x X -> X along X -> 1, so it is a
+:class:`Pushforward` and shares its simplices, transpose and evaluation.
+
+A pushforward can be infinite-dimensional even for finite inputs, so it
+takes an explicit ``depth`` and returns an honest truncation: every level up
+to ``depth`` is the true level.  Downstream consumers (map enumeration,
 lifting checks, sections over a low-dimensional context) declare the depth
 they need.
 """
@@ -10,11 +14,11 @@ they need.
 from __future__ import annotations
 
 from .build import Built, LevelPresentation
-from .homs import enumerate_maps, enumerate_sections
-from .limits import Product, Pullback, product, pullback
+from .homs import enumerate_sections
+from .limits import Pullback, product, pullback, terminal_map
 from .simplex import Simplex, nondeg
 from .sset import FinSSet, SMap, SSetError, compose
-from .standard import delta_map, sigma_map, std_simplex, yoneda
+from .standard import delta_map, sigma_map, yoneda
 
 __all__ = ["Exponential", "exponential", "Pushforward", "pushforward"]
 
@@ -25,107 +29,6 @@ def _encode(m: SMap) -> tuple:
 
 def _decode(enc: tuple, source: FinSSet, target: FinSSet) -> SMap:
     return SMap(source, target, dict(enc))
-
-
-class Exponential:
-    """target^exponent, truncated at ``depth``."""
-
-    def __init__(self, target: FinSSet, exponent: FinSSet, depth: int):
-        if not (target.is_exact and exponent.is_exact):
-            raise SSetError("exponential requires exact inputs")
-        self.base = target
-        self.exponent = exponent
-        self.depth = depth
-        self._cyl: dict[int, Product] = {}
-
-        def cyl(n: int) -> Product:
-            if n not in self._cyl:
-                self._cyl[n] = product(exponent, std_simplex(n))
-            return self._cyl[n]
-
-        self._cyl_fn = cyl
-
-        def elements(n: int):
-            p = cyl(n).sset
-            return [_encode(m) for m in enumerate_maps(p, target)]
-
-        def reindex(n_from: int, enc: tuple, op: SMap) -> tuple:
-            """Precompose an n_from-level element with exponent x op."""
-            h = _decode(enc, cyl(n_from).sset, target)
-            m = op.source.dim  # op: std(m) -> std(n_from)
-            pm, pn = cyl(m), cyl(n_from)
-            incl = pn.pair(pm.proj1, compose(op, pm.proj2))
-            return _encode(compose(h, incl))
-
-        pres = LevelPresentation(
-            max_level=depth,
-            elements=elements,
-            face_at=lambda n, k, i: reindex(n, k, delta_map(n, i)),
-            degen_at=lambda n, k, i: reindex(n, k, sigma_map(n, i)),
-        )
-        self._built = Built(pres, depth, prefix="e")
-        self.sset = self._built.sset
-
-    def as_map(self, s: Simplex) -> SMap:
-        """The map exponent x std(n) -> base classified by an n-simplex."""
-        n, enc = self._built.key_of(s)
-        return _decode(enc, self._cyl_fn(n).sset, self.base)
-
-    def evaluate(self, s: Simplex, x: Simplex) -> Simplex:
-        """Evaluation at a pair of n-simplices (s of the exponential, x of X)."""
-        n = self.sset.simplex_dim(s)
-        h = self.as_map(s)
-        top = nondeg("_".join(str(v) for v in range(n + 1)))
-        return h.apply(self._cyl_fn(n).simplex_of(x, top))
-
-    def curry(self, k: SMap, prod: Product) -> SMap:
-        """Transpose W x X -> base into W -> base^X (prod must be W x X)."""
-        w = prod.left
-        assign = {}
-        for c in w.nondegenerate():
-            m = w.cell_dim(c)
-            if m > self.depth:
-                raise SSetError("curry: source dimension exceeds exponential depth")
-            yon = yoneda(w, nondeg(c))
-            pm = self._cyl_fn(m)
-            enc_assign = {}
-            for cc in pm.sset.nondegenerate():
-                x, d = pm.components(nondeg(cc))
-                enc_assign[cc] = k.apply(prod.simplex_of(yon.apply(d), x))
-            assign[c] = self._built.decompose(m, _encode(SMap(pm.sset, self.base, enc_assign)))
-        return SMap(w, self.sset, assign)
-
-    def uncurry(self, h: SMap, prod: Product) -> SMap:
-        """Transpose W -> base^X into W x X -> base (prod must be W x X)."""
-        assign = {}
-        for c in prod.sset.nondegenerate():
-            sw, x = prod.components(nondeg(c))
-            assign[c] = self.evaluate(h.apply(sw), x)
-        return SMap(prod.sset, self.base, assign)
-
-    def postcompose(self, g: SMap, other: "Exponential") -> SMap:
-        """g^X: base^X -> other.sset for g: base -> other.base."""
-        assign = {}
-        for c in self.sset.nondegenerate():
-            n, enc = self._built.key_of(nondeg(c))
-            h = _decode(enc, self._cyl_fn(n).sset, self.base)
-            assign[c] = other._built.decompose(n, _encode(compose(g, h)))
-        return SMap(self.sset, other.sset, assign)
-
-    def precompose(self, j: SMap, other: "Exponential") -> SMap:
-        """base^j: base^X -> base^U for j: U -> X (other = base^U)."""
-        assign = {}
-        for c in self.sset.nondegenerate():
-            n, enc = self._built.key_of(nondeg(c))
-            h = _decode(enc, self._cyl_fn(n).sset, self.base)
-            pu, px = other._cyl_fn(n), self._cyl_fn(n)
-            incl = px.pair(compose(j, pu.proj1), pu.proj2)
-            assign[c] = other._built.decompose(n, _encode(compose(h, incl)))
-        return SMap(self.sset, other.sset, assign)
-
-
-def exponential(base: FinSSet, exponent: FinSSet, depth: int) -> Exponential:
-    return Exponential(base, exponent, depth)
 
 
 class Pushforward:
@@ -159,10 +62,11 @@ class Pushforward:
                     out.append((tau, _encode(s)))
             return out
 
-        def reindex(n_from: int, key: tuple, op: SMap) -> tuple:
+        def reindex(n_from: int, key: tuple, op: SMap, new_tau: Simplex) -> tuple:
+            """Restrict an n_from-level element along op: std(m) -> std(n_from),
+            whose base simplex tau . op is new_tau."""
             tau, enc = key
             m = op.source.dim
-            new_tau = _apply_op(b, tau, op)
             pb_from = fiber(n_from, tau)
             pb_to = fiber(m, new_tau)
             s = _decode(enc, pb_from.sset, g.source)
@@ -175,8 +79,8 @@ class Pushforward:
         pres = LevelPresentation(
             max_level=depth,
             elements=elements,
-            face_at=lambda n, k, i: reindex(n, k, delta_map(n, i)),
-            degen_at=lambda n, k, i: reindex(n, k, sigma_map(n, i)),
+            face_at=lambda n, k, i: reindex(n, k, delta_map(n, i), b.face(k[0], i)),
+            degen_at=lambda n, k, i: reindex(n, k, sigma_map(n, i), b.degen(k[0], i)),
         )
         self._built = Built(pres, depth, prefix="f")
         self.sset = self._built.sset
@@ -227,12 +131,66 @@ class Pushforward:
         return SMap(pb.sset, self.g.source, assign)
 
 
-def _apply_op(x: FinSSet, s: Simplex, op: SMap) -> Simplex:
-    """Precompose the simplex classified by s with a simplex-space map."""
-    n = op.source.dim
-    top = "_".join(str(v) for v in range(n + 1))
-    return yoneda(x, s).apply(op.apply_cell(top))
-
-
 def pushforward(f: SMap, g: SMap, depth: int) -> Pushforward:
     return Pushforward(f, g, depth)
+
+
+class Exponential(Pushforward):
+    """base^exponent, truncated at ``depth``: the pushforward of the
+    projection base x X -> X along X -> 1.
+
+    An n-simplex is a section of that projection over std(n) x X, that is a
+    map std(n) x X -> base.
+    """
+
+    def __init__(self, base: FinSSet, exponent: FinSSet, depth: int):
+        if not (base.is_exact and exponent.is_exact):
+            raise SSetError("exponential requires exact inputs")
+        self.base = base
+        self.prod = product(base, exponent)
+        super().__init__(terminal_map(exponent), self.prod.proj2, depth)
+
+    def curry(self, k: SMap, pb: Pullback) -> SMap:
+        """Transpose k: W x X -> base into W -> base^X.
+
+        ``pb`` is the chosen pullback W -> 1 <- X, the source of k.
+        """
+        return self.transpose(pb.left_map, self.prod.pair(k, pb.to_right), pb)
+
+    def uncurry(self, h: SMap, pb: Pullback) -> SMap:
+        """Transpose h: W -> base^X into W x X -> base, on pb as in curry."""
+        assign = {}
+        for c in pb.sset.nondegenerate():
+            w, x = pb.components(nondeg(c))
+            assign[c] = self.prod.proj1.apply(self.evaluate(h.apply(w), x))
+        return SMap(pb.sset, self.base, assign)
+
+    def postcompose(self, g: SMap, other: "Exponential") -> SMap:
+        """g^X: base^X -> other.sset for g: base -> other.base."""
+        g_x = other.prod.pair(compose(g, self.prod.proj1), self.prod.proj2)
+        return self._on_sections(other, lambda sec, fib, fib_o: compose(g_x, sec))
+
+    def precompose(self, j: SMap, other: "Exponential") -> SMap:
+        """base^j: base^X -> base^U for j: U -> X (other = base^U)."""
+
+        def restrict(sec: SMap, fib: Pullback, fib_u: Pullback) -> SMap:
+            incl = fib.pair(fib_u.to_left, compose(j, fib_u.to_right))
+            return other.prod.pair(compose(self.prod.proj1, compose(sec, incl)), fib_u.to_right)
+
+        return self._on_sections(other, restrict)
+
+    def _on_sections(self, other: "Exponential", act) -> SMap:
+        """The map self.sset -> other.sset that sends the simplex with section
+        sec over the fiber fib to the one with section act(sec, fib, fib_o),
+        fib_o being other's fiber at the same level."""
+        assign = {}
+        for c in self.sset.nondegenerate():
+            n = self.sset.cell_dim(c)
+            tau, sec = self.section_at(nondeg(c))
+            new = act(sec, self._fiber(n, tau), other._fiber(n, tau))
+            assign[c] = other._built.decompose(n, (tau, _encode(new)))
+        return SMap(self.sset, other.sset, assign)
+
+
+def exponential(base: FinSSet, exponent: FinSSet, depth: int) -> Exponential:
+    return Exponential(base, exponent, depth)

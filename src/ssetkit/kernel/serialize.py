@@ -68,10 +68,9 @@ def save_sset(x: FinSSet, path: PathLike) -> None:
     Path(path).write_text(dumps(sset_to_dict(x)))
 
 
-def load_sset(path: PathLike, validate: bool = True) -> FinSSet:
+def load_sset(path: PathLike) -> FinSSet:
     x = sset_from_dict(json.loads(Path(path).read_text()))
-    if validate:
-        x.assert_valid()
+    x.assert_valid()
     return x
 
 
@@ -90,16 +89,15 @@ def save_smap(m: SMap, path: PathLike, source_path: str, target_path: str) -> No
     Path(path).write_text(dumps(smap_to_dict(m, source_path, target_path)))
 
 
-def load_smap(path: PathLike, validate: bool = True) -> SMap:
+def load_smap(path: PathLike) -> SMap:
     path = Path(path)
     data = json.loads(path.read_text())
     if not (isinstance(data, dict) and isinstance(data.get("source"), str)
             and isinstance(data.get("target"), str) and isinstance(data.get("assignment"), dict)):
         raise _malformed('{"source": path, "target": path, "assignment": {name: simplex}}')
-    src = load_sset(path.parent / data["source"], validate=validate)
-    tgt = load_sset(path.parent / data["target"], validate=validate)
+    src = load_sset(path.parent / data["source"])
+    tgt = load_sset(path.parent / data["target"])
     assign = {c: _simplex(s) for c, s in data["assignment"].items()}
     m = SMap(src, tgt, assign)
-    if validate:
-        m.assert_valid()
+    m.assert_valid()
     return m

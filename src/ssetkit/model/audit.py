@@ -13,17 +13,18 @@ The five audited conditions, for a named fibration class:
    (again relative to the probes).
 
 Trivial cofibrations cannot be recognized absolutely on a finite corpus, so
-conditions 3 and 5 quantify over the supplied probe fibrations: a candidate
-is audited when it has the left lifting property against every probe, and
-the pulled-back map is required to keep that property.
+conditions 3 and 5 quantify over the probe fibrations, the corpus objects'
+terminal maps that are fibrations: a candidate is audited when it has the
+left lifting property against every probe, and the pulled-back map is
+required to keep that property.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from ..kernel import FinSSet, SMap, compose, identity, pullback, pushforward, terminal, terminal_map
+from ..kernel import SMap, compose, identity, pullback, pushforward, terminal_map
 from .core import FibClassSpec
 from ..lifting import BudgetExhausted, factor_soa, has_llp
 
@@ -45,21 +46,17 @@ class AxiomVerdict:
 
 @dataclass(frozen=True)
 class SemifibCorpus:
-    """Objects, maps, and probe fibrations for the audit.
+    """Objects and maps for the audit.
 
-    ``over`` optionally lists (i, a, b) triples presenting i: A -> B as a map
-    over a base (a: A -> G, b: B -> G, b . i == a); when omitted, maps with a
-    common codomain are audited over the terminal object.
+    The probe fibrations are the objects' terminal maps that are fibrations,
+    and each map i: A -> B is audited as a map over the terminal object, as
+    the triple (i, A -> 1, B -> 1).
     """
 
     objects: tuple = ()
     maps: tuple = ()
-    probes: tuple = ()
-    over: tuple = ()
 
     def over_triples(self):
-        for triple in self.over:
-            yield triple
         for i in self.maps:
             yield (i, terminal_map(i.source), terminal_map(i.target))
 
@@ -95,7 +92,7 @@ def audit_semifib(
     depth: int = 2,
 ) -> SemifibReport:
     """Audit the five axioms of the fibration class on the corpus."""
-    probes = list(corpus.probes) or [terminal_map(x) for x in corpus.objects if spec.check(terminal_map(x))[0]]
+    probes = [terminal_map(x) for x in corpus.objects if spec.check(terminal_map(x))[0]]
     fibs = _fibrations(corpus, spec)
     verdicts = []
 

@@ -9,9 +9,10 @@ identity, which makes extension by the unit type literally the base context).
 A type former records what its term operations read in a frozen
 :class:`Former` record.  Every field of a record is either universe-level,
 and so passes through substitution unchanged, or part of the binder -- a type
-over the context, a :class:`Binder` or a :class:`Cylinder` -- which
-:func:`subst` reindexes: a binder along q(sigma, A), a cylinder along
-sigma x V.
+over the context or a :class:`Binder` -- which :func:`subst` reindexes: a
+binder along q(sigma, A).  A base type V binds through the same record, with
+V the constant type over the context, so the extension type's Gamma x V is
+the chosen extension Gamma.V.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Optional
 
 from ..kernel import (
     FinSSet,
-    Product,
     Pullback,
     SMap,
     SSetError,
@@ -29,7 +29,6 @@ from ..kernel import (
     compose,
     enumerate_sections,
     identity,
-    product,
     pullback,
 )
 from ..lifting import GeneratorFamily, family_by_name, has_rlp
@@ -44,7 +43,6 @@ __all__ = [
     "Extension",
     "Former",
     "Binder",
-    "Cylinder",
     "ctx_extend",
     "q_map",
     "subst",
@@ -175,8 +173,8 @@ def q_map(sigma: SMap, pb: Pullback, pb_sigma: Pullback) -> SMap:
 class Binder:
     """A family b over the chosen extension pb of a's context by a.
 
-    Sigma, Pi and the coproduct over a base type bind through this record;
-    :func:`subst` reindexes it along q(sigma, A).
+    Sigma, Pi, the coproduct over a base type and the extension type bind
+    through this record; :func:`subst` reindexes it along q(sigma, A).
     """
 
     a: LUType
@@ -198,22 +196,10 @@ class Binder:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Cylinder:
-    """A type a over the chosen product prod = Gamma x V of a context and V."""
-
-    prod: Product
-    a: LUType
-
-    def __post_init__(self) -> None:
-        if self.a.ctx.sset != self.prod.sset:
-            raise ModelError("cylinder: the type must live over the chosen product")
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Former:
     """Base of the type formers' records; see the module docstring.
 
-    Records, like binders and cylinders, compare and print by identity:
+    Records, like binders, compare and print by identity:
     their handles are large, and type equality never reads them.
     """
 
@@ -226,9 +212,6 @@ def _reindex(x, sigma: SMap):
         a = subst(x.a, sigma)
         pb = pullback(a.r, a.p)
         return Binder(a, pb, subst(x.b, q_map(sigma, x.pb, pb)))
-    if isinstance(x, Cylinder):  # along sigma x V: Delta x V -> Gamma x V
-        prod = product(sigma.source, x.prod.right)
-        return Cylinder(prod, subst(x.a, x.prod.pair(compose(sigma, prod.proj1), prod.proj2)))
     if isinstance(x, Former):
         return replace(x, **{f.name: _reindex(getattr(x, f.name), sigma) for f in fields(x)})
     return x  # universe-level
@@ -237,8 +220,8 @@ def _reindex(x, sigma: SMap):
 def subst(a: LUType, sigma: SMap) -> LUType:
     """Reindex a type along sigma: precompose r (strictly functorial).
 
-    The former's record moves with the type: its types, binders and
-    cylinders are reindexed along sigma, its universe-level handles stay.
+    The former's record moves with the type: its types and binders are
+    reindexed along sigma, its universe-level handles stay.
     """
     if sigma.target != a.ctx.sset:
         raise ModelError("substitution does not target the type's context")

@@ -10,15 +10,16 @@ the records' handles.  A record field is either universe-level
 (pushforwards, factorizations, core inclusions), which substitution passes
 through unchanged, or part of the binder -- a type over the context, or a
 :class:`~ssetkit.model.core.Binder` (the domain type, its chosen extension
-and the family over it) or :class:`~ssetkit.model.core.Cylinder` -- which
-:func:`~ssetkit.model.core.subst` reindexes.  The one other field is the
-name a dependent Hom binds, which substitution leaves as it is.
+and the family over it; for the extension type, the constant base type V,
+Gamma.V and A) -- which :func:`~ssetkit.model.core.subst` reindexes.  The
+one other field is the name a dependent Hom binds, which substitution leaves
+as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional
 
 from ..kernel import (
     Exponential,
@@ -47,12 +48,10 @@ from ..lifting import (
     GeneratorFamily,
     LiftingProblem,
     factor_soa,
-    quasifibration_check,
     solve_lift,
 )
 from .core import (
     Binder,
-    Cylinder,
     FibClassSpec,
     Former,
     LUContext,
@@ -122,7 +121,7 @@ class Pi(Former):
 class Hom(Former):
     pi: LUType
     eps_e: SMap  # the core inclusion of E_Pi
-    var: str  # the name its telescope binds, read by the term elaborator
+    var: Optional[str]  # the name its telescope binds, None for none; read by the term elaborator
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -151,7 +150,7 @@ class UnstableCoprod(Coprod):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Ext(Former):
-    cyl: Cylinder
+    binder: Binder  # y : V, the constant base type, and A over Gamma.V
     ev: Exponential  # E_A^V
 
 
@@ -291,17 +290,18 @@ def pi_app_var(s: LUType, f: LUTerm) -> LUTerm:
 # -- Hom (the core functor applied to Pi) --------------------------------------
 
 
-def hom_type(pi: LUType, base_spec: FibClassSpec, level: int = 2, var: str = "_") -> LUType:
+def hom_type(pi: LUType, base_spec: FibClassSpec, var: Optional[str] = None) -> LUType:
     """Hom = phi(r_Pi): ctx -> G(V_Pi) with the core of p_Pi.
 
     phi is factorization through the core inclusion, which exists (uniquely,
     the inclusion being mono) when the context's classifying map lands in
     the core -- guaranteed for contexts passing the base-side lifting check.
-    ``var`` names the bound variable of a dependent Hom's telescope.
+    ``var`` names the bound variable of a dependent Hom's telescope, and is
+    None when there is no telescope variable.
     """
-    g_p = core_of_map(pi.p, level=level)
-    eps_v = core_G(pi.universe, level=level).inclusion
-    eps_e = core_G(pi.total, level=level).inclusion
+    g_p = core_of_map(pi.p, level=2)
+    eps_v = core_G(pi.universe, level=2).inclusion
+    eps_e = core_G(pi.total, level=2).inclusion
     r_hom = factor_through(pi.r, eps_v)
     if r_hom is None:
         raise ModelError("hom: r does not factor through the core (context not verified)")
@@ -349,14 +349,7 @@ def id_refl(idt: LUType, at: LUTerm) -> LUTerm:
 # -- coproducts over a base type ------------------------------------------------
 
 
-def dep_coprod(
-    bd: Binder,
-    family: GeneratorFamily,
-    budget: int,
-    probes: Sequence[SMap] = (),
-    tests: Sequence[SMap] = (),
-    variant: str = "stable",
-) -> LUType:
+def dep_coprod(bd: Binder, family: GeneratorFamily, budget: int, variant: str = "stable") -> LUType:
     """Coproduct over the base type bd.a of the family bd.b.
 
     The universe is shared with the product; the total object is the
@@ -366,14 +359,7 @@ def dep_coprod(
     b = bd.b
     depth = max(bd.a.depth, b.depth)
     r, pb_u, prod_ee, z = _pi_universe(bd, depth)
-    composite = compose(pb_u.to_left, z.to_left)
-    if probes:
-        rep = quasifibration_check(composite, family, list(probes), list(tests), budget)
-        if not rep.ok:
-            raise ModelError(
-                f"dep_coprod: composite fails the quasifibration probes: {rep.probe_results}"
-            )
-    fac = factor_soa(composite, family, budget)
+    fac = factor_soa(compose(pb_u.to_left, z.to_left), family, budget)
     if variant == "stable":
         rec = Coprod(bd, pb_u, prod_ee, z, fac)
         return LUType(bd.a.ctx, r, fac.right, b.spec, depth, rec)
@@ -445,18 +431,22 @@ def dep_coprod_elim(s: LUType, d_type: LUType, d_sec: SMap, c: LUTerm) -> LUTerm
 # -- extension types --------------------------------------------------------------
 
 
-def extension_type(gamma: LUContext, cyl: Cylinder, j: SMap, partial: SMap, depth: int) -> LUType:
+def extension_type(bd: Binder, j: SMap, partial: SMap, depth: int) -> LUType:
     """<Pi_{y:V} A | x.a>: the object of lifts of the partial section.
 
-    ``cyl.a`` lives over the chosen product ``cyl.prod`` = gamma x V;
-    ``partial``: gamma x U -> E_A is the prescribed section over
-    r . (id x j).  The universe is the gap object of exponentials of the
-    input universe, so it is independent of gamma.
+    ``bd`` binds y : V: ``bd.a`` is the constant type with fiber V =
+    ``j.target`` over the context gamma, and ``bd.b`` is A over the chosen
+    extension gamma.V.  ``partial``: gamma.U -> E_A, on the chosen extension
+    by the constant type with fiber U = ``j.source``, is the prescribed
+    section over r . (id x j).  The universe is the gap object of
+    exponentials of the input universe, so it is independent of gamma.
     """
-    a, prod_gv = cyl.a, cyl.prod
+    a, pb_gv = bd.b, bd.pb
     u = j.source
-    prod_gu = product(gamma.sset, u)
-    incl = prod_gv.pair(prod_gu.proj1, compose(j, prod_gu.proj2))
+    if bd.a.p != terminal_map(j.target):
+        raise ModelError("extension_type: the binder must bind the constant type j.target")
+    pb_gu = pullback(bd.a.r, terminal_map(u))
+    incl = pb_gv.pair(pb_gu.to_left, compose(j, pb_gu.to_right))
     if compose(a.p, partial) != compose(a.r, incl):
         raise ModelError("extension_type: partial section does not match the restriction")
     ev_ = exponential(a.total, j.target, depth)
@@ -469,27 +459,27 @@ def extension_type(gamma: LUContext, cyl: Cylinder, j: SMap, partial: SMap, dept
     p_u = eau.postcompose(a.p, vau)
     w = pullback(res_v, p_u)
     p_pi = w.pair(p_v, res_e)  # the gap map E_A^V -> V_A^V x_{V_A^U} E_A^U
-    r_v = vav.curry(a.r, prod_gv)
-    a_u = eau.curry(partial, prod_gu)
+    r_v = vav.curry(a.r, pb_gv)
+    a_u = eau.curry(partial, pb_gu)
     r_pi = w.pair(r_v, a_u)
-    return LUType(gamma, r_pi, p_pi, a.spec, a.depth, Ext(cyl, ev_))
+    return LUType(bd.a.ctx, r_pi, p_pi, a.spec, a.depth, Ext(bd, ev_))
 
 
 def extension_lam(ext: LUType, total_section: SMap) -> LUTerm:
-    """lambda y. a from a full section gamma x V -> E_A over r."""
+    """lambda y. a from a full section gamma.V -> E_A over r."""
     rec: Ext = ext.former
-    if compose(rec.cyl.a.p, total_section) != rec.cyl.a.r:
+    a = rec.binder.b
+    if compose(a.p, total_section) != a.r:
         raise ModelError("extension_lam: not a section over r")
-    return LUTerm(ext, rec.ev.curry(total_section, rec.cyl.prod))
+    return LUTerm(ext, rec.ev.curry(total_section, rec.binder.pb))
 
 
 def extension_app(ext: LUType, f: LUTerm, v_pt: SMap) -> LUTerm:
     """app(f, v): evaluate at a map v: gamma -> V, a term of A[v]."""
     rec: Ext = ext.former
-    prod_gv = rec.cyl.prod
-    full = rec.ev.uncurry(f.section, prod_gv)
-    at = prod_gv.pair(identity(ext.ctx.sset), v_pt)
-    return LUTerm(subst(rec.cyl.a, at), compose(full, at))
+    bd = rec.binder
+    full = rec.ev.uncurry(f.section, bd.pb)
+    return LUTerm(bd.at(v_pt), compose(full, bd.pb.pair(identity(ext.ctx.sset), v_pt)))
 
 
 # -- pushout cell objects ----------------------------------------------------------

@@ -21,7 +21,7 @@ from ..kernel import (
     boundary,
     compose,
     constant_map,
-    product,
+    pullback,
     std_simplex,
     terminal,
     terminal_map,
@@ -29,7 +29,6 @@ from ..kernel import (
 from ..lifting import GeneratorFamily
 from ..model import (
     Binder,
-    Cylinder,
     Ext,
     Extension,
     FibClassSpec,
@@ -142,16 +141,16 @@ class Elaborator:
                 raise UnsupportedConstruction(
                     "dependent Hom elaborates for indexed telescopes of length <= 1"
                 )
-            (x, a_ty), = ty.tele or (("_", S.TUnit()),)
+            (x, a_ty), = ty.tele or ((None, S.TUnit()),)
             return hom_type(self._hom_pi(ctx, a_ty, x, ty.b), env.base_spec, var=x)
         if isinstance(ty, S.TPi):
-            return pi_type(self._base_binder(ctx, ty.i, ty.itype, ty.body))
+            return pi_type(self._base_binder(ctx, ty.i, self._base_type(ty.itype), ty.body))
         if isinstance(ty, S.TCoprod):
-            bd = self._base_binder(ctx, ty.i, ty.itype, ty.body)
+            bd = self._base_binder(ctx, ty.i, self._base_type(ty.itype), ty.body)
             variant = "stable" if env.stable_coproducts else "unstable"
             return dep_coprod(bd, env.family, env.budget, variant=variant)
         if isinstance(ty, S.TPath):
-            return self._path_type(ctx, ty.a, ty.left, ty.right)
+            return self._path_type(ctx, None, ty.a, ty.left, ty.right)
         if isinstance(ty, S.TExt):
             path = self._as_path(ty)
             if path is not None:
@@ -179,7 +178,7 @@ class Elaborator:
             return None
         if ty.y in S.free_vars_type(ty.a):
             return None
-        return ty.a, c0.body, c1.body
+        return ty.y, ty.a, c0.body, c1.body
 
     # ---------------------------------------------------------------- terms
 
@@ -214,16 +213,12 @@ class Elaborator:
             rec = expected.former
             if isinstance(rec, Hom):
                 return self._hom_lam(ctx, expected, t.x, t.body)
-            if isinstance(rec, Pi):  # a product over a base type
+            if isinstance(rec, (Pi, Ext)):  # over a base type: a product, or an extension type
                 bd = rec.binder
                 inner = self._bind_base_pb(ctx, bd.pb, t.x)
                 body = self.elab_term(inner, t.body, bd.b)
-                return pi_lam(expected, body)
-            if isinstance(rec, Ext):  # extension / path type
-                prod_gv = rec.cyl.prod
-                inner = ctx.reindexed(prod_gv.proj1, LUContext(prod_gv.sset))
-                inner.base_vars[t.x] = prod_gv.proj2
-                body = self.elab_term(inner, t.body, rec.cyl.a)
+                if isinstance(rec, Pi):
+                    return pi_lam(expected, body)
                 return extension_lam(expected, body.section)
             raise UnsupportedConstruction(
                 "lambda against a type with no semantic function structure"
@@ -262,9 +257,10 @@ class Elaborator:
         if isinstance(t, S.HomApp):
             f = self._infer(ctx, t.f)
             rec: Hom = f.type.former
-            arg = ctx.ind_vars.get(rec.var)
-            if arg is None:
+            if rec.var is None:  # an empty telescope: the domain is the unit type
                 arg = unit_term(rec.pi.former.binder.a)
+            else:  # the checker matched the telescope against the innermost variable
+                arg = next(reversed(ctx.ind_vars.values()))
             return pi_app(rec.pi, hom_app(f.type, f), arg)
         if isinstance(t, S.EApp):
             f = self._infer(ctx, t.f)
@@ -292,17 +288,18 @@ class Elaborator:
             return terminal_map(ctx.gamma.sset)
         raise UnsupportedConstruction(f"no base interpretation for {type(t).__name__}")
 
-    def _bind_ind(self, ctx: SemCtx, ext: Extension, name: str) -> SemCtx:
+    def _bind_ind(self, ctx: SemCtx, ext: Extension, name: Optional[str]) -> SemCtx:
         inner = ctx.reindexed(ext.proj, ext.ctx)
+        inner.ind_vars.pop(name, None)  # a shadowed name moves to the innermost position
         inner.ind_vars[name] = ext.var
         return inner
 
-    def _bind_base_pb(self, ctx: SemCtx, pb, name: str) -> SemCtx:
+    def _bind_base_pb(self, ctx: SemCtx, pb, name: Optional[str]) -> SemCtx:
         inner = ctx.reindexed(pb.to_left, LUContext(pb.sset))
         inner.base_vars[name] = pb.to_right
         return inner
 
-    def _base_type(self, ctx: SemCtx, ty: S.Type) -> FinSSet:
+    def _base_type(self, ty: S.Type) -> FinSSet:
         if isinstance(ty, S.TInterval):
             return std_simplex(1)
         if isinstance(ty, S.TConst) and not ty.args:
@@ -311,9 +308,9 @@ class Elaborator:
                 return fib
         raise UnsupportedConstruction("base types elaborate for I1 and bound constants")
 
-    def _base_binder(self, ctx: SemCtx, i: str, itype: S.Type, body: S.Type) -> Binder:
-        """The base type I reindexed to the context, and the family over it."""
-        fiber = self._base_type(ctx, itype)
+    def _base_binder(self, ctx: SemCtx, i: Optional[str], fiber: FinSSet, body: S.Type) -> Binder:
+        """The base type with this fiber reindexed to the context, and the
+        family over it, in which ``i`` names the base variable."""
         a = LUType(ctx.gamma, terminal_map(ctx.gamma.sset), terminal_map(fiber), self.env.base_spec)
         pb = ctx_extend(ctx.gamma, a).pb
         b = self.elab_type(self._bind_base_pb(ctx, pb, i), body)
@@ -332,29 +329,31 @@ class Elaborator:
         inner = self._bind_ind(ctx, bd.ext, x)
         return hom_lam(hom, pi_lam(pi, self.elab_term(inner, body, bd.b)))
 
-    def _path_type(self, ctx: SemCtx, a_ty: S.Type, left: S.Term, right: S.Term) -> LUType:
-        interval = std_simplex(1)
-        prod_gv = product(ctx.gamma.sset, interval)
-        cyl_ctx = ctx.reindexed(prod_gv.proj1, LUContext(prod_gv.sset))
-        a_cyl = self.elab_type(cyl_ctx, a_ty)
+    def _path_type(self, ctx: SemCtx, y: Optional[str], a_ty: S.Type, left: S.Term, right: S.Term) -> LUType:
+        """The extension type over I1 with endpoints left and right.
+
+        A does not mention y, the name of the bound base variable (None for
+        ``Path``, which names none).
+        """
+        bd = self._base_binder(ctx, y, std_simplex(1), a_ty)
         a_base = self.elab_type(ctx, a_ty)
         lt = self.elab_term(ctx, left, a_base)
         rt = self.elab_term(ctx, right, a_base)
-        bd, j_incl = boundary(1)
-        prod_gu = product(ctx.gamma.sset, bd)
-        partial = self._glue_endpoints(prod_gu, lt.section, rt.section, a_cyl.total)
-        return extension_type(ctx.gamma, Cylinder(prod_gv, a_cyl), j_incl, partial, depth=a_cyl.depth)
+        u, j_incl = boundary(1)
+        pb_gu = pullback(terminal_map(ctx.gamma.sset), terminal_map(u))
+        partial = self._glue_endpoints(pb_gu, lt.section, rt.section, bd.b.total)
+        return extension_type(bd, j_incl, partial, depth=bd.b.depth)
 
     @staticmethod
-    def _glue_endpoints(prod_gu, left_sec: SMap, right_sec: SMap, total: FinSSet) -> SMap:
-        """The partial section gamma x boundary(1) -> E_A from the endpoints."""
+    def _glue_endpoints(pb_gu, left_sec: SMap, right_sec: SMap, total: FinSSet) -> SMap:
+        """The partial section gamma.boundary(1) -> E_A from the endpoints."""
         assign = {}
-        for c in prod_gu.sset.nondegenerate():
-            vtx = prod_gu.proj2.apply_cell(c)
-            g = prod_gu.proj1.apply_cell(c)
+        for c in pb_gu.sset.nondegenerate():
+            vtx = pb_gu.to_right.apply_cell(c)
+            g = pb_gu.to_left.apply_cell(c)
             section = left_sec if vtx.base == "0" else right_sec
             assign[c] = section.apply(g)
-        return SMap(prod_gu.sset, total, assign)
+        return SMap(pb_gu.sset, total, assign)
 
     # ------------------------------------------------------------ declarations
 

@@ -37,9 +37,8 @@ def test_no_unreferenced_top_level_definitions():
 def test_every_former_record_field_is_read():
     """Each field of a type former's record, or of a binder, is read in ``src/``.
 
-    The records are ``Binder``, ``Cylinder`` and the subclasses of
-    ``Former``; a field counts as read when some attribute load in ``src/``
-    names it.
+    The records are ``Binder`` and the subclasses of ``Former``; a field
+    counts as read when some attribute load in ``src/`` names it.
     """
     classes = {}
     reads = set()
@@ -49,7 +48,7 @@ def test_every_former_record_field_is_read():
                 classes[node.name] = node
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads.add(node.attr)
-    records = {"Binder", "Cylinder"}
+    records = {"Binder"}
     grew = True
     while grew:
         subclasses = {
@@ -59,7 +58,7 @@ def test_every_former_record_field_is_read():
         }
         grew = not subclasses <= records
         records |= subclasses
-    assert records >= {"Binder", "Cylinder", "Sigma", "Pi", "Hom", "Id", "Coprod", "UnstableCoprod", "Ext"}
+    assert records >= {"Binder", "Sigma", "Pi", "Hom", "Id", "Coprod", "UnstableCoprod", "Ext"}
     unread = sorted(
         f"{name}.{stmt.target.id}"
         for name in records

@@ -11,8 +11,10 @@ from ssetkit.model import (
     LUTerm,
     LUType,
     UnsupportedConstruction,
+    ctx_extend,
     sigma_proj1,
     sigma_proj2,
+    subst,
 )
 from ssetkit.tt import syntax as S
 from ssetkit.tt.checker import check_source
@@ -111,6 +113,43 @@ def test_nested_sigma_pair_elaborates():
     inner = sigma_proj2(pair.type, pair)
     assert sigma_proj1(inner.type, inner).section == env.terms["b0"].section
     assert sigma_proj2(inner.type, inner).section == env.terms["a0"].section
+
+
+def test_hom_app_uses_the_innermost_indexed_variable():
+    """f () applies f to the innermost indexed variable, whatever its name.
+
+    The checker accepts ``\\y. h ()`` for h : Hom((x : A) . B), since the
+    innermost indexed variable y has the telescope's type A.
+    """
+    src = (
+        "postulate A () | () : Type\n"
+        "postulate B () | () : Type\n"
+        "postulate a0 () | () : A\n"
+        "postulate b0 () | () : B\n"
+        "def h () : Hom((x : A) . B) := lam(b0)\n"
+        "def g1 () : Hom(A, B) := \\x. h ()\n"
+        "def g2 () : Hom(A, B) := \\y. h ()\n"
+    )
+    env = make_env()
+    pt = LUContext(terminal())
+    for ty, term in (("A", "a0"), ("B", "b0")):
+        env.types[ty] = LUType(pt, terminal_map(terminal()), terminal_map(discrete(2)), env.spec)
+        env.terms[term] = LUTerm(env.types[ty], constant_map(terminal(), discrete(2), "p0"))
+    decls = check_source(src).decls
+    el = Elaborator(env)
+    env.terms["h"] = el.elab_decl(decls["h"])
+    g1 = el.elab_decl(decls["g1"])
+    assert el.elab_decl(decls["g2"]).section == g1.section
+
+
+def test_rebound_indexed_name_becomes_innermost():
+    env = make_env()
+    el = Elaborator(env)
+    ctx = el.closed_ctx()
+    for name in ("x", "y", "x"):
+        k = subst(env.types["K"], terminal_map(ctx.gamma.sset))
+        ctx = el._bind_ind(ctx, ctx_extend(ctx.gamma, k), name)
+    assert list(ctx.ind_vars) == ["y", "x"]
 
 
 # -- declared-out-of-scope constructions ----------------------------------------

@@ -12,6 +12,7 @@ from ssetkit.kernel import (
     SSetError,
     boundary,
     compose,
+    constant_map,
     coproduct,
     count_maps,
     delta_map,
@@ -169,6 +170,70 @@ def test_exponential_adjunction_counts():
     a, b, c = discrete(2), std_simplex(1), discrete(2)
     exp = exponential(c, b, depth=2)
     assert count_maps(product(a, b).sset, c) == count_maps(a, exp.sset)
+
+
+# base^X is the pushforward of base x X -> X along X -> 1.  Delta^1^(Delta^1)
+# has a 2-simplex, and W = Delta^2 makes W x X three-dimensional, above the
+# depth 2: uncurry and the pre/postcomposition maps must act simplex by
+# simplex, not through the pullback base^X -> 1 <- X, which is realized only
+# up to the depth.
+EXP_BASES = {"discrete2": discrete(2), "delta1": std_simplex(1)}
+# each exponent with a map j into it, for precompose
+EXP_EXPONENTS = {
+    "delta1": (std_simplex(1), boundary(1)[1]),
+    "boundary1": (boundary(1)[0], constant_map(terminal(), boundary(1)[0], "1")),
+}
+EXP_CASES = [(b, x) for b in EXP_BASES for x in EXP_EXPONENTS]
+EXP_SOURCES = (boundary(1)[0], std_simplex(1), std_simplex(2))  # small exact W
+
+
+def _chosen(w, x):
+    """The chosen pullback W -> 1 <- X, on which curry and uncurry act."""
+    return pullback(terminal_map(w), terminal_map(x))
+
+
+@pytest.mark.parametrize("base,x", EXP_CASES)
+def test_exponential_uncurry_inverts_curry(base, x):
+    base_, x_ = EXP_BASES[base], EXP_EXPONENTS[x][0]
+    exp = exponential(base_, x_, depth=2)
+    for w in EXP_SOURCES:
+        pb = _chosen(w, x_)
+        ks = list(enumerate_maps(pb.sset, base_))
+        assert ks
+        for k in ks:
+            assert exp.uncurry(exp.curry(k, pb), pb) == k
+        assert len(ks) == count_maps(w, exp.sset)
+
+
+@pytest.mark.parametrize("base,x", EXP_CASES)
+def test_exponential_postcompose_is_composition(base, x):
+    base_, x_ = EXP_BASES[base], EXP_EXPONENTS[x][0]
+    exp = exponential(base_, x_, depth=2)
+    other = exponential(std_simplex(1), x_, depth=2)
+    for g in enumerate_maps(base_, std_simplex(1)):
+        g_x = exp.postcompose(g, other)
+        for w in EXP_SOURCES:
+            pb = _chosen(w, x_)
+            for h in enumerate_maps(w, exp.sset):
+                assert other.uncurry(compose(g_x, h), pb) == compose(g, exp.uncurry(h, pb))
+
+
+@pytest.mark.parametrize("base,x", EXP_CASES)
+def test_exponential_precompose_is_restriction(base, x):
+    base_, (x_, j) = EXP_BASES[base], EXP_EXPONENTS[x]
+    exp = exponential(base_, x_, depth=2)
+    other = exponential(base_, j.source, depth=2)
+    base_j = exp.precompose(j, other)
+    for w in EXP_SOURCES:
+        pb_x, pb_u = _chosen(w, x_), _chosen(w, j.source)
+        w_j = pb_x.pair(pb_u.to_left, compose(j, pb_u.to_right))  # W x j
+        for h in enumerate_maps(w, exp.sset):
+            assert other.uncurry(compose(base_j, h), pb_u) == compose(exp.uncurry(h, pb_x), w_j)
+
+
+def test_exponential_needs_exact_inputs():
+    with pytest.raises(SSetError):
+        exponential(nerve_j(2), std_simplex(1), 2)
 
 
 def test_pushforward_sections_match_transpose():

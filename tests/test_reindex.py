@@ -7,11 +7,10 @@ For each former T with a term t and a substitution sigma,
 import pytest
 
 from ssetkit.corpus import discrete
-from ssetkit.kernel import boundary, constant_map, product, pullback, std_simplex, terminal, terminal_map
+from ssetkit.kernel import boundary, constant_map, pullback, std_simplex, terminal, terminal_map
 from ssetkit.lifting import kan_family
 from ssetkit.model import (
     Binder,
-    Cylinder,
     FibClassSpec,
     LUContext,
     LUTerm,
@@ -103,11 +102,11 @@ def _coprod_elim(c, t):
 
 
 def _path():
-    prod = product(GAMMA.sset, std_simplex(1))
-    _, j = boundary(1)
-    partial = constant_map(product(GAMMA.sset, j.source).sset, discrete(2), "p0")
-    e = extension_type(GAMMA, Cylinder(prod, const(LUContext(prod.sset))), j, partial, 2)
-    return e, extension_lam(e, constant_map(prod.sset, discrete(2), "p0"))
+    bd = family(LUType(GAMMA, terminal_map(GAMMA.sset), terminal_map(std_simplex(1)), BASE_SPEC))
+    u, j = boundary(1)
+    partial = constant_map(pullback(terminal_map(GAMMA.sset), terminal_map(u)).sset, discrete(2), "p0")
+    e = extension_type(bd, j, partial, 2)
+    return e, extension_lam(e, constant_map(bd.pb.sset, discrete(2), "p0"))
 
 
 CASES = {
