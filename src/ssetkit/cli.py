@@ -2,8 +2,9 @@
 
 Verbs operate on serialized objects (.sset), maps (.smap), and programs
 (.itt).  Exit codes: 0 the check passed, 1 it failed, 2 usage or input
-error, 3 a cell/lift budget was exhausted or normalization ran out of fuel,
-so the verdict is unknown.  ``--json`` emits a single versioned JSON
+error, 3 a cell/lift budget was exhausted, normalization ran out of fuel, or
+an interpreted declaration needs a level above ``--depth``, so the verdict
+is unknown.  ``--json`` emits a single versioned JSON
 document (sorted keys, fixed layout) instead of text.
 """
 
@@ -22,7 +23,7 @@ from .joyal import (
     invertible_edge,
     lemma_four_conditions,
 )
-from .kernel import SSetError, identity, load_smap, load_sset, nondeg
+from .kernel import SSetError, Truncated, identity, load_smap, load_sset, nondeg
 from .lifting import (
     BudgetExhausted,
     LiftingProblem,
@@ -256,7 +257,7 @@ def _interp_decls(ck, depth: int, budget: int) -> dict:
         stable_coproducts=ck.stable,
     )
     el = Elaborator(env)
-    interpreted, skipped, failed = [], [], []
+    interpreted, skipped, failed, unknown = [], [], [], []
     for name, decl in ck.decls.items():
         if decl.kind != "term" or decl.body is None:
             skipped.append(name)
@@ -268,7 +269,13 @@ def _interp_decls(ck, depth: int, budget: int) -> dict:
             skipped.append(name)
         except ModelError as e:
             failed.append([name, str(e)])
-    return {"interpreted": interpreted, "skipped": skipped, "failed": failed}
+        except Truncated as e:
+            unknown.append([name, str(e)])
+    report = {"interpreted": interpreted, "skipped": skipped, "failed": failed}
+    # only when non-empty, so reports without an unknown keep their layout
+    if unknown:
+        report["unknown"] = unknown
+    return report
 
 
 def cmd_check(args) -> int:
@@ -287,7 +294,10 @@ def cmd_check(args) -> int:
     payload = {"file": args.file, "declarations": len(ck.decls)}
     if report is not None:
         payload["interpretation"] = report
-    return _emit(args, payload, report is None or not report["failed"])
+    code = _emit(args, payload, report is None or not report["failed"])
+    if code == EXIT_PASS and report is not None and "unknown" in report:
+        return EXIT_BUDGET
+    return code
 
 
 def cmd_interp(args) -> int:

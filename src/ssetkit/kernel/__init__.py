@@ -6,6 +6,7 @@ from .sset import (
     FinSSet,
     SMap,
     SSetError,
+    Truncated,
     compose,
     constant_map,
     find_isomorphism,

@@ -7,24 +7,59 @@ relies on for reproducible fillers.
 
 Once a cell's faces are assigned, its image must have exactly those faces,
 so its candidates are looked up by face tuple
-(``FinSSet.simplices_with_faces``): forward checking in the sense of
-Haralick and Elliott (1980).  The backtracking keeps one candidate iterator
-per depth on an explicit stack, so large sources do not hit the recursion
-limit.
+(``FinSSet.simplices_with_faces``).  The lookup is made at the step where
+the last of the cell's face bases is assigned, not when the cell's own turn
+comes, and an empty lookup cuts the branch at once: forward checking in the
+sense of Haralick and Elliott (1980).  A later cell's candidates depend only
+on cells already fixed, so this cuts only branches that yield no map, and
+the order of the maps does not change.  The cell order and, for each step,
+the later cells it fixes are the search plan, computed once per source
+(``search_plan``).  The backtracking keeps one candidate iterator per depth
+on an explicit stack, so large sources do not hit the recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .simplex import Simplex
-from .sset import FinSSet, SMap, SSetError
+from .sset import FinSSet, SMap, SSetError, Truncated
 
 
 def check_represented(target: FinSSet, dim: int) -> None:
-    """Raise unless the target is represented up to dimension ``dim``."""
+    """Raise ``Truncated`` unless the target is represented up to dimension ``dim``."""
     if target.dim_bound is not None and dim > target.dim_bound:
-        raise SSetError(f"target truncated at {target.dim_bound}, below source dimension {dim}")
+        raise Truncated(f"target truncated at {target.dim_bound}, below source dimension {dim}")
+
+
+class SearchPlan(NamedTuple):
+    """The order in which a map search from one source assigns its cells.
+
+    ``cells`` lists the nondegenerate cells by dimension, then by name.
+    ``due[m]`` lists the positions j > m of the cells whose last face base
+    is ``cells[m - 1]`` (m = 0 for vertices): their candidates are looked up
+    as soon as the first m cells are assigned.  Cell m itself, like every
+    cell whose last face base is the cell just before it, is looked up at
+    its own turn.
+    """
+
+    cells: tuple[str, ...]
+    due: tuple[tuple[int, ...], ...]
+
+
+def search_plan(source: FinSSet) -> SearchPlan:
+    """The search plan of ``source``, computed once and cached on it."""
+    cache = source._search_plan
+    if not cache:
+        cells = [c for level in source.cells for c in sorted(level)]
+        position = {c: k for k, c in enumerate(cells)}
+        due: list[list[int]] = [[] for _ in range(len(cells) + 1)]
+        for j, c in enumerate(cells):
+            last = max((position[f.base] for f in source.faces.get(c, ())), default=-1)
+            if last < j - 1:
+                due[last + 1].append(j)
+        cache.append(SearchPlan(tuple(cells), tuple(map(tuple, due))))
+    return cache[0]
 
 
 def enumerate_maps(
@@ -42,9 +77,7 @@ def enumerate_maps(
     up to the dimension of the source.
     """
     check_represented(target, source.dim)
-    cells: list[str] = []
-    for n in range(source.dim + 1):
-        cells.extend(sorted(source.cells[n]))
+    cells, due = search_plan(source)
     forced = forced or {}
     if limit is not None and limit <= 0:
         return
@@ -80,6 +113,21 @@ def enumerate_maps(
             return iter(options)
         return (cand for cand in options if constraint(c, cand))
 
+    # early[j] holds the candidates of cells[j] when they are looked up ahead
+    # of its turn; the step that assigns its last face base refreshes them on
+    # every branch that reaches cells[j]
+    early: list[Optional[list[Simplex]]] = [None] * len(cells)
+
+    def look_ahead(assigned: int) -> bool:
+        """Look up the cells due once ``assigned`` cells are; False when one has none."""
+        for j in due[assigned]:
+            found = early[j] = list(candidates(cells[j]))
+            if not found:
+                return False
+        return True
+
+    if not look_ahead(0):
+        return
     # stack[k] iterates the candidates for cells[k]; a deeper entry of
     # ``assign`` left over from an abandoned branch is overwritten before it
     # is read, and its key keeps its place, so yielded dicts are in cell order
@@ -92,8 +140,11 @@ def enumerate_maps(
             stack.pop()
             continue
         assign[cells[k]] = cand
+        if due[k + 1] and not look_ahead(k + 1):
+            continue
         if k + 1 < len(cells):
-            stack.append(candidates(cells[k + 1]))
+            found = early[k + 1]
+            stack.append(candidates(cells[k + 1]) if found is None else iter(found))
             continue
         count += 1
         yield SMap(source, target, dict(assign))

@@ -19,6 +19,14 @@ class SSetError(ValueError):
     """Raised for structurally invalid simplicial data or misuse."""
 
 
+class Truncated(SSetError):
+    """A level above a truncated object's bound was asked for.
+
+    The answer is unknown at that depth, not wrong: the finite data claims
+    nothing above the bound.
+    """
+
+
 @dataclass(frozen=True)
 class FinSSet:
     cells: tuple[tuple[str, ...], ...]
@@ -27,6 +35,8 @@ class FinSSet:
     _dims: dict = field(default_factory=dict, repr=False, compare=False)
     _simplex_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _face_index: dict = field(default_factory=dict, repr=False, compare=False)
+    # the plan of a map search from this object, built by ``homs.search_plan``
+    _search_plan: list = field(default_factory=list, repr=False, compare=False)
 
     @staticmethod
     def make(
@@ -157,7 +167,7 @@ class FinSSet:
 
     def _check_level(self, n: int) -> None:
         if self.dim_bound is not None and n > self.dim_bound:
-            raise SSetError(
+            raise Truncated(
                 f"level {n} of a truncated object (bound {self.dim_bound}) is not represented"
             )
 

@@ -140,3 +140,29 @@ def test_deep_nesting_is_a_parse_error_not_a_crash(tmp_path):
     assert r.returncode == 1
     assert json.loads(r.stdout)["error"]["rule"] == "parse"
     assert "Traceback" not in r.stderr
+
+
+TRUNCATED = "def p () | () : Pi (i : I1) Pi (k : I1) One := \\i. \\k. one\n"
+
+
+def test_truncated_interp_is_unknown_not_an_input_error(tmp_path):
+    # p's section is a search from a 3-dimensional source into a target
+    # truncated at --depth 2: unknown at that depth, and the report goes on
+    path = tmp_path / "truncated.itt"
+    path.write_text(TRUNCATED)
+    r = run_cli("interp", str(path), "--json")
+    assert r.returncode == 3
+    doc = json.loads(r.stdout)
+    assert doc["declarations"] == 1 and doc["ok"] is True
+    assert doc["interpretation"] == {
+        "interpreted": [],
+        "skipped": [],
+        "failed": [],
+        "unknown": [["p", "target truncated at 2, below source dimension 3"]],
+    }
+    path.write_text(TRUNCATED + "def q () | () : One := one\n")
+    r = run_cli("check", "--interp", str(path), "--json")
+    assert r.returncode == 3
+    report = json.loads(r.stdout)["interpretation"]
+    assert report["interpreted"] == ["q"]
+    assert [name for name, _ in report["unknown"]] == ["p"]

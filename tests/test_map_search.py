@@ -26,6 +26,7 @@ from ssetkit.kernel import (
     find_isomorphism,
     horn,
     nerve,
+    nondeg,
     std_simplex,
     terminal,
     walking_iso_category,
@@ -88,6 +89,62 @@ def test_search_matches_naive_on_catfib_maps(seed):
     f = rng.choice(CATFIB)
     _agree(rng, f.source, f.target)
     _agree(rng, rng.choice(PROBES), f.source)
+
+
+# -- the early lookup ------------------------------------------------------------
+#
+# A cell's candidates are looked up as soon as the last of its face bases is
+# assigned.  Horns and boundaries have cells whose faces are all fixed long
+# before their turn, and a target with many vertices and few edges kills most
+# vertex tuples at that early lookup.
+
+SHAPES = [horn(n, k)[0] for n in range(1, 4) for k in range(n + 1)]
+SHAPES += [boundary(n)[0] for n in range(1, 4)]
+
+
+def _padded(rng, y):
+    """y with isolated vertices and stray edges added."""
+    levels = [list(level) for level in y.cells]
+    levels += [[] for _ in range(2 - len(levels))]
+    faces = dict(y.faces)
+    levels[0] += [f"z{i}" for i in range(rng.randint(1, 3))]
+    for i in range(rng.randint(0, 2)):
+        levels[1].append(f"s{i}")
+        faces[f"s{i}"] = (nondeg(rng.choice(levels[0])), nondeg(rng.choice(levels[0])))
+    return FinSSet.make(dict(enumerate(levels)), faces).assert_valid()
+
+
+@given(seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_search_matches_naive_from_horns_and_boundaries(seed):
+    rng = random.Random(seed)
+    shape = rng.choice(SHAPES)
+    source = FinSSet(shape.cells, shape.faces)  # a copy with empty caches
+    key, digest = source.key(), hash(source)
+    _agree(rng, source, _padded(rng, random_sset(rng, max_dim=3, max_cells=6)))
+    # the cached plan is not part of the object's identity
+    assert source._search_plan
+    assert source.key() == key and hash(source) == digest
+    assert source == shape and repr(source) == repr(FinSSet(shape.cells, shape.faces))
+
+
+def test_early_lookup_cuts_dead_vertex_tuples(monkeypatch):
+    # 9 vertices and no nondegenerate edge: assigning all four vertices of
+    # the horn before looking any edge up made 7,425 lookups here
+    source, target = horn(3, 0)[0], CATFIB[28].source
+    expected = _listed(reference.enumerate_maps, source, target)
+    calls = 0
+    lookup = FinSSet.simplices_with_faces
+
+    def counted(self, n, wants):
+        nonlocal calls
+        calls += 1
+        return lookup(self, n, wants)
+
+    monkeypatch.setattr(FinSSet, "simplices_with_faces", counted)
+    assert _listed(enumerate_maps, source, target) == expected
+    assert len(expected) == 9
+    assert calls < 750
 
 
 ISO_NERVE = nerve(walking_iso_category(), 2)
