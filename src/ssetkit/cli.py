@@ -271,6 +271,8 @@ def _interp_decls(ck, depth: int, budget: int) -> dict:
             failed.append([name, str(e)])
         except Truncated as e:
             unknown.append([name, str(e)])
+        except BudgetExhausted as e:
+            unknown.append([name, f"budget exhausted: {e}"])
     report = {"interpreted": interpreted, "skipped": skipped, "failed": failed}
     # only when non-empty, so reports without an unknown keep their layout
     if unknown:

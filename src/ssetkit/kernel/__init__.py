@@ -26,7 +26,7 @@ from .standard import (
     walking_iso_category,
     yoneda,
 )
-from .homs import check_represented, count_maps, enumerate_maps, enumerate_sections
+from .homs import check_represented, count_maps, enumerate_maps, enumerate_sections, face_lookup
 from .limits import (
     Coproduct,
     Product,

@@ -4,16 +4,19 @@ Every simplex of a finite simplicial set is written uniquely as a strictly
 decreasing word of degeneracy operators applied to a nondegenerate base cell.
 This module knows the word combinatorics; the simplicial set itself (which
 owns the face tables of the nondegenerate cells) lives in `sset`.
+
+A ``Simplex`` is a named tuple ``(word, base)``, so hashing, equality and
+ordering run in C, and construction is one tuple allocation.  It equals the
+plain tuple ``(word, base)`` and hashes like it; its order is the tuple
+order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Simplex:
+class Simplex(NamedTuple):
     """A possibly-degenerate simplex: degeneracy word applied to a base cell.
 
     ``word`` is strictly decreasing and stored outermost-first, so

@@ -19,9 +19,11 @@ order, ``_first_unmatched`` looks the bottoms y up with
 horn first, then the top cell, each level-0 cell by a scan of
 ``simplices(0)``.  It looks the fillers x up the same way, by the faces u
 gives them, lazily.  The first y that is no p x gives the counterexample
-(u, ``yoneda(Y, y)``), the square the general path reports first.
-Everything is per square: nothing is built per object or over a level, and
-the truncation checks fall where the general path's searches make them.
+(u, ``yoneda(Y, y)``), the square the general path reports first.  The
+lookups into X and into Y go through one ``face_lookup`` each per call, so
+a face tuple that recurs across the tops u is looked up once.  Nothing is
+built per object or over a level, and the truncation checks fall where the
+general path's searches make them.
 Every other left leg, such as the vertex inclusion of ``cat_family`` or a
 map given to ``has_llp``, takes the general path: ``lifting_problems``
 searches maps for each bottom and ``solve_lift`` a section for each filler.
@@ -43,6 +45,7 @@ from .kernel import (
     compose,
     enumerate_maps,
     enumerate_sections,
+    face_lookup,
     horn,
     identity,
     interval_groupoid_skeleton,
@@ -245,13 +248,15 @@ def _first_unmatched(i: SMap, p: SMap, free: tuple[str, ...]) -> Optional[Liftin
     """The first unfilled square from a horn or boundary inclusion i to p,
     found by face lookups; see the module docstring."""
     delta, x, y = i.target, p.source, p.target
+    x_lookup, y_lookup = face_lookup(x), face_lookup(y)
     for u in enumerate_maps(i.source, x):
         check_represented(y, delta.dim)
         fills, seen = None, set()
-        for bottom in _top_images(y, delta, {c: p.apply(s) for c, s in u.assignment.items()}, free):
+        pu = {c: p.apply(s) for c, s in u.assignment.items()}
+        for bottom in _top_images(y, y_lookup, delta, pu, free):
             if fills is None:
                 check_represented(x, delta.dim)
-                fills = map(p.apply, _top_images(x, delta, dict(u.assignment), free))
+                fills = map(p.apply, _top_images(x, x_lookup, delta, dict(u.assignment), free))
             while bottom not in seen:
                 filled = next(fills, None)
                 if filled is None:
@@ -261,17 +266,17 @@ def _first_unmatched(i: SMap, p: SMap, free: tuple[str, ...]) -> Optional[Liftin
 
 
 def _top_images(
-    target: FinSSet, delta: FinSSet, image: dict, free: tuple[str, ...]
+    target: FinSSet, lookup, delta: FinSSet, image: dict, free: tuple[str, ...]
 ) -> Iterator[Simplex]:
     """The images of the top cell of Δ^n under the maps Δ^n -> target that
     extend ``image`` (given on A) over the free cells, in ``enumerate_maps``
-    order.  ``image`` gets the free facet's image written into it."""
+    order.  ``lookup`` is ``face_lookup(target)``.  ``image`` gets the free
+    facet's image written into it."""
 
     def candidates(c: str):
-        n = delta.cell_dim(c)
-        if n == 0:
+        if delta.cell_dim(c) == 0:
             return target.simplices(0)
-        return target.simplices_with_faces(n, tuple(image[f.base] for f in delta.faces[c]))
+        return lookup(tuple(image[f.base] for f in delta.faces[c]))
 
     if len(free) == 1:
         yield from candidates(free[0])

@@ -110,7 +110,7 @@ class Elaborator:
     def elab_type(self, ctx: SemCtx, ty: S.Type) -> LUType:
         env = self.env
         if isinstance(ty, S.TUnit):
-            return unit_type(ctx.gamma, env.spec)
+            return unit_type(ctx.gamma, env.spec, env.spec.depth)
         if isinstance(ty, S.TConst):
             if ty.args:
                 raise UnsupportedConstruction(

@@ -13,6 +13,10 @@ verbatim: ``lifting_problems`` searches maps for every square's bottom and
 ``enumerate_maps`` and ``enumerate_sections``, which are tested against the
 naive search above.
 
+``SimplexDataclass`` is the frozen, ordered dataclass that
+``ssetkit.kernel.simplex.Simplex`` was before it became a named tuple, kept
+verbatim but for its name.
+
 ``free_vars``, ``free_vars_type``, ``subst``, ``subst_type``,
 ``alpha_equal`` and ``alpha_equal_type`` are the per-node walkers over
 ``.itt`` syntax that the binder table of ``ssetkit.tt.syntax`` replaced,
@@ -22,6 +26,7 @@ kept verbatim.  Their ``subst`` renames a capturing binder only under
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from ssetkit import kernel
@@ -68,6 +73,24 @@ from ssetkit.tt.syntax import (
     Var,
     fresh,
 )
+
+
+@dataclass(frozen=True, order=True)
+class SimplexDataclass:
+    """A possibly-degenerate simplex: degeneracy word applied to a base cell.
+
+    ``word`` is strictly decreasing and stored outermost-first, so
+    ``Simplex((2, 0), "e")`` means ``s_2 s_0 e``.
+    """
+
+    word: tuple[int, ...]
+    base: str
+
+    def __repr__(self) -> str:  # compact, used in diagnostics
+        if not self.word:
+            return f"<{self.base}>"
+        ops = " ".join(f"s{i}" for i in self.word)
+        return f"<{ops} {self.base}>"
 
 
 def enumerate_maps(

@@ -166,3 +166,40 @@ def test_truncated_interp_is_unknown_not_an_input_error(tmp_path):
     report = json.loads(r.stdout)["interpretation"]
     assert report["interpreted"] == ["q"]
     assert [name for name, _ in report["unknown"]] == ["p"]
+
+
+def test_interp_depth_reaches_the_unit_type(tmp_path):
+    # the unit type is built at --depth, so the search truncates there, not at 2
+    path = tmp_path / "truncated.itt"
+    path.write_text(TRUNCATED)
+    r = run_cli("interp", str(path), "--json", "--depth", "3")
+    assert r.returncode == 3
+    assert json.loads(r.stdout)["interpretation"]["unknown"] == [
+        ["p", "target truncated at 3, below source dimension 4"]
+    ]
+
+
+def test_exhausted_budget_is_reported_per_declaration(tmp_path, capsys, monkeypatch):
+    from ssetkit import cli
+    from ssetkit.lifting import BudgetExhausted
+    from ssetkit.tt import Elaborator
+
+    elab_decl = Elaborator.elab_decl
+
+    def exhausted_on_q(self, decl):
+        if decl.name == "q":
+            raise BudgetExhausted("factorization used 300 cells", None)
+        return elab_decl(self, decl)
+
+    monkeypatch.setattr(Elaborator, "elab_decl", exhausted_on_q)
+    path = tmp_path / "three.itt"
+    path.write_text("".join(f"def {n} () | () : One := one\n" for n in "pqr"))
+    assert cli.main(["interp", str(path), "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is True
+    assert doc["interpretation"] == {
+        "interpreted": ["p", "r"],
+        "skipped": [],
+        "failed": [],
+        "unknown": [["q", "budget exhausted: factorization used 300 cells"]],
+    }

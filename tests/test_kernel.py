@@ -109,6 +109,39 @@ def test_codegeneracy_section():
             )
 
 
+# -- simplex values -------------------------------------------------------------
+#
+# A Simplex is a named tuple (word, base).  It must compare, order, hash and
+# print as the dataclass it replaced, so that set iteration order, every
+# sort order and every diagnostic stay as they were.
+
+simplex_fields = st.tuples(
+    st.lists(st.integers(min_value=0, max_value=4), max_size=3).map(tuple),
+    st.text(alphabet="abe01_", max_size=3),
+)
+
+
+@given(a=simplex_fields, b=simplex_fields)
+@settings(max_examples=300, deadline=None)
+def test_simplex_values_match_the_dataclass(a, b):
+    new_a, new_b = Simplex(*a), Simplex(*b)
+    old_a, old_b = reference.SimplexDataclass(*a), reference.SimplexDataclass(*b)
+    assert (new_a == new_b) == (old_a == old_b)
+    assert (new_a < new_b) == (old_a < old_b)
+    assert hash(new_a) == hash(old_a)
+    assert repr(new_a) == repr(old_a)
+    assert new_a == a and hash(new_a) == hash(a)
+
+
+@given(pairs=st.lists(simplex_fields, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_simplex_sets_and_sorts_match_the_dataclass(pairs):
+    new = [Simplex(*p) for p in pairs]
+    old = [reference.SimplexDataclass(*p) for p in pairs]
+    assert [tuple(s) for s in sorted(new)] == [(s.word, s.base) for s in sorted(old)]
+    assert [tuple(s) for s in set(new)] == [(s.word, s.base) for s in set(old)]
+
+
 # -- hom counting and the Yoneda correspondence -------------------------------
 
 

@@ -31,6 +31,7 @@ from ssetkit.kernel import (
     terminal,
     walking_iso_category,
 )
+from ssetkit.lifting import has_rlp, kan_family
 
 seeds = st.integers(min_value=0, max_value=10**6)
 CAP = 300  # maps compared per search; both sides stop at the same point
@@ -128,23 +129,55 @@ def test_search_matches_naive_from_horns_and_boundaries(seed):
     assert source == shape and repr(source) == repr(FinSSet(shape.cells, shape.faces))
 
 
+def _count_lookups(monkeypatch) -> list[int]:
+    """Count ``simplices_with_faces`` calls from here on, in the list's item."""
+    calls = [0]
+    lookup = FinSSet.simplices_with_faces
+
+    def counted(self, n, wants):
+        calls[0] += 1
+        return lookup(self, n, wants)
+
+    monkeypatch.setattr(FinSSet, "simplices_with_faces", counted)
+    return calls
+
+
 def test_early_lookup_cuts_dead_vertex_tuples(monkeypatch):
     # 9 vertices and no nondegenerate edge: assigning all four vertices of
     # the horn before looking any edge up made 7,425 lookups here
     source, target = horn(3, 0)[0], CATFIB[28].source
     expected = _listed(reference.enumerate_maps, source, target)
-    calls = 0
-    lookup = FinSSet.simplices_with_faces
-
-    def counted(self, n, wants):
-        nonlocal calls
-        calls += 1
-        return lookup(self, n, wants)
-
-    monkeypatch.setattr(FinSSet, "simplices_with_faces", counted)
+    calls = _count_lookups(monkeypatch)
     assert _listed(enumerate_maps, source, target) == expected
     assert len(expected) == 9
-    assert calls < 750
+    assert calls[0] < 750
+
+
+def test_each_face_tuple_is_looked_up_once_per_search(monkeypatch):
+    # without the per-search memo this made 2,718 lookups; the squares of a
+    # horn repeat the same face tuples for the tops and for the fillers
+    calls = _count_lookups(monkeypatch)
+    assert has_rlp(CATFIB[28], kan_family(3)) == (True, None)
+    assert calls[0] <= 1000
+
+
+def test_constraint_filters_after_the_shared_lookup():
+    # a and b have the same faces, so one search looks their tuple up once;
+    # the constraint, which depends on the cell, must still see both
+    source = FinSSet.make(
+        {0: ["x", "y"], 1: ["a", "b"]},
+        {"a": (nondeg("y"), nondeg("x")), "b": (nondeg("y"), nondeg("x"))},
+    ).assert_valid()
+    target = FinSSet.make(
+        {0: ["p", "q"], 1: ["e1", "e2", "e3"]},
+        {e: (nondeg("q"), nondeg("p")) for e in ("e1", "e2", "e3")},
+    ).assert_valid()
+    banned = {("a", nondeg("e1")), ("b", nondeg("e2")), ("b", nondeg("e3"))}
+    kw = {"constraint": lambda c, s: (c, s) not in banned}
+    expected = _listed(reference.enumerate_maps, source, target, **kw)
+    assert _listed(enumerate_maps, source, target, **kw) == expected
+    edges = [(m[2][1].base, m[3][1].base) for m in expected if m[2][1].word == ()]
+    assert edges == [("e2", "e1"), ("e3", "e1")]
 
 
 ISO_NERVE = nerve(walking_iso_category(), 2)
