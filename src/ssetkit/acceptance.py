@@ -173,7 +173,7 @@ def criterion_2(depth: int = 3, budget: int = 500) -> CriterionResult:
     for f, g, w_map in instances:
         push = pushforward(f, g, depth=2)
         pb = pullback(w_map, f)
-        lhs = sum(1 for _ in enumerate_sections(g, pb.to_right))
+        lhs = sum(1 for _ in enumerate_sections(g, pb.proj2))
         rhs = sum(1 for _ in enumerate_sections(push.struct, w_map))
         checks += 1
         if lhs != rhs:

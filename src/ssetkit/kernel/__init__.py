@@ -29,7 +29,6 @@ from .standard import (
 from .homs import check_represented, count_maps, enumerate_maps, enumerate_sections, face_lookup
 from .limits import (
     Coproduct,
-    Product,
     Pullback,
     Pushout,
     coproduct,
@@ -37,6 +36,7 @@ from .limits import (
     product,
     pullback,
     pushout,
+    q_map,
     terminal,
     terminal_map,
 )

@@ -1,6 +1,9 @@
 """Closed structure: pushforwards (dependent products) and exponentials.
 
-An exponential is the point case of the pushforward: Y^X is the dependent
+An n-simplex of a pushforward is a section over the chosen pullback of
+std(n), and it moves between levels, and transposes, along the map
+:func:`~ssetkit.kernel.limits.q_map` between chosen pullbacks.  An
+exponential is the point case of the pushforward: Y^X is the dependent
 product of the projection Y x X -> X along X -> 1, so it is a
 :class:`Pushforward` and shares its simplices, transpose and evaluation.
 
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from .build import Built, LevelPresentation
 from .homs import enumerate_sections
-from .limits import Pullback, product, pullback, terminal_map
+from .limits import Pullback, product, pullback, q_map, terminal_map
 from .simplex import Simplex, nondeg
 from .sset import FinSSet, SMap, SSetError, compose
 from .standard import delta_map, sigma_map, yoneda
@@ -58,7 +61,7 @@ class Pushforward:
         def elements(n: int):
             out = []
             for tau in b.simplices(n):
-                for s in enumerate_sections(g, fiber(n, tau).to_right):
+                for s in enumerate_sections(g, fiber(n, tau).proj2):
                     out.append((tau, _encode(s)))
             return out
 
@@ -66,15 +69,10 @@ class Pushforward:
             """Restrict an n_from-level element along op: std(m) -> std(n_from),
             whose base simplex tau . op is new_tau."""
             tau, enc = key
-            m = op.source.dim
             pb_from = fiber(n_from, tau)
-            pb_to = fiber(m, new_tau)
             s = _decode(enc, pb_from.sset, g.source)
-            assign = {}
-            for c in pb_to.sset.nondegenerate():
-                u, a = pb_to.components(nondeg(c))
-                assign[c] = s.apply(pb_from.simplex_of(op.apply(u), a))
-            return (new_tau, _encode(SMap(pb_to.sset, g.source, assign)))
+            q = q_map(op, pb_from, fiber(op.source.dim, new_tau))
+            return (new_tau, _encode(compose(s, q)))
 
         pres = LevelPresentation(
             max_level=depth,
@@ -96,7 +94,7 @@ class Pushforward:
         """Adjoint transpose.
 
         Given w_map: W -> B, the chosen pullback pb of (w_map, f), and
-        k: pb.sset -> E over A (g . k == pb.to_right), produce W -> Pi_f(g).
+        k: pb.sset -> E over A (g . k == pb.proj2), produce W -> Pi_f(g).
         """
         w = w_map.source
         assign = {}
@@ -105,13 +103,8 @@ class Pushforward:
             if m > self.depth:
                 raise SSetError("transpose: source dimension exceeds pushforward depth")
             tau = w_map.apply_cell(c)
-            yon = yoneda(w, nondeg(c))
-            fib = self._fiber(m, tau)
-            sec_assign = {}
-            for cc in fib.sset.nondegenerate():
-                u, a = fib.components(nondeg(cc))
-                sec_assign[cc] = k.apply(pb.simplex_of(yon.apply(u), a))
-            assign[c] = self._built.decompose(m, (tau, _encode(SMap(fib.sset, self.g.source, sec_assign))))
+            sec = compose(k, q_map(yoneda(w, nondeg(c)), pb, self._fiber(m, tau)))
+            assign[c] = self._built.decompose(m, (tau, _encode(sec)))
         return SMap(w, self.sset, assign)
 
     def evaluate(self, s: Simplex, a: Simplex) -> Simplex:
@@ -155,7 +148,7 @@ class Exponential(Pushforward):
 
         ``pb`` is the chosen pullback W -> 1 <- X, the source of k.
         """
-        return self.transpose(pb.left_map, self.prod.pair(k, pb.to_right), pb)
+        return self.transpose(pb.left_map, self.prod.pair(k, pb.proj2), pb)
 
     def uncurry(self, h: SMap, pb: Pullback) -> SMap:
         """Transpose h: W -> base^X into W x X -> base, on pb as in curry."""
@@ -174,8 +167,8 @@ class Exponential(Pushforward):
         """base^j: base^X -> base^U for j: U -> X (other = base^U)."""
 
         def restrict(sec: SMap, fib: Pullback, fib_u: Pullback) -> SMap:
-            incl = fib.pair(fib_u.to_left, compose(j, fib_u.to_right))
-            return other.prod.pair(compose(self.prod.proj1, compose(sec, incl)), fib_u.to_right)
+            incl = fib.pair(fib_u.proj1, compose(j, fib_u.proj2))
+            return other.prod.pair(compose(self.prod.proj1, compose(sec, incl)), fib_u.proj2)
 
         return self._on_sections(other, restrict)
 

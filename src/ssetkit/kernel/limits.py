@@ -1,9 +1,13 @@
 """Finite limits and colimits with their mediating maps.
 
-Products and pullbacks are realized from semantic pairs of simplices;
-pushouts by levelwise union-find on the two legs.  Every construction is
-deterministic, so repeated calls on equal inputs give literally equal
-results -- the model layer's strict substitution laws depend on this.
+Finite limits are chosen pullbacks, one :class:`Pullback` record realized
+from semantic pairs of simplices: the product x x y is the pullback of
+x -> 1 <- y, and a pullback along an identity is the other leg.
+:func:`q_map` is the map between two chosen pullbacks of one leg,
+q(sigma, A) of the model.  Pushouts are realized by levelwise union-find on
+the two legs.  Every construction is deterministic, so repeated calls on
+equal inputs give literally equal results -- the model layer's strict
+substitution laws depend on this.
 """
 
 from __future__ import annotations
@@ -13,16 +17,16 @@ from typing import Callable, Optional
 
 from .build import Built, LevelPresentation
 from .simplex import Simplex, nondeg
-from .sset import EMPTY, FinSSet, SMap, SSetError, constant_map, identity
+from .sset import EMPTY, FinSSet, SMap, SSetError, compose, constant_map, identity
 
 __all__ = [
     "terminal",
     "terminal_map",
     "initial_map",
-    "Product",
     "product",
     "Pullback",
     "pullback",
+    "q_map",
     "Pushout",
     "pushout",
     "Coproduct",
@@ -56,72 +60,24 @@ def _joint_bound(xs: list[FinSSet], exact_bound: int) -> tuple[int, Optional[int
 
 
 @dataclass
-class Product:
+class Pullback:
+    """The chosen pullback of the cospan left_map: X -> Z <- Y.
+
+    ``proj1`` projects to X and ``proj2`` to Y; ``simplex_of(a, b)`` is the
+    simplex over a of X and b of Y, which must have equal images in Z.
+    """
+
     sset: FinSSet
-    left: FinSSet
-    right: FinSSet
     proj1: SMap
     proj2: SMap
-    _built: Built
-
-    def simplex_of(self, a: Simplex, b: Simplex) -> Simplex:
-        n = self.left.simplex_dim(a)
-        return self._built.decompose(n, (a, b))
-
-    def components(self, s: Simplex) -> tuple[Simplex, Simplex]:
-        _, key = self._built.key_of(s)
-        return key  # type: ignore[return-value]
-
-    def pair(self, f: SMap, g: SMap) -> SMap:
-        """The map <f, g>: W -> X x Y."""
-        assign = {
-            c: self.simplex_of(f.apply_cell(c), g.apply_cell(c))
-            for c in f.source.nondegenerate()
-        }
-        return SMap(f.source, self.sset, assign)
-
-
-def product(x: FinSSet, y: FinSSet) -> Product:
-    if x.dim < 0 or y.dim < 0:
-        empty = EMPTY
-        return Product(empty, x, y, SMap(empty, x, {}), SMap(empty, y, {}), None)  # type: ignore[arg-type]
-    exact_bound = x.dim + y.dim
-    max_level, dim_bound = _joint_bound([x, y], exact_bound)
-
-    def elements(n: int):
-        return [(a, b) for a in x.simplices(n) for b in y.simplices(n)]
-
-    pres = LevelPresentation(
-        max_level=max_level,
-        elements=elements,
-        face_at=lambda n, k, i: (x.face(k[0], i), y.face(k[1], i)),
-        degen_at=lambda n, k, i: (x.degen(k[0], i), y.degen(k[1], i)),
-    )
-    built = Built(pres, dim_bound, prefix="p")
-    p = built.sset
-    proj1 = SMap(p, x, {c: built._keys[c][1][0] for c in p.nondegenerate()})
-    proj2 = SMap(p, y, {c: built._keys[c][1][1] for c in p.nondegenerate()})
-    return Product(p, x, y, proj1, proj2, built)
-
-
-@dataclass
-class Pullback:
-    sset: FinSSet
-    to_left: SMap
-    to_right: SMap
     left_map: SMap
-    right_map: SMap
-    _built: Built
-
-    def simplex_of(self, a: Simplex, b: Simplex) -> Simplex:
-        n = self.left_map.source.simplex_dim(a)
-        return self._built.decompose(n, (a, b))
+    simplex_of: Callable[[Simplex, Simplex], Simplex]
 
     def components(self, s: Simplex) -> tuple[Simplex, Simplex]:
-        _, key = self._built.key_of(s)
-        return key  # type: ignore[return-value]
+        return self.proj1.apply(s), self.proj2.apply(s)
 
     def pair(self, u: SMap, v: SMap) -> SMap:
+        """The map <u, v>: W -> X x_Z Y."""
         assign = {
             c: self.simplex_of(u.apply_cell(c), v.apply_cell(c))
             for c in u.source.nondegenerate()
@@ -129,49 +85,19 @@ class Pullback:
         return SMap(u.source, self.sset, assign)
 
 
-def _identity_pullback(f: SMap, g: SMap, f_is_id: bool) -> Pullback:
-    """Chosen pullback along an identity: return the other leg unchanged."""
-    if f_is_id:
-        # f = id: pullback of g along id is g itself
-        pb = Pullback(g.source, g, identity(g.source), f, g, None)  # type: ignore[arg-type]
-        pb.simplex_of = lambda a, b: b  # type: ignore[method-assign]
-        pb.components = lambda s: (g.apply(s), s)  # type: ignore[method-assign]
-        pb.pair = lambda u, v: v  # type: ignore[method-assign]
-        return pb
-    pb = Pullback(f.source, identity(f.source), f, f, g, None)  # type: ignore[arg-type]
-    pb.simplex_of = lambda a, b: a  # type: ignore[method-assign]
-    pb.components = lambda s: (s, f.apply(s))  # type: ignore[method-assign]
-    pb.pair = lambda u, v: u  # type: ignore[method-assign]
-    return pb
-
-
-def pullback(f: SMap, g: SMap) -> Pullback:
-    """Chosen pullback of the cospan f: X -> Z <- Y : g.
-
-    ``to_left`` projects to X, ``to_right`` to Y.
-    """
-    if f.target != g.target:
-        raise SSetError("pullback: codomain mismatch")
-    if f == identity(f.source):
-        return _identity_pullback(f, g, True)
-    if g == identity(g.source):
-        return _identity_pullback(f, g, False)
+def _pullback(f: SMap, g: SMap, prefix: str) -> Pullback:
+    """Realize the pairs of simplices of f.source and g.source over one
+    simplex of the common target, with ids ``{prefix}{level}_{index}``."""
     x, y = f.source, g.source
-    if x.dim < 0 or y.dim < 0:
-        empty = EMPTY
-        return Pullback(empty, SMap(empty, x, {}), SMap(empty, y, {}), f, g, None)  # type: ignore[arg-type]
-    exact_bound = x.dim + y.dim
-    max_level, dim_bound = _joint_bound([x, y], exact_bound)
+    if x.dim < 0 or y.dim < 0:  # no simplices, so simplex_of is never called
+        return Pullback(EMPTY, initial_map(x), initial_map(y), f, None)  # type: ignore[arg-type]
+    max_level, dim_bound = _joint_bound([x, y], x.dim + y.dim)
 
     def elements(n: int):
         ys = {}
         for b in y.simplices(n):
             ys.setdefault(g.apply(b), []).append(b)
-        out = []
-        for a in x.simplices(n):
-            for b in ys.get(f.apply(a), ()):  # matching images only
-                out.append((a, b))
-        return out
+        return [(a, b) for a in x.simplices(n) for b in ys.get(f.apply(a), ())]
 
     pres = LevelPresentation(
         max_level=max_level,
@@ -179,11 +105,41 @@ def pullback(f: SMap, g: SMap) -> Pullback:
         face_at=lambda n, k, i: (x.face(k[0], i), y.face(k[1], i)),
         degen_at=lambda n, k, i: (x.degen(k[0], i), y.degen(k[1], i)),
     )
-    built = Built(pres, dim_bound, prefix="q")
+    built = Built(pres, dim_bound, prefix=prefix)
     p = built.sset
-    to_left = SMap(p, x, {c: built._keys[c][1][0] for c in p.nondegenerate()})
-    to_right = SMap(p, y, {c: built._keys[c][1][1] for c in p.nondegenerate()})
-    return Pullback(p, to_left, to_right, f, g, built)
+    proj1 = SMap(p, x, {c: built._keys[c][1][0] for c in p.nondegenerate()})
+    proj2 = SMap(p, y, {c: built._keys[c][1][1] for c in p.nondegenerate()})
+    return Pullback(p, proj1, proj2, f, lambda a, b: built.decompose(x.simplex_dim(a), (a, b)))
+
+
+def product(x: FinSSet, y: FinSSet) -> Pullback:
+    """The product x x y: the chosen pullback of x -> 1 <- y."""
+    return _pullback(terminal_map(x), terminal_map(y), "p")
+
+
+def pullback(f: SMap, g: SMap) -> Pullback:
+    """Chosen pullback of the cospan f: X -> Z <- Y : g.
+
+    Along an identity it is the other leg itself, so extending a context by
+    the unit type gives back the context.
+    """
+    if f.target != g.target:
+        raise SSetError("pullback: codomain mismatch")
+    if f == identity(f.source):
+        return Pullback(g.source, g, identity(g.source), f, lambda a, b: b)
+    if g == identity(g.source):
+        return Pullback(f.source, identity(f.source), f, f, lambda a, b: a)
+    return _pullback(f, g, "q")
+
+
+def q_map(sigma: SMap, pb: Pullback, pb_sigma: Pullback) -> SMap:
+    """The map pb_sigma.sset -> pb.sset between chosen pullbacks over sigma.
+
+    ``pb`` is the chosen pullback of f: X -> Z <- Y : g and ``pb_sigma`` that
+    of f . sigma and g, for sigma: X' -> X.  In the model it is q(sigma, A):
+    Delta.sigma*A -> Gamma.A between chosen context extensions.
+    """
+    return pb.pair(compose(sigma, pb_sigma.proj1), pb_sigma.proj2)
 
 
 @dataclass
@@ -230,16 +186,12 @@ class Pushout:
     sset: FinSSet
     inl: SMap  # from f.target (B)
     inr: SMap  # from g.target (C)
-    left_map: SMap
-    right_map: SMap
     _built: Built
-    _cls: Callable[[int, tuple], tuple]
 
     def induce(self, u: SMap, v: SMap) -> SMap:
         """Cocone factorization: u from B, v from C with u.f == v.g."""
         if u.target != v.target:
             raise SSetError("pushout induce: codomain mismatch")
-        b, c = self.left_map.target, self.right_map.target
         assign: dict[str, Simplex] = {}
         for cid in self.sset.nondegenerate():
             _, key = self._built._keys[cid]
@@ -311,4 +263,4 @@ def pushout(f: SMap, g: SMap) -> Pushout:
     p = built.sset
     inl = SMap(b, p, {cc: built.decompose(b.cell_dim(cc), cls(b.cell_dim(cc), ("b", nondeg(cc)))) for cc in b.nondegenerate()})
     inr = SMap(c, p, {cc: built.decompose(c.cell_dim(cc), cls(c.cell_dim(cc), ("c", nondeg(cc)))) for cc in c.nondegenerate()})
-    return Pushout(p, inl, inr, f, g, built, cls)
+    return Pushout(p, inl, inr, built)

@@ -110,27 +110,20 @@ def _forced_images(i: SMap, along: SMap) -> Optional[dict[str, Simplex]]:
     return forced
 
 
-def solve_lift(problem: LiftingProblem, *, all_fillers: bool = False):
-    """Find the lexicographically least filler B -> X, or None.
-
-    With ``all_fillers`` returns the full list instead.
-    """
+def solve_lift(problem: LiftingProblem):
+    """Find the lexicographically least filler B -> X, or None."""
     i, p, top, bottom = problem.left, problem.right, problem.top, problem.bottom
     forced = _forced_images(i, top)
     if forced is None:
-        return [] if all_fillers else None
-    gen = enumerate_sections(p, bottom, forced=forced, limit=None if all_fillers else 1)
+        return None
     # degenerate images of cells of A also constrain the filler, but only
     # through their bases, which the forced dict above already pins; cells of
     # A hitting degenerate simplices of B constrain nothing extra beyond
     # commutativity of the found map, so re-check.
-    fillers = []
-    for h in gen:
+    for h in enumerate_sections(p, bottom, forced=forced, limit=1):
         if all(h.apply(i.apply_cell(c)) == top.apply_cell(c) for c in i.source.nondegenerate()):
-            if not all_fillers:
-                return h
-            fillers.append(h)
-    return fillers if all_fillers else None
+            return h
+    return None
 
 
 @dataclass(frozen=True)
@@ -451,8 +444,8 @@ def quasifibration_check(
         if probe.target != f.target:
             raise SSetError(f"probe {idx} does not land in the codomain of f")
         pb_y = pullback(fac.right, probe)  # Y xZ Z' -> Y
-        pb_x = pullback(fac.left, pb_y.to_left)  # X xY Y' over the middle
-        i_pulled = pb_x.to_right  # X' -> Y'
+        pb_x = pullback(fac.left, pb_y.proj1)  # X xY Y' over the middle
+        i_pulled = pb_x.proj2  # X' -> Y'
         ok, _ = has_llp(i_pulled, tests)
         results.append((idx, ok))
         all_ok = all_ok and ok

@@ -122,7 +122,7 @@ def audit_semifib(
                 notes.append("a composite of fibrations fails the lifting check")
     for p in fibs:
         for g in corpus.maps:
-            if g.target == p.target and not spec.check(pullback(g, p).to_left)[0]:
+            if g.target == p.target and not spec.check(pullback(g, p).proj1)[0]:
                 ok = False
                 notes.append("a chosen pullback of a fibration fails the lifting check")
     verdicts.append(AxiomVerdict("2 identity/composition/pullback closure", "pass" if ok else "fail", tuple(notes)))
@@ -135,7 +135,7 @@ def audit_semifib(
         for p in fibs:
             if p.target != i.target:
                 continue
-            pulled = pullback(p, i).to_left  # p*(A) -> domain of p
+            pulled = pullback(p, i).proj1  # p*(A) -> domain of p
             good, ce = has_llp(pulled, probes)
             if not good:
                 ok = False
@@ -167,7 +167,7 @@ def audit_semifib(
             if r.target != a.target:
                 continue
             pa, pb = pullback(r, a), pullback(r, b)
-            pulled = pb.pair(pa.to_left, compose(i, pa.to_right))
+            pulled = pb.pair(pa.proj1, compose(i, pa.proj2))
             good, ce = has_llp(pulled, probes)
             if not good:
                 ok = False

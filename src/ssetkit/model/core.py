@@ -30,6 +30,7 @@ from ..kernel import (
     enumerate_sections,
     identity,
     pullback,
+    q_map,
 )
 from ..lifting import GeneratorFamily, family_by_name, has_rlp
 
@@ -149,8 +150,8 @@ class Extension:
 
 
 def _extension(a: LUType, pb: Pullback) -> Extension:
-    var = LUTerm(subst(a, pb.to_left), pb.to_right)
-    return Extension(LUContext(pb.sset), pb.to_left, var, pb)
+    var = LUTerm(subst(a, pb.proj1), pb.proj2)
+    return Extension(LUContext(pb.sset), pb.proj1, var, pb)
 
 
 def ctx_extend(gamma: LUContext, a: LUType) -> Extension:
@@ -158,15 +159,6 @@ def ctx_extend(gamma: LUContext, a: LUType) -> Extension:
     if a.ctx.sset != gamma.sset:
         raise ModelError("type is not over the context being extended")
     return _extension(a, pullback(a.r, a.p))
-
-
-def q_map(sigma: SMap, pb: Pullback, pb_sigma: Pullback) -> SMap:
-    """q(sigma, A): Delta.sigma*A -> Gamma.A between chosen extensions.
-
-    ``pb`` is the chosen extension of Gamma by A and ``pb_sigma`` that of
-    Delta by the reindexed type sigma*A, for sigma: Delta -> Gamma.
-    """
-    return pb.pair(compose(sigma, pb_sigma.to_left), pb_sigma.to_right)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -24,7 +24,6 @@ from typing import Optional
 from ..kernel import (
     Exponential,
     FinSSet,
-    Product,
     Pullback,
     Pushforward,
     SMap,
@@ -112,7 +111,7 @@ class Sigma(Former):
 class Pi(Former):
     binder: Binder
     pb_u: Pullback
-    prod_ee: Product  # E_I x E_B
+    prod_ee: Pullback  # E_I x E_B
     z: Pullback  # the labelled total spaces over E_u
     e_pi: Pushforward  # E_Pi = Pi_{p_u}(Z)
 
@@ -136,7 +135,7 @@ class Coprod(Former):
 
     binder: Binder
     pb_u: Pullback
-    prod_ee: Product
+    prod_ee: Pullback
     z: Pullback
     fac: CellFactorization
 
@@ -182,7 +181,7 @@ def _shared_universe(bd: Binder, depth: int) -> tuple:
     v_u = pushforward(p_i, prod_ev.proj1, depth)
     pb_u = pullback(v_u.struct, p_i)
     ev = v_u.counit(pb_u)
-    r = v_u.transpose(bd.a.r, prod_ev.pair(bd.pb.to_right, bd.b.r), bd.pb)
+    r = v_u.transpose(bd.a.r, prod_ev.pair(bd.pb.proj2, bd.b.r), bd.pb)
     return r, pb_u, ev, prod_ev
 
 
@@ -205,7 +204,7 @@ def sigma_type(bd: Binder) -> LUType:
     depth = max(a.depth, b.depth)
     r, pb_u, ev, prod_ev = _shared_universe(bd, depth)
     pb_e = pullback(compose(prod_ev.proj2, ev), b.p)
-    p = compose(pb_u.to_left, pb_e.to_left)
+    p = compose(pb_u.proj1, pb_e.proj1)
     return LUType(a.ctx, r, p, a.spec, depth, Sigma(bd, pb_u, pb_e))
 
 
@@ -218,14 +217,14 @@ def sigma_pair(s: LUType, at: LUTerm, bt: LUTerm) -> LUTerm:
 
 def sigma_proj1(s: LUType, t: LUTerm) -> LUTerm:
     rec: Sigma = s.former
-    sec = compose(rec.pb_u.to_right, compose(rec.pb_e.to_left, t.section))
+    sec = compose(rec.pb_u.proj2, compose(rec.pb_e.proj1, t.section))
     return LUTerm(rec.binder.a, sec)
 
 
 def sigma_proj2(s: LUType, t: LUTerm) -> LUTerm:
     rec: Sigma = s.former
     at = sigma_proj1(s, t)
-    return LUTerm(rec.binder.at(at.section), compose(rec.pb_e.to_right, t.section))
+    return LUTerm(rec.binder.at(at.section), compose(rec.pb_e.proj2, t.section))
 
 
 # -- Pi -----------------------------------------------------------------------
@@ -240,18 +239,18 @@ def pi_type(bd: Binder) -> LUType:
     b = bd.b
     depth = max(bd.a.depth, b.depth)
     r, pb_u, prod_ee, z = _pi_universe(bd, depth)
-    e_pi = pushforward(pb_u.to_left, z.to_left, depth)
+    e_pi = pushforward(pb_u.proj1, z.proj1, depth)
     return LUType(bd.a.ctx, r, e_pi.struct, b.spec, depth, Pi(bd, pb_u, prod_ee, z, e_pi))
 
 
 def _pi_apply(rec: Pi, f_sec: SMap, r: SMap, a_sec: SMap) -> SMap:
     """The section of B given by evaluating f_sec, a section of Pi over r, at
     a_sec, a section of the domain over the same context."""
-    pb_e = pullback(rec.e_pi.struct, rec.pb_u.to_left)
+    pb_e = pullback(rec.e_pi.struct, rec.pb_u.proj1)
     ev = rec.e_pi.counit(pb_e)  # -> Z
     x = rec.pb_u.pair(r, a_sec)  # ctx -> E_u
     z = compose(ev, pb_e.pair(f_sec, x))
-    return compose(rec.prod_ee.proj2, compose(rec.z.to_right, z))
+    return compose(rec.prod_ee.proj2, compose(rec.z.proj2, z))
 
 
 def pi_lam(s: LUType, bt: LUTerm) -> LUTerm:
@@ -260,11 +259,11 @@ def pi_lam(s: LUType, bt: LUTerm) -> LUTerm:
     pb = rec.binder.pb
     if bt.type.ctx.sset != pb.sset:
         raise ModelError("pi_lam: the body is not over the chosen extension")
-    pb_gu = pullback(s.r, rec.pb_u.to_left)  # ctx x_{V_u} E_u
-    alpha = compose(rec.pb_u.to_right, pb_gu.to_right)  # -> E_I (= E_A)
-    phi = pb.pair(pb_gu.to_left, alpha)  # -> the chosen extension
+    pb_gu = pullback(s.r, rec.pb_u.proj1)  # ctx x_{V_u} E_u
+    alpha = compose(rec.pb_u.proj2, pb_gu.proj2)  # -> E_I (= E_A)
+    phi = pb.pair(pb_gu.proj1, alpha)  # -> the chosen extension
     v = rec.prod_ee.pair(alpha, compose(bt.section, phi))
-    k = rec.z.pair(pb_gu.to_right, v)
+    k = rec.z.pair(pb_gu.proj2, v)
     return LUTerm(s, rec.e_pi.transpose(s.r, k, pb_gu))
 
 
@@ -282,8 +281,8 @@ def pi_app_var(s: LUType, f: LUTerm) -> LUTerm:
     """
     rec: Pi = s.former
     pb = rec.binder.pb
-    proj = pb.to_left
-    section = _pi_apply(rec, compose(f.section, proj), compose(s.r, proj), pb.to_right)
+    proj = pb.proj1
+    section = _pi_apply(rec, compose(f.section, proj), compose(s.r, proj), pb.proj2)
     return LUTerm(rec.binder.b, section)
 
 
@@ -359,19 +358,19 @@ def dep_coprod(bd: Binder, family: GeneratorFamily, budget: int, variant: str = 
     b = bd.b
     depth = max(bd.a.depth, b.depth)
     r, pb_u, prod_ee, z = _pi_universe(bd, depth)
-    fac = factor_soa(compose(pb_u.to_left, z.to_left), family, budget)
+    fac = factor_soa(compose(pb_u.proj1, z.proj1), family, budget)
     if variant == "stable":
         rec = Coprod(bd, pb_u, prod_ee, z, fac)
         return LUType(bd.a.ctx, r, fac.right, b.spec, depth, rec)
     if variant != "unstable":
         raise ModelError(f"unknown coproduct variant {variant!r}")
-    eps = core_G(pb_u.to_left.target, level=min(depth, 3)).inclusion
+    eps = core_G(pb_u.proj1.target, level=min(depth, 3)).inclusion
     r_core = factor_through(r, eps)
     if r_core is None:
         raise ModelError("dep_coprod unstable: r does not factor through the core")
     pb_c = pullback(eps, fac.right)
     rec = UnstableCoprod(bd, pb_u, prod_ee, z, fac, pb_c)
-    return LUType(bd.a.ctx, r_core, pb_c.to_left, b.spec, depth, rec)
+    return LUType(bd.a.ctx, r_core, pb_c.proj1, b.spec, depth, rec)
 
 
 def dep_coprod_intro(s: LUType, j_sec: SMap, bt: LUTerm) -> LUTerm:
@@ -409,12 +408,12 @@ def dep_coprod_elim(s: LUType, d_type: LUType, d_sec: SMap, c: LUTerm) -> LUTerm
     if d_sec.source != ext_b.sset or d_sec.target != d_type.total:
         raise ModelError("dep_coprod_elim: d must be a map Delta.I.B -> E_D")
     # X = Delta x_{V_u} Z, the Z-side of the extension; iota: X -> Delta.I.B
-    x = pullback(s.r, compose(rec.pb_u.to_left, rec.z.to_left))
-    e_i = compose(rec.prod_ee.proj1, compose(rec.z.to_right, x.to_right))
-    e_b = compose(rec.prod_ee.proj2, compose(rec.z.to_right, x.to_right))
-    into_i = bd.pb.pair(x.to_left, e_i)  # X -> Delta.I
+    x = pullback(s.r, compose(rec.pb_u.proj1, rec.z.proj1))
+    e_i = compose(rec.prod_ee.proj1, compose(rec.z.proj2, x.proj2))
+    e_b = compose(rec.prod_ee.proj2, compose(rec.z.proj2, x.proj2))
+    into_i = bd.pb.pair(x.proj1, e_i)  # X -> Delta.I
     iota = ext_b.pair(into_i, e_b)  # X -> Delta.I.B
-    t_ext = ext.pb.pair(x.to_left, compose(rec.fac.left, x.to_right))  # X -> Delta.coprod
+    t_ext = ext.pb.pair(x.proj1, compose(rec.fac.left, x.proj2))  # X -> Delta.coprod
     prob = LiftingProblem(
         left=t_ext,
         right=d_type.p,
@@ -446,7 +445,7 @@ def extension_type(bd: Binder, j: SMap, partial: SMap, depth: int) -> LUType:
     if bd.a.p != terminal_map(j.target):
         raise ModelError("extension_type: the binder must bind the constant type j.target")
     pb_gu = pullback(bd.a.r, terminal_map(u))
-    incl = pb_gv.pair(pb_gu.to_left, compose(j, pb_gu.to_right))
+    incl = pb_gv.pair(pb_gu.proj1, compose(j, pb_gu.proj2))
     if compose(a.p, partial) != compose(a.r, incl):
         raise ModelError("extension_type: partial section does not match the restriction")
     ev_ = exponential(a.total, j.target, depth)

@@ -49,11 +49,26 @@ from .syntax import (
     Term,
     Type,
     Var,
+    free_vars,
     subst,
     subst_type,
 )
 
 __all__ = ["CheckError", "Telescope", "Declaration", "Checker", "check_source"]
+
+
+def _endpoint_pieces(ty: TExt) -> bool:
+    """Whether a two-piece extension type is the path decomposition, the one
+    shape for which ``equality.step`` may read app{c0, c1}(f, i0) as c0 and
+    app{c0, c1}(f, i1) as c1: the pieces are (x : I1) i0 . a, then
+    (x : I1) i1 . b, with x unused (a piece over an empty base type would
+    constrain nothing)."""
+    c0, c1 = ty.clauses
+    return (
+        isinstance(c0.j, I0)
+        and isinstance(c1.j, I1)
+        and all(isinstance(c.u, TInterval) and c.x not in free_vars(c.body) for c in ty.clauses)
+    )
 
 
 class CheckError(Exception):
@@ -306,6 +321,10 @@ class Checker:
                 raise CheckError("ext-app", "app{...} requires an extension type")
             if len(t.clauses) != len(ft.clauses):
                 raise CheckError("ext-app", "clause count does not match the type")
+            if len(ft.clauses) == 2 and not _endpoint_pieces(ft):
+                raise CheckError(
+                    "ext-app", "two clauses must be the pieces (x : I1) i0 . a, (x : I1) i1 . b, with x unused"
+                )
             for ann, c in zip(t.clauses, ft.clauses):
                 want = subst(c.body, c.x, Var(ann.x))
                 if not equal_terms(ann.body, want, None, defs=self.defs):

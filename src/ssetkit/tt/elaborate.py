@@ -150,11 +150,8 @@ class Elaborator:
             variant = "stable" if env.stable_coproducts else "unstable"
             return dep_coprod(bd, env.family, env.budget, variant=variant)
         if isinstance(ty, S.TPath):
-            return self._path_type(ctx, None, ty.a, ty.left, ty.right)
+            return self._path_type(ctx, ty.a, ty.left, ty.right)
         if isinstance(ty, S.TExt):
-            path = self._as_path(ty)
-            if path is not None:
-                return self._path_type(ctx, *path)
             raise UnsupportedConstruction(
                 "extension types elaborate for the path-type decomposition"
             )
@@ -165,20 +162,6 @@ class Elaborator:
         if isinstance(ty, S.TInterval):
             raise UnsupportedConstruction("I1 is base-side; it has no indexed interpretation")
         raise UnsupportedConstruction(f"no interpretation for {type(ty).__name__}")
-
-    @staticmethod
-    def _as_path(ty: S.TExt) -> Optional[tuple]:
-        """Recognize the path decomposition: two One-pieces at i0 and i1."""
-        if not isinstance(ty.v, S.TInterval) or len(ty.clauses) != 2:
-            return None
-        c0, c1 = ty.clauses
-        if not (isinstance(c0.u, S.TUnit) and isinstance(c1.u, S.TUnit)):
-            return None
-        if not (isinstance(c0.j, S.I0) and isinstance(c1.j, S.I1)):
-            return None
-        if ty.y in S.free_vars_type(ty.a):
-            return None
-        return ty.y, ty.a, c0.body, c1.body
 
     # ---------------------------------------------------------------- terms
 
@@ -295,8 +278,8 @@ class Elaborator:
         return inner
 
     def _bind_base_pb(self, ctx: SemCtx, pb, name: Optional[str]) -> SemCtx:
-        inner = ctx.reindexed(pb.to_left, LUContext(pb.sset))
-        inner.base_vars[name] = pb.to_right
+        inner = ctx.reindexed(pb.proj1, LUContext(pb.sset))
+        inner.base_vars[name] = pb.proj2
         return inner
 
     def _base_type(self, ty: S.Type) -> FinSSet:
@@ -329,13 +312,10 @@ class Elaborator:
         inner = self._bind_ind(ctx, bd.ext, x)
         return hom_lam(hom, pi_lam(pi, self.elab_term(inner, body, bd.b)))
 
-    def _path_type(self, ctx: SemCtx, y: Optional[str], a_ty: S.Type, left: S.Term, right: S.Term) -> LUType:
-        """The extension type over I1 with endpoints left and right.
-
-        A does not mention y, the name of the bound base variable (None for
-        ``Path``, which names none).
-        """
-        bd = self._base_binder(ctx, y, std_simplex(1), a_ty)
+    def _path_type(self, ctx: SemCtx, a_ty: S.Type, left: S.Term, right: S.Term) -> LUType:
+        """The extension type over I1 with endpoints left and right; A binds
+        no name for the base variable."""
+        bd = self._base_binder(ctx, None, std_simplex(1), a_ty)
         a_base = self.elab_type(ctx, a_ty)
         lt = self.elab_term(ctx, left, a_base)
         rt = self.elab_term(ctx, right, a_base)
@@ -349,8 +329,8 @@ class Elaborator:
         """The partial section gamma.boundary(1) -> E_A from the endpoints."""
         assign = {}
         for c in pb_gu.sset.nondegenerate():
-            vtx = pb_gu.to_right.apply_cell(c)
-            g = pb_gu.to_left.apply_cell(c)
+            vtx = pb_gu.proj2.apply_cell(c)
+            g = pb_gu.proj1.apply_cell(c)
             section = left_sec if vtx.base == "0" else right_sec
             assign[c] = section.apply(g)
         return SMap(pb_gu.sset, total, assign)

@@ -17,6 +17,12 @@ naive search above.
 ``ssetkit.kernel.simplex.Simplex`` was before it became a named tuple, kept
 verbatim but for its name.
 
+``Product`` and ``product`` are the product record and its realizer that
+``ssetkit.kernel.limits.product`` replaced, and ``Pullback`` and
+``identity_pullback`` the pullback record and the chosen pullback along an
+identity, whose methods were assigned on the instance, all kept verbatim but
+for the names.  Today a product is the chosen pullback over the point.
+
 ``free_vars``, ``free_vars_type``, ``subst``, ``subst_type``,
 ``alpha_equal`` and ``alpha_equal_type`` are the per-node walkers over
 ``.itt`` syntax that the binder table of ``ssetkit.tt.syntax`` replaced,
@@ -31,7 +37,9 @@ from typing import Callable, Iterator, Optional
 
 from ssetkit import kernel
 from ssetkit.kernel.simplex import Simplex, nondeg
-from ssetkit.kernel.sset import FinSSet, SMap, SSetError, compose
+from ssetkit.kernel.build import Built, LevelPresentation
+from ssetkit.kernel.limits import _joint_bound
+from ssetkit.kernel.sset import EMPTY, FinSSet, SMap, SSetError, compose, identity
 from ssetkit.lifting import GeneratorFamily, LiftingProblem
 from ssetkit.tt.syntax import (
     App,
@@ -265,6 +273,99 @@ def has_rlp(p: SMap, family: GeneratorFamily) -> tuple[bool, Optional[LiftingPro
     counterexample square on failure."""
     found = _first_unsolved((gen, p) for gen in family.generators)
     return (True, None) if found is None else (False, found[1])
+
+
+# ------------------------------------------------ products and pullbacks
+
+
+@dataclass
+class Product:
+    sset: FinSSet
+    left: FinSSet
+    right: FinSSet
+    proj1: SMap
+    proj2: SMap
+    _built: Built
+
+    def simplex_of(self, a: Simplex, b: Simplex) -> Simplex:
+        n = self.left.simplex_dim(a)
+        return self._built.decompose(n, (a, b))
+
+    def components(self, s: Simplex) -> tuple[Simplex, Simplex]:
+        _, key = self._built.key_of(s)
+        return key  # type: ignore[return-value]
+
+    def pair(self, f: SMap, g: SMap) -> SMap:
+        """The map <f, g>: W -> X x Y."""
+        assign = {
+            c: self.simplex_of(f.apply_cell(c), g.apply_cell(c))
+            for c in f.source.nondegenerate()
+        }
+        return SMap(f.source, self.sset, assign)
+
+
+def product(x: FinSSet, y: FinSSet) -> Product:
+    if x.dim < 0 or y.dim < 0:
+        empty = EMPTY
+        return Product(empty, x, y, SMap(empty, x, {}), SMap(empty, y, {}), None)  # type: ignore[arg-type]
+    exact_bound = x.dim + y.dim
+    max_level, dim_bound = _joint_bound([x, y], exact_bound)
+
+    def elements(n: int):
+        return [(a, b) for a in x.simplices(n) for b in y.simplices(n)]
+
+    pres = LevelPresentation(
+        max_level=max_level,
+        elements=elements,
+        face_at=lambda n, k, i: (x.face(k[0], i), y.face(k[1], i)),
+        degen_at=lambda n, k, i: (x.degen(k[0], i), y.degen(k[1], i)),
+    )
+    built = Built(pres, dim_bound, prefix="p")
+    p = built.sset
+    proj1 = SMap(p, x, {c: built._keys[c][1][0] for c in p.nondegenerate()})
+    proj2 = SMap(p, y, {c: built._keys[c][1][1] for c in p.nondegenerate()})
+    return Product(p, x, y, proj1, proj2, built)
+
+
+@dataclass
+class Pullback:
+    sset: FinSSet
+    to_left: SMap
+    to_right: SMap
+    left_map: SMap
+    right_map: SMap
+    _built: Built
+
+    def simplex_of(self, a: Simplex, b: Simplex) -> Simplex:
+        n = self.left_map.source.simplex_dim(a)
+        return self._built.decompose(n, (a, b))
+
+    def components(self, s: Simplex) -> tuple[Simplex, Simplex]:
+        _, key = self._built.key_of(s)
+        return key  # type: ignore[return-value]
+
+    def pair(self, u: SMap, v: SMap) -> SMap:
+        assign = {
+            c: self.simplex_of(u.apply_cell(c), v.apply_cell(c))
+            for c in u.source.nondegenerate()
+        }
+        return SMap(u.source, self.sset, assign)
+
+
+def identity_pullback(f: SMap, g: SMap, f_is_id: bool) -> Pullback:
+    """Chosen pullback along an identity: return the other leg unchanged."""
+    if f_is_id:
+        # f = id: pullback of g along id is g itself
+        pb = Pullback(g.source, g, identity(g.source), f, g, None)  # type: ignore[arg-type]
+        pb.simplex_of = lambda a, b: b  # type: ignore[method-assign]
+        pb.components = lambda s: (g.apply(s), s)  # type: ignore[method-assign]
+        pb.pair = lambda u, v: v  # type: ignore[method-assign]
+        return pb
+    pb = Pullback(f.source, identity(f.source), f, f, g, None)  # type: ignore[arg-type]
+    pb.simplex_of = lambda a, b: a  # type: ignore[method-assign]
+    pb.components = lambda s: (s, f.apply(s))  # type: ignore[method-assign]
+    pb.pair = lambda u, v: u  # type: ignore[method-assign]
+    return pb
 
 
 # ------------------------------------------------------- .itt syntax walkers

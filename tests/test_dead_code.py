@@ -34,12 +34,9 @@ def test_no_unreferenced_top_level_definitions():
     assert unused == []
 
 
-def test_every_former_record_field_is_read():
-    """Each field of a type former's record, or of a binder, is read in ``src/``.
-
-    The records are ``Binder`` and the subclasses of ``Former``; a field
-    counts as read when some attribute load in ``src/`` names it.
-    """
+def _classes_and_reads():
+    """The classes defined in ``src/`` by name, and every attribute name
+    some attribute load in ``src/`` reads."""
     classes = {}
     reads = set()
     for path, tree in _trees("src"):
@@ -48,6 +45,26 @@ def test_every_former_record_field_is_read():
                 classes[node.name] = node
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads.add(node.attr)
+    return classes, reads
+
+
+def _unread_fields(classes, reads, records):
+    return sorted(
+        f"{name}.{stmt.target.id}"
+        for name in records
+        for stmt in classes[name].body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in reads
+    )
+
+
+def test_every_former_record_field_is_read():
+    """Each field of a type former's record, or of a binder, is read in ``src/``.
+
+    The records are ``Binder`` and the subclasses of ``Former``; a field
+    counts as read when some attribute load in ``src/`` names it.
+    """
+    classes, reads = _classes_and_reads()
     records = {"Binder"}
     grew = True
     while grew:
@@ -59,11 +76,10 @@ def test_every_former_record_field_is_read():
         grew = not subclasses <= records
         records |= subclasses
     assert records >= {"Binder", "Sigma", "Pi", "Hom", "Id", "Coprod", "UnstableCoprod", "Ext"}
-    unread = sorted(
-        f"{name}.{stmt.target.id}"
-        for name in records
-        for stmt in classes[name].body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-        and stmt.target.id not in reads
-    )
-    assert unread == []
+    assert _unread_fields(classes, reads, records) == []
+
+
+def test_every_limit_record_field_is_read():
+    """Each field of the chosen (co)limit records is read in ``src/``, as above."""
+    classes, reads = _classes_and_reads()
+    assert _unread_fields(classes, reads, {"Pullback", "Pushout", "Coproduct"}) == []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from ssetkit.kernel import (
+    EMPTY,
     Simplex,
     SSetError,
     boundary,
@@ -192,6 +193,58 @@ def test_product_projections_recover_pairing():
     assert compose(p.proj2, h) == g
 
 
+# -- one chosen pullback ---------------------------------------------------------
+#
+# A product is the chosen pullback over the point and a pullback along an
+# identity is the other leg; both must give the objects and maps the old
+# product record and the old identity pullback gave.
+
+small_ssets = st.one_of(
+    st.sampled_from([terminal(), EMPTY]),
+    seeds.map(lambda seed: random_sset(random.Random(seed), max_dim=2, max_cells=5)),
+)
+
+
+def _all_simplices(x):
+    return [s for n in range(x.dim + 1) for s in x.simplices(n)]
+
+
+@given(x=small_ssets, y=small_ssets, seed=seeds)
+@settings(max_examples=60, deadline=None)
+def test_product_matches_the_old_product(x, y, seed):
+    new, old = product(x, y), reference.product(x, y)
+    assert new.sset.key() == old.sset.key()
+    assert (new.proj1, new.proj2) == (old.proj1, old.proj2)
+    for s in _all_simplices(new.sset):
+        assert new.components(s) == old.components(s)
+    for n in range(min(x.dim, y.dim) + 1):
+        for a in x.simplices(n):
+            for b in y.simplices(n):
+                assert new.simplex_of(a, b) == old.simplex_of(a, b)
+    rng = random.Random(seed)
+    w = random_sset(rng, max_dim=2, max_cells=4)
+    u, v = random_map(rng, w, x), random_map(rng, w, y)
+    if u is not None and v is not None:
+        assert new.pair(u, v) == old.pair(u, v)
+
+
+@given(seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_identity_pullback_matches_the_old_one(seed):
+    rng = random.Random(seed)
+    z, y, w = (random_sset(rng, max_dim=2, max_cells=5) for _ in range(3))
+    g = random_map(rng, y, z)
+    h = random_map(rng, w, y)
+    for new, old, u, v in [
+        (pullback(identity(z), g), reference.identity_pullback(identity(z), g, True), compose(g, h), h),
+        (pullback(g, identity(z)), reference.identity_pullback(g, identity(z), False), h, compose(g, h)),
+    ]:
+        assert new.sset == old.sset
+        for s in _all_simplices(new.sset):
+            assert new.components(s) == old.components(s)
+        assert new.pair(u, v) == old.pair(u, v)
+
+
 def test_coproduct_counts():
     a, b = std_simplex(1), terminal()
     co = coproduct(a, b)
@@ -259,7 +312,7 @@ def test_exponential_precompose_is_restriction(base, x):
     base_j = exp.precompose(j, other)
     for w in EXP_SOURCES:
         pb_x, pb_u = _chosen(w, x_), _chosen(w, j.source)
-        w_j = pb_x.pair(pb_u.to_left, compose(j, pb_u.to_right))  # W x j
+        w_j = pb_x.pair(pb_u.proj1, compose(j, pb_u.proj2))  # W x j
         for h in enumerate_maps(w, exp.sset):
             assert other.uncurry(compose(base_j, h), pb_u) == compose(exp.uncurry(h, pb_x), w_j)
 
@@ -330,7 +383,7 @@ def test_pullback_cone():
     f = boundary(1)[1]
     g = terminal_map(std_simplex(1))
     pb = pullback(terminal_map(f.target), g)
-    assert compose(terminal_map(f.target), pb.to_left) == compose(g, pb.to_right)
+    assert compose(terminal_map(f.target), pb.proj1) == compose(g, pb.proj2)
     assert pb.sset.validate() == []
 
 

@@ -116,7 +116,7 @@ def test_rlp_closed_under_pullback():
     p = product(std_simplex(1), discrete(2)).proj1
     assert has_rlp(p, fam)[0]
     pb = pullback(p, constant_map(terminal(), std_simplex(1), "0"))
-    assert has_rlp(pb.to_right, fam)[0]
+    assert has_rlp(pb.proj2, fam)[0]
 
 
 def test_retract_argument_identity_retract():

@@ -1,13 +1,21 @@
 """Pins the deterministic search order behind counterexamples and fillers.
 
 Verdicts alone do not show a change of search order; these tests fix the
-exact first counterexample squares, the filler list and the order in which
+exact first counterexample squares, the least filler and the order in which
 the small object argument attaches cells.
 """
 
 import pytest
 
-from ssetkit.kernel import horn, load_smap, nerve_j, std_simplex, terminal_map
+from ssetkit.kernel import (
+    compose,
+    enumerate_sections,
+    horn,
+    load_smap,
+    nerve_j,
+    std_simplex,
+    terminal_map,
+)
 from ssetkit.lifting import (
     BudgetExhausted,
     LiftingProblem,
@@ -50,11 +58,13 @@ def test_all_fillers_of_inner_horn_in_simplex():
         top=incl,
         bottom=terminal_map(std_simplex(2)),
     )
-    fillers = solve_lift(problem, all_fillers=True)
-    assert [_show(h) for h in fillers] == [
-        {"0": "<0>", "1": "<1>", "2": "<2>", "0_1": "<0_1>", "0_2": "<0_2>",
-         "1_2": "<1_2>", "0_1_2": "<0_1_2>"}
-    ]
+    filler = solve_lift(problem)
+    assert _show(filler) == {
+        "0": "<0>", "1": "<1>", "2": "<2>", "0_1": "<0_1>", "0_2": "<0_2>",
+        "1_2": "<1_2>", "0_1_2": "<0_1_2>",
+    }
+    sections = enumerate_sections(problem.right, problem.bottom)
+    assert [h for h in sections if compose(h, incl) == incl] == [filler]
 
 
 def test_first_failing_llp_square():

@@ -174,6 +174,36 @@ def test_path_application_hits_endpoints():
     )
 
 
+TWO_PIECES = """\
+postulate B () : Base
+postulate A () | () : Type
+postulate a0 () | () : A
+postulate a1 () | () : A
+postulate e () | () : <Pi (y : I1) A | {pieces}>
+def d () | () : Id(A, app{{x. {c0}, x. {c1}}}(e, i0), {c0}) := refl({c0})
+"""
+
+
+@pytest.mark.parametrize(
+    "pieces, c0, c1",
+    [
+        ("(x : I1) i1 . a1, (x : I1) i0 . a0", "a1", "a0"),  # the i1 piece first
+        ("(x : I1) i0 . a0, (x : I1) i0 . a1", "a0", "a1"),  # no i1 piece
+        ("(x : B) i0 . a0, (x : I1) i1 . a1", "a0", "a1"),  # B may be empty
+    ],
+)
+def test_two_clause_application_needs_the_endpoint_pieces(pieces, c0, c1):
+    # the endpoint rule of ``step`` reads app{c0, c1}(e, i0) as c0 whatever
+    # the pieces say, so the checker admits only the pieces it is sound for
+    with pytest.raises(CheckError) as exc:
+        check_source(TWO_PIECES.format(pieces=pieces, c0=c0, c1=c1))
+    assert exc.value.rule == "ext-app"
+
+
+def test_two_clause_application_at_the_endpoint_pieces_checks():
+    check_source(TWO_PIECES.format(pieces="(x : I1) i0 . a0, (x : I1) i1 . a1", c0="a0", c1="a1"))
+
+
 def test_pushout_glue_endpoints():
     ty = parse_type("Pushout(hf, hg)")
     assert equal_terms(
