@@ -1,8 +1,28 @@
 """The twelve-point verification suite shared by the CLI and the test gate.
 
-Each criterion function returns a :class:`CriterionResult`; ``run_all`` runs
-them in order.  The functions are deterministic, so the suite is a fixture:
-the CLI ``suite`` verb and ``tests/test_acceptance.py`` both call into here.
+Each criterion function takes no parameters and returns a
+:class:`CriterionResult`; ``run_all`` runs them in order.  The functions are
+deterministic, so the suite is a fixture: the CLI ``suite`` verb and
+``tests/test_acceptance.py`` both call into here.
+
+Each criterion runs at its own fixed depth:
+
+1. random-validation: none (validation only; objects of dimension <= 3);
+2. hom-adjunctions: exponentials and pushforwards at depth 2;
+3. condition-agreement: level 3;
+4. core-and-b-values: cores at level 3, b at levels 1, 2 and 3, b of the
+   horn inclusions at level 2;
+5. fibration-core-check: depth 3;
+6. kan-factorization: level 2, budget ``BUDGET``;
+7. composite-invertibility: level 3;
+8. classifier-truths: depth 3;
+9. strict-substitution: depth 2 and budget 300 (``split_substitution_suite``'s
+   defaults);
+10. program-corpus: none (type checking only);
+11. localized-homs: depth 2, budget ``BUDGET``;
+12. identity-closure: depth 2, budget ``BUDGET``.
+
+The suite's document records ``DEPTH``, the highest of these, and ``BUDGET``.
 """
 
 from __future__ import annotations
@@ -87,7 +107,10 @@ from .model import (
     unit_type,
 )
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA", "itt_corpus_dir"]
+__all__ = ["CriterionResult", "run_all", "CRITERIA", "DEPTH", "BUDGET", "itt_corpus_dir"]
+
+DEPTH = 3  # the highest depth any criterion runs at
+BUDGET = 500  # the factorization budget of criteria 6, 11 and 12
 
 
 @dataclass(frozen=True)
@@ -111,7 +134,7 @@ def itt_corpus_dir() -> Optional[Path]:
 # ---------------------------------------------------------------- 1: validation
 
 
-def criterion_1(depth: int = 3, budget: int = 500) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     """1000 seeded random simplicial sets of dim <= 3 all validate, in < 60s."""
     t0 = time.monotonic()
     objs = random_ssets(1000, seed=11, max_dim=3, max_cells=8)
@@ -129,7 +152,7 @@ def criterion_1(depth: int = 3, budget: int = 500) -> CriterionResult:
 # ---------------------------------------------------- 2: hom-counting adjunctions
 
 
-def criterion_2(depth: int = 3, budget: int = 500) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     checks = 0
     fails = []
     # representable homs count simplices
@@ -187,7 +210,7 @@ def criterion_2(depth: int = 3, budget: int = 500) -> CriterionResult:
 # ------------------------------------------------- 3: invertibility conditions
 
 
-def criterion_3(depth: int = 3, budget: int = 500) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     disagreements = 0
     unknowns = 0
     objs = lemma_corpus(200)
@@ -209,12 +232,12 @@ def criterion_3(depth: int = 3, budget: int = 500) -> CriterionResult:
 # ---------------------------------------------------------- 4: core and b values
 
 
-def criterion_4(depth: int = 3, budget: int = 500) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     fails = []
-    core1 = core_G(std_simplex(1)).core
+    core1 = core_G(std_simplex(1), level=3).core
     if find_isomorphism(core1, boundary(1)[0]) is None:
         fails.append("core of the 1-simplex is not its endpoints")
-    core0 = core_G(terminal()).core
+    core0 = core_G(terminal(), level=3).core
     if find_isomorphism(core0, terminal()) is None:
         fails.append("core of the point is not the point")
     for level in (1, 2, 3):
@@ -234,7 +257,7 @@ def criterion_4(depth: int = 3, budget: int = 500) -> CriterionResult:
 # ----------------------------------------------------- 5: fibration core check
 
 
-def criterion_5(depth: int = 3, budget: int = 500) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     maps = catfib_corpus(50)
     fails = 0
     for f in maps:
@@ -252,11 +275,11 @@ def criterion_5(depth: int = 3, budget: int = 500) -> CriterionResult:
 # ----------------------------------------------------------- 6: factorization
 
 
-def criterion_6(depth: int = 3, budget: int = 500) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     maps = gkan_corpus(20)
     fails = []
     for idx, f in enumerate(maps):
-        rep = factor_g_kan(f, level=2, budget=max(budget, 500))
+        rep = factor_g_kan(f, level=2, budget=BUDGET)
         fac = rep.factorization
         if not fac.complete:
             fails.append(f"map {idx}: budget exhausted")
@@ -273,7 +296,7 @@ def criterion_6(depth: int = 3, budget: int = 500) -> CriterionResult:
 # -------------------------------------------------- 7: composite invertibility
 
 
-def criterion_7(depth: int = 3, budget: int = 500) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     fails = 0
     unknowns = 0
     for x in qcat_corpus():
@@ -289,7 +312,7 @@ def criterion_7(depth: int = 3, budget: int = 500) -> CriterionResult:
 # ------------------------------------------------------ 8: classifier truths
 
 
-def criterion_8(depth: int = 3, budget: int = 500) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     fails = []
     c_empty = classify(initial_map(terminal()), depth=3)
     if not c_empty.kan_fib:
@@ -338,8 +361,8 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     tau = constant_map(std_simplex(2), gamma.sset, "1")
 
     # unit
-    u_g = unit_type(gamma, spec, depth)
-    u_d = unit_type(delta, spec, depth)
+    u_g = unit_type(gamma, spec)
+    u_d = unit_type(delta, spec)
     out.append(("unit-subst", subst(u_g, sigma) == u_d))
     out.append(("unit-term-subst", subst_term(unit_term(u_g), sigma) == unit_term(u_d)))
     out.append(
@@ -447,7 +470,7 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
         pb_v = ctx_extend(ctx, v).pb
         partial = constant_map(pullback(v.r, terminal_map(u)).sset, discrete(2), "p0")
         a_over = _constant_type(LUContext(pb_v.sset), discrete(2), spec)
-        return extension_type(Binder(v, pb_v, a_over), j_incl, partial, depth)
+        return extension_type(Binder(v, pb_v, a_over), j_incl, partial)
 
     pth_g = path_type(gamma)
     out.append(("extension-subst", subst(pth_g, sigma) == path_type(delta)))
@@ -459,12 +482,12 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     out.append(("extension-beta", app_sec == compose(total_sec, pb_gv.pair(identity(gamma.sset), v_pt))))
 
     # weakening is substitution along the chosen projection
-    out.append(("weaken-as-subst", subst(k_g, ext_g.proj) == LUType(ext_g.ctx, compose(k_g.r, ext_g.proj), k_g.p, spec, depth)))
+    out.append(("weaken-as-subst", subst(k_g, ext_g.proj) == LUType(ext_g.ctx, compose(k_g.r, ext_g.proj), k_g.p, spec)))
     out.append(("tau-subst", subst(subst(u_g, tau), identity(std_simplex(2))) == subst(u_g, tau)))
     return out
 
 
-def criterion_9(depth: int = 3, budget: int = 500) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     suite = split_substitution_suite()
     bad = [name for name, holds in suite if not holds]
     ok = not bad and len(suite) >= 30
@@ -553,7 +576,7 @@ def subject_reduction_fuzz(steps: int = 500, seed: int = 23) -> tuple[int, int]:
     return taken, violations
 
 
-def criterion_10(depth: int = 3, budget: int = 500) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     from .tt import CheckError, check_source
     from .tt.parser import ParseError
 
@@ -592,7 +615,7 @@ def criterion_10(depth: int = 3, budget: int = 500) -> CriterionResult:
 # -------------------------------------------------------- 11: localized homs
 
 
-def criterion_11(depth: int = 3, budget: int = 500) -> CriterionResult:
+def criterion_11() -> CriterionResult:
     fine = FibClassSpec("kan", 2)
     coarse = FibClassSpec("inner", 2)
     gamma = LUContext(terminal())
@@ -604,7 +627,7 @@ def criterion_11(depth: int = 3, budget: int = 500) -> CriterionResult:
     ext = ctx_extend(gamma, k)
     suite.append(sigma_type(Binder(k, ext.pb, unit_type(ext.ctx, fine))))
     p0 = LUTerm(k, constant_map(gamma.sset, discrete(2), "p0"))
-    suite.append(id_type(k, p0, p0, kan_family(2), budget))
+    suite.append(id_type(k, p0, p0, kan_family(2), BUDGET))
     fails = []
     for idx, a in enumerate(suite):
         accepted, ce = coarse.check(a.p)
@@ -632,16 +655,16 @@ def criterion_11(depth: int = 3, budget: int = 500) -> CriterionResult:
 # ------------------------------------------------------- 12: identity closure
 
 
-def criterion_12(depth: int = 3, budget: int = 500) -> CriterionResult:
+def criterion_12() -> CriterionResult:
     rep = identity_closure_check(
-        groupoid_cover_corpus(), kan_family(2), inner_family(2), budget=max(budget, 500)
+        groupoid_cover_corpus(), kan_family(2), inner_family(2), budget=BUDGET
     )
     ok = rep.ok
     detail = "closed under the finer class" if ok else f"failures: {rep.failures}"
     return CriterionResult(12, "identity-closure", ok, detail)
 
 
-CRITERIA: list[Callable[..., CriterionResult]] = [
+CRITERIA: list[Callable[[], CriterionResult]] = [
     criterion_1,
     criterion_2,
     criterion_3,
@@ -657,5 +680,5 @@ CRITERIA: list[Callable[..., CriterionResult]] = [
 ]
 
 
-def run_all(depth: int = 3, budget: int = 500) -> list[CriterionResult]:
-    return [fn(depth=depth, budget=budget) for fn in CRITERIA]
+def run_all() -> list[CriterionResult]:
+    return [fn() for fn in CRITERIA]

@@ -6,6 +6,11 @@ error, 3 a cell/lift budget was exhausted, normalization ran out of fuel, or
 an interpreted declaration needs a level above ``--depth``, so the verdict
 is unknown.  ``--json`` emits a single versioned JSON
 document (sorted keys, fixed layout) instead of text.
+
+Every verb but ``suite`` takes ``--depth`` and ``--budget``.  ``suite``
+takes only ``--json``: each criterion runs at its own fixed depth, and the
+document records the highest of them, 3, and the budget the criteria read,
+500.
 """
 
 from __future__ import annotations
@@ -49,11 +54,8 @@ class InputError(Exception):
 
 
 def _emit(args, payload: dict, ok: bool) -> int:
-    payload = dict(payload, schema=SCHEMA, verb=args.verb, ok=ok)
-    if getattr(args, "depth", None) is not None:
-        payload.setdefault("depth", args.depth)
-    if getattr(args, "budget", None) is not None:
-        payload.setdefault("budget", args.budget)
+    payload = {"depth": args.depth, "budget": args.budget, **payload,
+               "schema": SCHEMA, "verb": args.verb, "ok": ok}
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -337,15 +339,15 @@ def cmd_audit(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    from .acceptance import run_all
+    from .acceptance import BUDGET, DEPTH, run_all
 
-    results = run_all(depth=args.depth, budget=args.budget)
+    results = run_all()
     if args.json:
         payload = {
             "schema": SCHEMA,
             "verb": "suite",
-            "depth": args.depth,
-            "budget": args.budget,
+            "depth": DEPTH,
+            "budget": BUDGET,
             "ok": all(r.ok for r in results),
             "criteria": [
                 {"number": r.number, "name": r.name, "ok": r.ok, "detail": r.detail}
@@ -374,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget", type=int, default=budget,
             help="cell budget of the by-need factorization; read by factor, quasifib, "
-            "gkan, check --interp, interp, audit and suite, echoed by the other verbs",
+            "gkan, check --interp, interp and audit, echoed by the other verbs",
         )
 
     p = sub.add_parser("sset", help="validate a serialized simplicial set")
@@ -458,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("suite", help="run the twelve-point verification suite")
-    common(p, depth=3, budget=500)
+    p.add_argument("--json", action="store_true", help="emit a JSON document")
     p.set_defaults(fn=cmd_suite)
 
     return top
@@ -470,7 +472,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
-    if args.depth < 1 or args.budget < 0:
+    if "depth" in args and (args.depth < 1 or args.budget < 0):  # suite has neither
         print("ssetkit: --depth must be >= 1 and --budget >= 0", file=sys.stderr)
         return EXIT_USAGE
     try:

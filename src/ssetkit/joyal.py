@@ -66,9 +66,6 @@ __all__ = [
     "edge_classifier",
 ]
 
-DEFAULT_LEVEL = 3
-
-
 def _retag(x: FinSSet, bound: Optional[int]) -> FinSSet:
     return FinSSet(x.cells, x.faces, bound)
 
@@ -148,9 +145,7 @@ def _qcat_verdict(x: FinSSet, e: Simplex, level: int) -> InvertVerdict:
     return InvertVerdict("no", 2)
 
 
-def invertible_edge(
-    x: FinSSet, e: Simplex, mode: str = "skeletal", level: int = DEFAULT_LEVEL
-) -> InvertVerdict:
+def invertible_edge(x: FinSSet, e: Simplex, mode: str = "skeletal", *, level: int) -> InvertVerdict:
     """Decide invertibility of an edge value of x.
 
     ``mode`` is "skeletal" (extension search along the level-skeleton of the
@@ -180,7 +175,7 @@ def _edge_verdicts(
     out = {}
     if x.dim >= 1:
         for c in x.nondegenerate(1):
-            out[c] = invertible_edge(x, nondeg(c), mode, level)
+            out[c] = invertible_edge(x, nondeg(c), mode, level=level)
     return out
 
 
@@ -194,7 +189,7 @@ class CoreResult:
     warnings: tuple[str, ...] = ()  # always empty; the core --json document reports it
 
 
-def core_G(x: FinSSet, mode: str = "skeletal", level: int = DEFAULT_LEVEL) -> CoreResult:
+def core_G(x: FinSSet, mode: str = "skeletal", *, level: int) -> CoreResult:
     """Compute the core: simplices whose edges all carry a "yes" verdict.
 
     "Unknown" edges are excluded, so the core never includes an edge that
@@ -221,10 +216,10 @@ def core_G(x: FinSSet, mode: str = "skeletal", level: int = DEFAULT_LEVEL) -> Co
     return CoreResult(core, incl, verdicts)
 
 
-def core_of_map(f: SMap, mode: str = "skeletal", level: int = DEFAULT_LEVEL) -> SMap:
+def core_of_map(f: SMap, mode: str = "skeletal", *, level: int) -> SMap:
     """The restriction of f to cores (functorial action of the core)."""
-    src = core_G(f.source, mode, level)
-    tgt = core_G(f.target, mode, level)
+    src = core_G(f.source, mode, level=level)
+    tgt = core_G(f.target, mode, level=level)
     assign: dict[str, Simplex] = {}
     for c in src.core.nondegenerate():
         img = f.apply_cell(c)
@@ -253,7 +248,7 @@ class BResult:
     edges: tuple[str, ...]
     copies: Mapping[str, SMap] = field(compare=False)
     steps: tuple[Pushout, ...] = field(compare=False)
-    level: int = DEFAULT_LEVEL
+    level: int
 
     def induce(self, on_base: SMap, on_copies: Mapping[str, SMap]) -> SMap:
         """The map b(X) -> Z from a cocone: a map on X and one per copy."""
@@ -264,7 +259,7 @@ class BResult:
 
 
 @lru_cache(maxsize=None)
-def b_functor(x: FinSSet, level: int = DEFAULT_LEVEL) -> BResult:
+def b_functor(x: FinSSet, level: int) -> BResult:
     """Glue a truncated classifying interval onto every nondegenerate edge.
 
     Levels <= ``level`` of the result agree with the untruncated completion;
@@ -293,7 +288,7 @@ def b_functor(x: FinSSet, level: int = DEFAULT_LEVEL) -> BResult:
     return BResult(current, unit, edges, copies, tuple(steps), level)
 
 
-def b_map(f: SMap, level: int = DEFAULT_LEVEL) -> SMap:
+def b_map(f: SMap, level: int) -> SMap:
     """The induced map b(f): b(X) -> b(Y)."""
     bx = b_functor(f.source, level)
     by = b_functor(f.target, level)
@@ -338,14 +333,14 @@ class LemmaReport:
         return self.rlp_interval_edge == self.core_is_all == self.iso_to_core
 
 
-def lemma_four_conditions(x: FinSSet, level: int = DEFAULT_LEVEL) -> LemmaReport:
+def lemma_four_conditions(x: FinSSet, level: int) -> LemmaReport:
     """Evaluate: RLP of x -> pt against the interval edge inclusion; core = x;
     x isomorphic to its core.  Unknown verdicts are reported, not silently
     resolved."""
     sk, edge = interval_groupoid_skeleton(level)
     fam = GeneratorFamily("interval-edge", (edge,), level)
     rlp, _ = has_rlp(terminal_map(x), fam)
-    result = core_G(x, "skeletal", level)
+    result = core_G(x, level=level)
     core_is_all = set(result.core.nondegenerate()) == set(x.nondegenerate())
     iso = find_isomorphism(x, result.core) is not None
     unknowns = tuple(
@@ -392,7 +387,7 @@ class GFibReport:
     counterexample: Optional[LiftingProblem] = None
 
 
-def g_fib_check(p: SMap, level: int = DEFAULT_LEVEL) -> GFibReport:
+def g_fib_check(p: SMap, level: int) -> GFibReport:
     """Check that the core of a categorical-type fibration is Kan-type."""
     ok, ce = has_rlp(p, cat_family(level))
     if not ok:
@@ -400,10 +395,10 @@ def g_fib_check(p: SMap, level: int = DEFAULT_LEVEL) -> GFibReport:
     return core_kan_check(p, level)
 
 
-def core_kan_check(p: SMap, level: int = DEFAULT_LEVEL) -> GFibReport:
+def core_kan_check(p: SMap, level: int) -> GFibReport:
     """The Kan check of ``g_fib_check`` on the core of p, for a p already
     known to be a categorical-type fibration at ``level``."""
-    gp = core_of_map(p, "skeletal", level)
+    gp = core_of_map(p, level=level)
     kan_ok, counter = has_rlp(gp, kan_family(level))
     return GFibReport(gp, kan_ok, counter)
 
@@ -415,9 +410,7 @@ class CompositeReport:
     unknowns: tuple[str, ...]
 
 
-def composite_invertibility_check(
-    x: FinSSet, level: int = DEFAULT_LEVEL
-) -> CompositeReport:
+def composite_invertibility_check(x: FinSSet, level: int) -> CompositeReport:
     """On every 2-simplex: if the 01- and 12-edges are invertible, so is 02."""
     ok, _ = has_rlp(terminal_map(x), inner_family(max(level, 2)))
     if not ok:

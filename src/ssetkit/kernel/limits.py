@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .build import Built, LevelPresentation
 from .simplex import Simplex, nondeg
-from .sset import EMPTY, FinSSet, SMap, SSetError, compose, constant_map, identity
+from .sset import EMPTY, FinSSet, SMap, SSetError, Truncated, compose, constant_map, identity
 
 __all__ = [
     "terminal",
@@ -209,6 +209,8 @@ def pushout(f: SMap, g: SMap) -> Pushout:
     bound = min(finite) if finite else None
     exact_top = max(b.dim, c.dim)
     max_level = exact_top if bound is None else min(bound, exact_top)
+    if max_level < exact_top:  # inl and inr could not send the cells above it anywhere
+        raise Truncated(f"pushout truncated at {max_level}, below leg dimension {exact_top}")
 
     # levelwise classes of B_n + C_n under f(s) ~ g(s)
     classes: list[dict[tuple, tuple]] = []

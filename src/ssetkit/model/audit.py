@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..kernel import SMap, compose, identity, pullback, pushforward, terminal_map
-from .core import FibClassSpec
+from .core import FibClassSpec, ModelError
 from ..lifting import BudgetExhausted, factor_soa, has_llp
 
 __all__ = ["AxiomVerdict", "SemifibReport", "SemifibCorpus", "audit_semifib"]
@@ -88,10 +88,13 @@ def _trivial_cofibs(corpus: SemifibCorpus, probes: Sequence[SMap]) -> list[SMap]
 def audit_semifib(
     spec: FibClassSpec,
     corpus: SemifibCorpus,
-    budget: int = 300,
-    depth: int = 2,
+    budget: int,
+    depth: int,
 ) -> SemifibReport:
-    """Audit the five axioms of the fibration class on the corpus."""
+    """Audit the five axioms of the fibration class on the corpus, at the
+    class's depth, which ``depth`` must repeat."""
+    if depth != spec.depth:
+        raise ModelError(f"audit: depth {depth} is not the class's depth {spec.depth}")
     probes = [terminal_map(x) for x in corpus.objects if spec.check(terminal_map(x))[0]]
     fibs = _fibrations(corpus, spec)
     verdicts = []

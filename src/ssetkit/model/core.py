@@ -1,7 +1,10 @@
 """Local-universe presentation of types: contexts, types, and terms.
 
 A type over a context G is a pair of maps (r: G -> V, p: E ->> V) with p a
-certified fibration; a term is a section G -> E over r.  Substitution is
+certified fibration of its class :class:`FibClassSpec`; a term is a section
+G -> E over r.  A type's depth is its class's depth, ``spec.depth``: the
+formers build every universe, pushforward and core of a type at that depth,
+and a binder's domain and family share it.  Substitution is
 precomposition of r, so it is strictly functorial, and extended contexts are
 chosen pullbacks (the chooser returns the other leg unchanged along an
 identity, which makes extension by the unit type literally the base context).
@@ -98,14 +101,13 @@ class LUType:
     its term operations read: universe-level handles, which substitution
     passes through, and the binder, which substitution reindexes.  It never
     participates in equality, so type equality is the strict field-by-field
-    comparison of (ctx, r, p, spec, depth).
+    comparison of (ctx, r, p, spec).
     """
 
     ctx: LUContext
     r: SMap  # ctx.sset -> V
     p: SMap  # E ->> V, certified against spec
     spec: FibClassSpec
-    depth: int = 2
     former: Optional["Former"] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -176,6 +178,10 @@ class Binder:
     def __post_init__(self) -> None:
         if self.b.ctx.sset != self.pb.sset:
             raise ModelError("binder: the family must live over the chosen extension")
+        if self.a.spec.depth != self.b.spec.depth:
+            raise ModelError(
+                f"binder: the domain has depth {self.a.spec.depth}, the family {self.b.spec.depth}"
+            )
 
     @property
     def ext(self) -> Extension:
@@ -218,7 +224,7 @@ def subst(a: LUType, sigma: SMap) -> LUType:
     if sigma.target != a.ctx.sset:
         raise ModelError("substitution does not target the type's context")
     former = _reindex(a.former, sigma)
-    return LUType(LUContext(sigma.source), compose(a.r, sigma), a.p, a.spec, a.depth, former)
+    return LUType(LUContext(sigma.source), compose(a.r, sigma), a.p, a.spec, former)
 
 
 def subst_term(t: LUTerm, sigma: SMap) -> LUTerm:

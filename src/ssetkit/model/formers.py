@@ -3,6 +3,8 @@
 Every universe built here depends only on the input universes (never on the
 context), so each former is strictly stable under substitution: reindexing
 the result equals the result of reindexing the inputs, field by field.
+Each former builds its pushforwards, exponentials and cores at the depth of
+its inputs' fibration class, ``spec.depth``.
 
 Each former keeps what its term operations read in one frozen record, a
 subclass of :class:`~ssetkit.model.core.Former`, and no other module knows
@@ -156,10 +158,10 @@ class Ext(Former):
 # -- unit ---------------------------------------------------------------------
 
 
-def unit_type(gamma: LUContext, spec: FibClassSpec, depth: int = 2) -> LUType:
+def unit_type(gamma: LUContext, spec: FibClassSpec) -> LUType:
     """The unit type: the identity fibration over the terminal universe."""
     pt = terminal()
-    return LUType(gamma, terminal_map(gamma.sset), identity(pt), spec, depth)
+    return LUType(gamma, terminal_map(gamma.sset), identity(pt), spec)
 
 
 def unit_term(a: LUType) -> LUTerm:
@@ -169,7 +171,7 @@ def unit_term(a: LUType) -> LUTerm:
 # -- the shared universe of Sigma/Pi/coproducts --------------------------------
 
 
-def _shared_universe(bd: Binder, depth: int) -> tuple:
+def _shared_universe(bd: Binder) -> tuple:
     """The universe classifying (point of V_I, labeling of its fiber in V_B).
 
     Returns the classifying map [r_A, r_B]: ctx -> V_u, where V_u is the
@@ -178,16 +180,16 @@ def _shared_universe(bd: Binder, depth: int) -> tuple:
     """
     p_i = bd.a.p
     prod_ev = product(p_i.source, bd.b.universe)
-    v_u = pushforward(p_i, prod_ev.proj1, depth)
+    v_u = pushforward(p_i, prod_ev.proj1, bd.a.spec.depth)
     pb_u = pullback(v_u.struct, p_i)
     ev = v_u.counit(pb_u)
     r = v_u.transpose(bd.a.r, prod_ev.pair(bd.pb.proj2, bd.b.r), bd.pb)
     return r, pb_u, ev, prod_ev
 
 
-def _pi_universe(bd: Binder, depth: int) -> tuple:
+def _pi_universe(bd: Binder) -> tuple:
     """The shared universe with Z (labelled total spaces) over E_u."""
-    r, pb_u, ev, prod_ev = _shared_universe(bd, depth)
+    r, pb_u, ev, prod_ev = _shared_universe(bd)
     b = bd.b
     prod_ee = product(bd.a.total, b.total)
     idxp = prod_ev.pair(prod_ee.proj1, compose(b.p, prod_ee.proj2))
@@ -201,11 +203,10 @@ def _pi_universe(bd: Binder, depth: int) -> tuple:
 def sigma_type(bd: Binder) -> LUType:
     """Sigma of the family bd.b over bd.a."""
     a, b = bd.a, bd.b
-    depth = max(a.depth, b.depth)
-    r, pb_u, ev, prod_ev = _shared_universe(bd, depth)
+    r, pb_u, ev, prod_ev = _shared_universe(bd)
     pb_e = pullback(compose(prod_ev.proj2, ev), b.p)
     p = compose(pb_u.proj1, pb_e.proj1)
-    return LUType(a.ctx, r, p, a.spec, depth, Sigma(bd, pb_u, pb_e))
+    return LUType(a.ctx, r, p, a.spec, Sigma(bd, pb_u, pb_e))
 
 
 def sigma_pair(s: LUType, at: LUTerm, bt: LUTerm) -> LUTerm:
@@ -237,10 +238,9 @@ def pi_type(bd: Binder) -> LUType:
     that base type.
     """
     b = bd.b
-    depth = max(bd.a.depth, b.depth)
-    r, pb_u, prod_ee, z = _pi_universe(bd, depth)
-    e_pi = pushforward(pb_u.proj1, z.proj1, depth)
-    return LUType(bd.a.ctx, r, e_pi.struct, b.spec, depth, Pi(bd, pb_u, prod_ee, z, e_pi))
+    r, pb_u, prod_ee, z = _pi_universe(bd)
+    e_pi = pushforward(pb_u.proj1, z.proj1, b.spec.depth)
+    return LUType(bd.a.ctx, r, e_pi.struct, b.spec, Pi(bd, pb_u, prod_ee, z, e_pi))
 
 
 def _pi_apply(rec: Pi, f_sec: SMap, r: SMap, a_sec: SMap) -> SMap:
@@ -295,16 +295,20 @@ def hom_type(pi: LUType, base_spec: FibClassSpec, var: Optional[str] = None) -> 
     phi is factorization through the core inclusion, which exists (uniquely,
     the inclusion being mono) when the context's classifying map lands in
     the core -- guaranteed for contexts passing the base-side lifting check.
+    The cores are computed at pi's depth, which ``base_spec`` must share.
     ``var`` names the bound variable of a dependent Hom's telescope, and is
     None when there is no telescope variable.
     """
-    g_p = core_of_map(pi.p, level=2)
-    eps_v = core_G(pi.universe, level=2).inclusion
-    eps_e = core_G(pi.total, level=2).inclusion
+    depth = pi.spec.depth
+    if base_spec.depth != depth:
+        raise ModelError(f"hom: the base class has depth {base_spec.depth}, Pi {depth}")
+    g_p = core_of_map(pi.p, level=depth)
+    eps_v = core_G(pi.universe, level=depth).inclusion
+    eps_e = core_G(pi.total, level=depth).inclusion
     r_hom = factor_through(pi.r, eps_v)
     if r_hom is None:
         raise ModelError("hom: r does not factor through the core (context not verified)")
-    return LUType(pi.ctx, r_hom, g_p, base_spec, pi.depth, Hom(pi, eps_e, var))
+    return LUType(pi.ctx, r_hom, g_p, base_spec, Hom(pi, eps_e, var))
 
 
 def hom_lam(hom: LUType, bt: LUTerm) -> LUTerm:
@@ -336,7 +340,7 @@ def id_type(a: LUType, left: LUTerm, right: LUTerm, family: GeneratorFamily, bud
     diag = pb.pair(identity(a.total), identity(a.total))
     fac = factor_soa(diag, family, budget)
     r_id = pb.pair(left.section, right.section)
-    return LUType(a.ctx, r_id, fac.right, a.spec, a.depth, Id(a, fac))
+    return LUType(a.ctx, r_id, fac.right, a.spec, Id(a, fac))
 
 
 def id_refl(idt: LUType, at: LUTerm) -> LUTerm:
@@ -356,21 +360,20 @@ def dep_coprod(bd: Binder, family: GeneratorFamily, budget: int, variant: str = 
     core-restricts the universe along its core inclusion.
     """
     b = bd.b
-    depth = max(bd.a.depth, b.depth)
-    r, pb_u, prod_ee, z = _pi_universe(bd, depth)
+    r, pb_u, prod_ee, z = _pi_universe(bd)
     fac = factor_soa(compose(pb_u.proj1, z.proj1), family, budget)
     if variant == "stable":
         rec = Coprod(bd, pb_u, prod_ee, z, fac)
-        return LUType(bd.a.ctx, r, fac.right, b.spec, depth, rec)
+        return LUType(bd.a.ctx, r, fac.right, b.spec, rec)
     if variant != "unstable":
         raise ModelError(f"unknown coproduct variant {variant!r}")
-    eps = core_G(pb_u.proj1.target, level=min(depth, 3)).inclusion
+    eps = core_G(pb_u.proj1.target, level=b.spec.depth).inclusion
     r_core = factor_through(r, eps)
     if r_core is None:
         raise ModelError("dep_coprod unstable: r does not factor through the core")
     pb_c = pullback(eps, fac.right)
     rec = UnstableCoprod(bd, pb_u, prod_ee, z, fac, pb_c)
-    return LUType(bd.a.ctx, r_core, pb_c.proj1, b.spec, depth, rec)
+    return LUType(bd.a.ctx, r_core, pb_c.proj1, b.spec, rec)
 
 
 def dep_coprod_intro(s: LUType, j_sec: SMap, bt: LUTerm) -> LUTerm:
@@ -430,7 +433,7 @@ def dep_coprod_elim(s: LUType, d_type: LUType, d_sec: SMap, c: LUTerm) -> LUTerm
 # -- extension types --------------------------------------------------------------
 
 
-def extension_type(bd: Binder, j: SMap, partial: SMap, depth: int) -> LUType:
+def extension_type(bd: Binder, j: SMap, partial: SMap) -> LUType:
     """<Pi_{y:V} A | x.a>: the object of lifts of the partial section.
 
     ``bd`` binds y : V: ``bd.a`` is the constant type with fiber V =
@@ -438,9 +441,11 @@ def extension_type(bd: Binder, j: SMap, partial: SMap, depth: int) -> LUType:
     extension gamma.V.  ``partial``: gamma.U -> E_A, on the chosen extension
     by the constant type with fiber U = ``j.source``, is the prescribed
     section over r . (id x j).  The universe is the gap object of
-    exponentials of the input universe, so it is independent of gamma.
+    exponentials of the input universe, at A's depth, so it is independent
+    of gamma.
     """
     a, pb_gv = bd.b, bd.pb
+    depth = a.spec.depth
     u = j.source
     if bd.a.p != terminal_map(j.target):
         raise ModelError("extension_type: the binder must bind the constant type j.target")
@@ -461,7 +466,7 @@ def extension_type(bd: Binder, j: SMap, partial: SMap, depth: int) -> LUType:
     r_v = vav.curry(a.r, pb_gv)
     a_u = eau.curry(partial, pb_gu)
     r_pi = w.pair(r_v, a_u)
-    return LUType(bd.a.ctx, r_pi, p_pi, a.spec, a.depth, Ext(bd, ev_))
+    return LUType(bd.a.ctx, r_pi, p_pi, a.spec, Ext(bd, ev_))
 
 
 def extension_lam(ext: LUType, total_section: SMap) -> LUTerm:

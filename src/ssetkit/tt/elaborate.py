@@ -36,6 +36,7 @@ from ..model import (
     LUContext,
     LUTerm,
     LUType,
+    ModelError,
     Pi,
     UnsupportedConstruction,
     ctx_extend,
@@ -69,7 +70,11 @@ __all__ = ["ModelEnv", "SemCtx", "Elaborator", "elaborate_type", "elaborate_term
 
 @dataclass
 class ModelEnv:
-    """Bindings of postulated constants to semantic data (closed judgments)."""
+    """Bindings of postulated constants to semantic data (closed judgments).
+
+    ``spec``, ``base_spec`` and ``family`` share one depth, the run's: every
+    type the elaborator builds has it.
+    """
 
     spec: FibClassSpec
     base_spec: FibClassSpec
@@ -80,6 +85,14 @@ class ModelEnv:
     terms: dict = field(default_factory=dict)  # name -> LUTerm over the point
     base_terms: dict = field(default_factory=dict)  # name -> SMap pt -> fiber
     stable_coproducts: bool = False
+
+    def __post_init__(self) -> None:
+        depths = {self.spec.depth, self.base_spec.depth, self.family.depth}
+        if len(depths) > 1:
+            raise ModelError(
+                f"model environment: spec, base_spec and family have depths "
+                f"{self.spec.depth}, {self.base_spec.depth} and {self.family.depth}"
+            )
 
 
 @dataclass
@@ -110,7 +123,7 @@ class Elaborator:
     def elab_type(self, ctx: SemCtx, ty: S.Type) -> LUType:
         env = self.env
         if isinstance(ty, S.TUnit):
-            return unit_type(ctx.gamma, env.spec, env.spec.depth)
+            return unit_type(ctx.gamma, env.spec)
         if isinstance(ty, S.TConst):
             if ty.args:
                 raise UnsupportedConstruction(
@@ -322,7 +335,7 @@ class Elaborator:
         u, j_incl = boundary(1)
         pb_gu = pullback(terminal_map(ctx.gamma.sset), terminal_map(u))
         partial = self._glue_endpoints(pb_gu, lt.section, rt.section, bd.b.total)
-        return extension_type(bd, j_incl, partial, depth=bd.b.depth)
+        return extension_type(bd, j_incl, partial)
 
     @staticmethod
     def _glue_endpoints(pb_gu, left_sec: SMap, right_sec: SMap, total: FinSSet) -> SMap:

@@ -7,7 +7,7 @@ from ssetkit.acceptance import CRITERIA
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=lambda c: c.__name__)
 def test_criterion(criterion):
-    res = criterion(depth=3, budget=500)
+    res = criterion()
     status = "PASS" if res.ok else "FAIL"
     line = f"[{status}] criterion {res.number} {res.name}: {res.detail}"
     print(line)

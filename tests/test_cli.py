@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SSETS = ROOT / "corpus" / "ssets"
 MAPS = ROOT / "corpus" / "maps"
@@ -203,3 +205,31 @@ def test_exhausted_budget_is_reported_per_declaration(tmp_path, capsys, monkeypa
         "failed": [],
         "unknown": [["q", "budget exhausted: factorization used 300 cells"]],
     }
+
+
+# -- every depth on every committed object ----------------------------------------
+
+
+SSET_VERBS = (["core"], ["core", "--mode", "qcat"], ["bfun"], ["lemma6"])
+
+
+@pytest.mark.parametrize("path", sorted(SSETS.glob("*.sset")), ids=lambda p: p.stem)
+def test_sset_verbs_exit_cleanly_at_every_depth(path, capsys):
+    """core, core --mode qcat, bfun and lemma6 at --depth 1 to 4 exit 0 to 3;
+    an object truncated below what a verb needs is a usage error with one
+    ``ssetkit:`` line, not a traceback."""
+    from ssetkit import cli
+
+    for depth in range(1, 5):
+        for verb, *opts in SSET_VERBS:
+            code = cli.main([verb, str(path), *opts, "--depth", str(depth), "--json"])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (verb, opts, depth)
+            if code == 2:
+                assert err.startswith("ssetkit: ") and err.count("\n") == 1, err
+
+
+def test_bfun_above_a_truncation_is_a_usage_error():
+    r = run_cli("bfun", str(SSETS / "interval_groupoid_2.sset"), "--depth", "3")
+    assert r.returncode == 2
+    assert r.stderr == "ssetkit: pushout truncated at 2, below leg dimension 3\n"

@@ -1,30 +1,35 @@
 """Semantic interpretation of closed checked programs."""
 
+import inspect
+
 import pytest
 
+from ssetkit import joyal
 from ssetkit.corpus import discrete
-from ssetkit.kernel import constant_map, identity, terminal, terminal_map
+from ssetkit.kernel import closed, constant_map, identity, terminal, terminal_map
 from ssetkit.lifting import kan_family
 from ssetkit.model import (
     FibClassSpec,
     LUContext,
     LUTerm,
     LUType,
+    ModelError,
     UnsupportedConstruction,
     ctx_extend,
     sigma_proj1,
     sigma_proj2,
     subst,
 )
+from ssetkit.model import formers
 from ssetkit.tt import syntax as S
 from ssetkit.tt.checker import check_source
 from ssetkit.tt.elaborate import Elaborator, ModelEnv, elaborate_term, elaborate_type
 from ssetkit.tt.parser import parse_term, parse_type
 
 
-def make_env(**kw) -> ModelEnv:
-    spec = FibClassSpec("kan", 2)
-    env = ModelEnv(spec, FibClassSpec("inner", 2), kan_family(2), budget=300, **kw)
+def make_env(depth: int = 2, **kw) -> ModelEnv:
+    spec = FibClassSpec("kan", depth)
+    env = ModelEnv(spec, FibClassSpec("inner", depth), kan_family(depth), budget=300, **kw)
     pt = LUContext(terminal())
     k = LUType(pt, terminal_map(terminal()), terminal_map(discrete(2)), spec)
     env.types["K"] = k
@@ -150,6 +155,56 @@ def test_rebound_indexed_name_becomes_innermost():
         k = subst(env.types["K"], terminal_map(ctx.gamma.sset))
         ctx = el._bind_ind(ctx, ctx_extend(ctx.gamma, k), name)
     assert list(ctx.ind_vars) == ["y", "x"]
+
+
+# -- one depth -------------------------------------------------------------------
+
+
+ONE_DEPTH = (
+    "postulate K () | () : Type\n"
+    "postulate k0 () | () : K\n"
+    "def h () : Hom(K, K) := \\y. y\n"
+    "def p () | () : Pi (i : I1) K := \\i. k0\n"
+    "def s () | () : Sigma (y : K) K := spair(k0, k0)\n"
+    "def e () | () : Id(K, k0, k0) := refl(k0)\n"
+)
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_every_core_and_pushforward_is_at_the_run_depth(depth, monkeypatch):
+    """A Hom, a Pi over I1, a Sigma and an Id definition elaborate with
+    every core and every pushforward at the environment's depth."""
+    levels, depths = [], []
+    core_G = joyal.core_G
+
+    def recording_core(*args, **kw):
+        levels.append(inspect.signature(core_G).bind(*args, **kw).arguments["level"])
+        return core_G(*args, **kw)
+
+    init = closed.Pushforward.__init__
+
+    def recording_init(self, f, g, depth):
+        depths.append(depth)
+        init(self, f, g, depth)
+
+    monkeypatch.setattr(joyal, "core_G", recording_core)
+    monkeypatch.setattr(formers, "core_G", recording_core)
+    monkeypatch.setattr(closed.Pushforward, "__init__", recording_init)
+    el = Elaborator(make_env(depth))
+    decls = check_source(ONE_DEPTH).decls
+    for name in "hpse":
+        el.elab_decl(decls[name])
+    assert levels and depths
+    assert set(levels) == set(depths) == {depth}
+
+
+def test_model_env_refuses_mixed_depths():
+    spec = FibClassSpec("kan", 3)
+    with pytest.raises(ModelError, match="depth"):
+        ModelEnv(spec, FibClassSpec("inner", 2), kan_family(3))
+    with pytest.raises(ModelError, match="depth"):
+        ModelEnv(spec, FibClassSpec("inner", 3), kan_family(2))
+    assert ModelEnv(spec, FibClassSpec("inner", 3), kan_family(3)).spec.depth == 3
 
 
 # -- declared-out-of-scope constructions ----------------------------------------

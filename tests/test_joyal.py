@@ -33,14 +33,14 @@ from ssetkit.corpus import discrete
 
 
 def test_interval_edge_is_not_invertible():
-    v = invertible_edge(std_simplex(1), nondeg("0_1"), "skeletal", 2)
+    v = invertible_edge(std_simplex(1), nondeg("0_1"), "skeletal", level=2)
     assert v.is_no
 
 
 def test_groupoid_edge_is_invertible():
     x = nerve_j(2)
     edge = next(iter(x.nondegenerate(1)))
-    v = invertible_edge(x, nondeg(edge), "skeletal", 2)
+    v = invertible_edge(x, nondeg(edge), "skeletal", level=2)
     assert v.is_yes
     assert v.witness is not None
     assert v.witness.validate() == []
@@ -48,12 +48,12 @@ def test_groupoid_edge_is_invertible():
 
 def test_degenerate_edge_is_invertible():
     x = std_simplex(1)
-    v = invertible_edge(x, x.degen(nondeg("0"), 0), "skeletal", 2)
+    v = invertible_edge(x, x.degen(nondeg("0"), 0), "skeletal", level=2)
     assert v.is_yes
 
 
 def test_qcat_mode_agrees_on_simplex():
-    v = invertible_edge(std_simplex(2), nondeg("0_1"), "qcat", 2)
+    v = invertible_edge(std_simplex(2), nondeg("0_1"), "qcat", level=2)
     assert v.is_no
 
 
@@ -61,25 +61,25 @@ def test_qcat_mode_agrees_on_simplex():
 
 
 def test_core_of_interval_is_its_boundary():
-    res = core_G(std_simplex(1), "skeletal", 2)
+    res = core_G(std_simplex(1), "skeletal", level=2)
     assert find_isomorphism(res.core, boundary(1)[0]) is not None
     assert res.inclusion.is_mono()
 
 
 def test_core_of_point_is_point():
-    res = core_G(terminal(), "skeletal", 2)
+    res = core_G(terminal(), "skeletal", level=2)
     assert find_isomorphism(res.core, terminal()) is not None
 
 
 def test_core_of_groupoid_is_everything():
     x = nerve_j(2)
-    res = core_G(x, "skeletal", 2)
+    res = core_G(x, "skeletal", level=2)
     assert set(res.core.nondegenerate()) == set(x.nondegenerate())
 
 
 def test_core_of_map_restricts():
     p = terminal_map(std_simplex(1))
-    gp = core_of_map(p, "skeletal", 2)
+    gp = core_of_map(p, "skeletal", level=2)
     assert find_isomorphism(gp.source, boundary(1)[0]) is not None
     assert gp.target == terminal()
 

@@ -26,6 +26,8 @@ from ssetkit.model import (
     audit_semifib,
     ctx_extend,
     enumerate_terms,
+    hom_type,
+    pi_type,
     pushout_cells,
     sigma_pair,
     sigma_proj1,
@@ -118,6 +120,33 @@ def test_sigma_projections_invert_pairing():
     assert sigma_proj1(s, pair) == at
     assert sigma_proj2(s, pair).section == bt.section
     assert sigma_pair(s, sigma_proj1(s, pair), sigma_proj2(s, pair)) == pair
+
+
+# -- one depth: a type's depth is its class's depth ---------------------------
+
+
+def test_binder_refuses_mixed_depths():
+    gamma = LUContext(terminal())
+    a = constant_type(gamma, discrete(2))
+    ext = ctx_extend(gamma, a)
+    deeper = LUType(ext.ctx, terminal_map(ext.ctx.sset), terminal_map(discrete(2)), FibClassSpec("kan", 3))
+    with pytest.raises(ModelError, match="depth"):
+        Binder(a, ext.pb, deeper)
+
+
+def test_hom_refuses_a_base_class_of_another_depth():
+    gamma = LUContext(terminal())
+    a = constant_type(gamma, discrete(2))
+    ext = ctx_extend(gamma, a)
+    pi = pi_type(Binder(a, ext.pb, subst(a, ext.proj)))
+    assert hom_type(pi, FibClassSpec("inner", 2)).spec.depth == 2
+    with pytest.raises(ModelError, match="depth"):
+        hom_type(pi, FibClassSpec("inner", 3))
+
+
+def test_audit_refuses_a_depth_other_than_the_class_depth():
+    with pytest.raises(ModelError, match="depth"):
+        audit_semifib(SPEC, SemifibCorpus(), budget=300, depth=3)
 
 
 def test_term_substitution_is_precomposition():

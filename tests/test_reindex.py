@@ -105,7 +105,7 @@ def _path():
     bd = family(LUType(GAMMA, terminal_map(GAMMA.sset), terminal_map(std_simplex(1)), BASE_SPEC))
     u, j = boundary(1)
     partial = constant_map(pullback(terminal_map(GAMMA.sset), terminal_map(u)).sset, discrete(2), "p0")
-    e = extension_type(bd, j, partial, 2)
+    e = extension_type(bd, j, partial)
     return e, extension_lam(e, constant_map(bd.pb.sset, discrete(2), "p0"))
 
 
