@@ -4,10 +4,11 @@ Finite limits are chosen pullbacks, one :class:`Pullback` record realized
 from semantic pairs of simplices: the product x x y is the pullback of
 x -> 1 <- y, and a pullback along an identity is the other leg.
 :func:`q_map` is the map between two chosen pullbacks of one leg,
-q(sigma, A) of the model.  Pushouts are realized by levelwise union-find on
-the two legs.  Every construction is deterministic, so repeated calls on
-equal inputs give literally equal results -- the model layer's strict
-substitution laws depend on this.
+q(sigma, A) of the model.  A pushout along a monomorphism attaches the
+cells of its target to the other leg's target; any other pushout is
+realized by levelwise union-find on the two legs.  Every construction is
+deterministic, so repeated calls on equal inputs give literally equal
+results -- the model layer's strict substitution laws depend on this.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable, Optional
 from .build import Built, LevelPresentation
 from .simplex import Simplex, nondeg
 from .sset import EMPTY, FinSSet, SMap, SSetError, Truncated, compose, constant_map, identity
+from .standard import std_simplex
 
 __all__ = [
     "terminal",
@@ -35,14 +37,10 @@ __all__ = [
 
 
 def terminal() -> FinSSet:
-    from .standard import std_simplex
-
     return std_simplex(0)
 
 
 def terminal_map(x: FinSSet) -> SMap:
-    from .standard import std_simplex
-
     return constant_map(x, std_simplex(0), "0")
 
 
@@ -183,10 +181,16 @@ def coproduct(x: FinSSet, y: FinSSet) -> Coproduct:
 
 @dataclass
 class Pushout:
+    """The chosen pushout of B <- A -> C, with ``inl`` from B and ``inr`` from C.
+
+    ``origin[cid]`` is the key that represents the cell ``cid``: ``("b", s)``
+    for a simplex s of B, or ``("c", s)`` for one of C.
+    """
+
     sset: FinSSet
-    inl: SMap  # from f.target (B)
-    inr: SMap  # from g.target (C)
-    _built: Built
+    inl: SMap
+    inr: SMap
+    origin: dict[str, tuple[str, Simplex]]
 
     def induce(self, u: SMap, v: SMap) -> SMap:
         """Cocone factorization: u from B, v from C with u.f == v.g."""
@@ -194,14 +198,25 @@ class Pushout:
             raise SSetError("pushout induce: codomain mismatch")
         assign: dict[str, Simplex] = {}
         for cid in self.sset.nondegenerate():
-            _, key = self._built._keys[cid]
-            tag, s = key
+            tag, s = self.origin[cid]
             assign[cid] = u.apply(s) if tag == "b" else v.apply(s)
         return SMap(self.sset, u.target, assign)
 
 
 def pushout(f: SMap, g: SMap) -> Pushout:
-    """Chosen pushout of the span B <- A -> C (f: A -> B, g: A -> C)."""
+    """Chosen pushout of the span B <- A -> C (f: A -> B, g: A -> C).
+
+    The pushout is the levelwise quotient of B_n + C_n by f(s) ~ g(s).  Its
+    cells are named ``g{n}_{i}``: each class is keyed by its least member
+    ``(tag, simplex)`` in ``repr`` order, and the nondegenerate classes of
+    level n are numbered in the ``repr`` order of their keys.
+
+    When f is a monomorphism, as a generator of the small object argument
+    is, the pushout is built directly (``_attach``): it is C with the cells
+    of B outside f(A) attached.  Otherwise the levelwise classes are
+    realized by ``kernel/build.Built``.  Both name the cells alike, so the
+    two give equal results on a monomorphism.
+    """
     if f.source != g.source:
         raise SSetError("pushout: domain mismatch")
     a, b, c = f.source, f.target, g.target
@@ -211,6 +226,9 @@ def pushout(f: SMap, g: SMap) -> Pushout:
     max_level = exact_top if bound is None else min(bound, exact_top)
     if max_level < exact_top:  # inl and inr could not send the cells above it anywhere
         raise Truncated(f"pushout truncated at {max_level}, below leg dimension {exact_top}")
+    hit = _cells_hit(f)
+    if hit is not None:
+        return _attach(f, g, hit, bound)
 
     # levelwise classes of B_n + C_n under f(s) ~ g(s)
     classes: list[dict[tuple, tuple]] = []
@@ -265,4 +283,72 @@ def pushout(f: SMap, g: SMap) -> Pushout:
     p = built.sset
     inl = SMap(b, p, {cc: built.decompose(b.cell_dim(cc), cls(b.cell_dim(cc), ("b", nondeg(cc)))) for cc in b.nondegenerate()})
     inr = SMap(c, p, {cc: built.decompose(c.cell_dim(cc), cls(c.cell_dim(cc), ("c", nondeg(cc)))) for cc in c.nondegenerate()})
-    return Pushout(p, inl, inr, built)
+    return Pushout(p, inl, inr, {cid: key for cid, (_, key) in built._keys.items()})
+
+
+def _cells_hit(f: SMap) -> Optional[dict[str, str]]:
+    """``{f(a): a}`` over the nondegenerate cells a of f.source when f sends
+    them to distinct nondegenerate cells, else None.
+
+    By Eilenberg-Zilber this holds exactly when f is a monomorphism: f then
+    sends s_w a to s_w f(a), and these are distinct for distinct (w, a).
+    """
+    hit: dict[str, str] = {}
+    for cell, s in f.assignment.items():
+        if s.word or hit.setdefault(s.base, cell) != cell:
+            return None
+    return hit
+
+
+def _attach(f: SMap, g: SMap, hit: dict[str, str], bound: Optional[int]) -> Pushout:
+    """The pushout along a monomorphism f: A -> B, whose cells f hits are ``hit``.
+
+    Its cells are the cells of C and the cells of B outside f(A).  A class
+    holding a cell t of C also holds f(a) for each cell a with g(a) = t, and
+    ``('b', ...)`` precedes ``('c', ...)`` in ``repr`` order, so t is keyed
+    by the least such ``('b', f(a))``, or by ``('c', t)`` when g hits t from
+    no cell.  A cell x of B outside f(A) is a class of its own, keyed
+    ``('b', x)``.  These are the keys ``Built`` gives the classes, so the
+    ids agree with the general realizer's.  The faces of C's cells are
+    renamed; a face s_w y of a new cell goes through g when y = f(a), as
+    g(s_w a), and is renamed otherwise.
+    """
+    b, c = f.target, g.target
+    keys: dict[str, tuple[str, Simplex]] = {t: ("c", nondeg(t)) for t in c.nondegenerate()}
+    for cell, s in g.assignment.items():
+        if not s.word:
+            keys[s.base] = min(keys[s.base], ("b", f.assignment[cell]), key=repr)
+    ids_c: dict[str, str] = {}
+    ids_b: dict[str, str] = {}
+
+    def from_c(s: Simplex) -> Simplex:
+        return Simplex(s.word, ids_c[s.base])
+
+    def from_b(s: Simplex) -> Simplex:
+        if s.base in hit:
+            return from_c(g.apply(Simplex(s.word, hit[s.base])))
+        return Simplex(s.word, ids_b[s.base])
+
+    # a cell's faces have their bases at lower levels, whose cells already have ids
+    levels: list[tuple[str, ...]] = []
+    faces: dict[str, tuple[Simplex, ...]] = {}
+    origin: dict[str, tuple[str, Simplex]] = {}
+    for n in range(max(b.dim, c.dim) + 1):
+        level = [(repr(keys[t]), t, True) for t in c.nondegenerate(n)]
+        level += [(repr(("b", nondeg(x))), x, False) for x in b.nondegenerate(n) if x not in hit]
+        level.sort()
+        names = tuple(f"g{n}_{i}" for i in range(len(level)))
+        for cid, (_, cell, old) in zip(names, level):
+            if old:
+                ids_c[cell], origin[cid] = cid, keys[cell]
+            else:
+                ids_b[cell], origin[cid] = cid, ("b", nondeg(cell))
+            if n:
+                faces[cid] = tuple(map(from_c, c.faces[cell]) if old else map(from_b, b.faces[cell]))
+        levels.append(names)
+    while levels and not levels[-1]:
+        levels.pop()
+    p = FinSSet(tuple(levels), faces, bound)
+    inl = SMap(b, p, {x: from_b(nondeg(x)) for x in b.nondegenerate()})
+    inr = SMap(c, p, {t: nondeg(ids_c[t]) for t in c.nondegenerate()})
+    return Pushout(p, inl, inr, origin)

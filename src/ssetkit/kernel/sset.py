@@ -412,14 +412,15 @@ def compose(g: SMap, f: SMap) -> SMap:
 
 
 def constant_map(x: FinSSet, target: FinSSet, vertex: str) -> SMap:
-    """The map collapsing x to a single vertex of the target."""
+    """The map collapsing x to a single vertex of the target.
+
+    An n-cell goes to the vertex degenerated n times, s_{n-1} ... s_0 v.
+    """
     assign = {}
-    for c in x.nondegenerate():
-        n = x.cell_dim(c)
-        s = nondeg(vertex)
-        for i in range(n):
-            s = target.degen(s, i)
-        assign[c] = s
+    for n, level in enumerate(x.cells):
+        s = Simplex(tuple(range(n - 1, -1, -1)), vertex)
+        for c in level:
+            assign[c] = s
     return SMap(x, target, assign)
 
 

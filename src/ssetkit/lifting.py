@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .kernel import (
     FinSSet,
@@ -54,6 +54,7 @@ from .kernel import (
     std_simplex,
     yoneda,
 )
+from .kernel.homs import search_plan
 
 __all__ = [
     "LiftingProblem",
@@ -180,9 +181,15 @@ def family_by_name(name: str, depth: int) -> GeneratorFamily:
     return table[name](depth)
 
 
-def lifting_problems(gen: SMap, p: SMap) -> Iterator[LiftingProblem]:
-    """All commuting squares from a generator to p, in deterministic order."""
-    for u in enumerate_maps(gen.source, p.source):
+def lifting_problems(
+    gen: SMap, p: SMap, tops: Optional[Iterable[SMap]] = None
+) -> Iterator[LiftingProblem]:
+    """All commuting squares from a generator to p, in deterministic order.
+
+    ``tops``, when given, are the tops u: gen.source -> p.source to take,
+    in ``enumerate_maps`` order; by default every one.
+    """
+    for u in enumerate_maps(gen.source, p.source) if tops is None else tops:
         want = compose(p, u)
         forced = _forced_images(gen, want)
         if forced is None:
@@ -205,16 +212,24 @@ def has_llp(i: SMap, tests: Sequence[SMap]) -> tuple[bool, Optional[LiftingProbl
     return (True, None) if found is None else (False, found[1])
 
 
-def _first_unsolved(pairs) -> Optional[tuple[int, LiftingProblem]]:
+def _first_unsolved(pairs, solved=None) -> Optional[tuple[int, LiftingProblem]]:
     """The index of the first (left, right) pair with a square that has no
-    filler, and that square; None when every square is filled."""
+    filler, and that square; None when every square is filled.
+
+    ``solved(idx, u)``, when given, is true of a top u of pair idx whose
+    squares are known to be filled; such a top is passed over before any
+    of its bottoms is searched.  Only ``factor_soa`` gives it.
+    """
     for idx, (left, right) in enumerate(pairs):
+        tops = enumerate_maps(left.source, right.source)
+        if solved is not None:
+            tops = (u for u in tops if not solved(idx, u))
         free = _free_cells(left)
         if free is None:
-            unsolved = (prob for prob in lifting_problems(left, right) if solve_lift(prob) is None)
+            unsolved = (prob for prob in lifting_problems(left, right, tops) if solve_lift(prob) is None)
             prob = next(unsolved, None)
         else:
-            prob = _first_unmatched(left, right, free)
+            prob = _first_unmatched(left, right, free, tops)
         if prob is not None:
             return idx, prob
     return None
@@ -237,12 +252,15 @@ def _free_cells(i: SMap) -> Optional[tuple[str, ...]]:
     return None
 
 
-def _first_unmatched(i: SMap, p: SMap, free: tuple[str, ...]) -> Optional[LiftingProblem]:
-    """The first unfilled square from a horn or boundary inclusion i to p,
+def _first_unmatched(
+    i: SMap, p: SMap, free: tuple[str, ...], tops: Iterable[SMap]
+) -> Optional[LiftingProblem]:
+    """The first unfilled square on ``tops`` (maps i.source -> p.source, in
+    ``enumerate_maps`` order) from a horn or boundary inclusion i to p,
     found by face lookups; see the module docstring."""
     delta, x, y = i.target, p.source, p.target
     x_lookup, y_lookup = face_lookup(x), face_lookup(y)
-    for u in enumerate_maps(i.source, x):
+    for u in tops:
         check_represented(y, delta.dim)
         fills, seen = None, set()
         pu = {c: p.apply(s) for c, s in u.assignment.items()}
@@ -341,13 +359,30 @@ def factor_soa(f: SMap, family: GeneratorFamily, budget: int) -> CellFactorizati
 
     Attaches one generator cell per unsolved lifting problem, in deterministic
     order, until none remain or the budget runs out (raising BudgetExhausted
-    with the partial factorization attached).
+    with the partial factorization attached).  Each attachment is the first
+    unsolved square of the scan ``has_rlp`` makes: generators in order, and
+    each generator's tops in ``enumerate_maps`` order.
+
+    The scan resumes.  Let an attachment be made at (generator k, top u_k)
+    by the pushout M -> M' along generator k.  A square stays solved after
+    a cobase change: if l fills (u, v) against the old right map, then
+    inr . l fills (inr . u, v) against the new one, whose composite with
+    inr is the old right map, and the bottoms of inr . u are those of u.
+    Every square of the tops the scan passed before u_k was filled, so a
+    top of M' that avoids the new cells, and so is inr . u, has every
+    square filled when its generator is below k, or is k and u comes
+    strictly before u_k.  The next scan passes over those tops.  The order
+    is strict: only the square (u_k, v_k) was filled, and u_k's other
+    bottoms may have no filler yet.  Tops on the old middle are compared as
+    ``enumerate_maps`` orders them, lexicographically in their images of
+    ``search_plan(generator source).cells``.
     """
     left = identity(f.source)
     right = f
     attachments: list[CellAttachment] = []
+    solved = None
     while True:
-        found = _first_unsolved((gen, right) for gen in family.generators)
+        found = _first_unsolved(((gen, right) for gen in family.generators), solved)
         if found is None:
             return CellFactorization(left, right, tuple(attachments), True)
         if len(attachments) >= budget:
@@ -362,7 +397,28 @@ def factor_soa(f: SMap, family: GeneratorFamily, budget: int) -> CellFactorizati
         left = compose(step, left)
         right = po.induce(prob.bottom, right)
         attachments.append(CellAttachment(idx, prob.top))
-    # unreachable
+        solved = _solved_before(idx, prob.top, step)
+
+
+def _solved_before(k: int, top: SMap, step: SMap):
+    """The test of ``factor_soa``'s resumed scan after attaching at
+    (generator k, ``top``) along ``step``: whether a top u of generator idx
+    on the new middle is known to have every square filled."""
+    old = {s.base: c for c, s in step.assignment.items()}  # new name -> old name
+    cells = search_plan(top.source).cells
+    before = tuple(top.assignment[c] for c in cells)
+
+    def solved(idx: int, u: SMap) -> bool:
+        if idx > k:
+            return False
+        if idx < k:
+            return all(s.base in old for s in u.assignment.values())
+        images = [u.assignment[c] for c in cells]
+        if not all(s.base in old for s in images):
+            return False
+        return tuple(Simplex(s.word, old[s.base]) for s in images) < before
+
+    return solved
 
 
 def retract_argument(f: SMap, g: SMap) -> Optional[tuple[SMap, SMap, SMap, SMap]]:

@@ -22,7 +22,6 @@ required to keep that property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..kernel import SMap, compose, identity, pullback, pushforward, terminal_map
 from .core import FibClassSpec, ModelError
@@ -77,14 +76,6 @@ class SemifibReport:
         return "\n".join(lines)
 
 
-def _fibrations(corpus: SemifibCorpus, spec: FibClassSpec) -> list[SMap]:
-    return [f for f in corpus.maps if spec.check(f)[0]]
-
-
-def _trivial_cofibs(corpus: SemifibCorpus, probes: Sequence[SMap]) -> list[SMap]:
-    return [i for i in corpus.maps if has_llp(i, list(probes))[0]]
-
-
 def audit_semifib(
     spec: FibClassSpec,
     corpus: SemifibCorpus,
@@ -95,8 +86,18 @@ def audit_semifib(
     class's depth, which ``depth`` must repeat."""
     if depth != spec.depth:
         raise ModelError(f"audit: depth {depth} is not the class's depth {spec.depth}")
-    probes = [terminal_map(x) for x in corpus.objects if spec.check(terminal_map(x))[0]]
-    fibs = _fibrations(corpus, spec)
+    # a lifting verdict depends only on the map, and the same map recurs as
+    # a probe, a corpus map, an identity, a composite or a chosen pullback
+    verdicts_of: dict[SMap, tuple] = {}
+
+    def check(p: SMap) -> tuple:
+        found = verdicts_of.get(p)
+        if found is None:
+            found = verdicts_of[p] = spec.check(p)
+        return found
+
+    probes = [terminal_map(x) for x in corpus.objects if check(terminal_map(x))[0]]
+    fibs = [f for f in corpus.maps if check(f)[0]]
     verdicts = []
 
     # (1) exponentiability: compute Pi_p(id) for every corpus fibration
@@ -115,17 +116,17 @@ def audit_semifib(
     notes = []
     ok = True
     for x in corpus.objects:
-        if not spec.check(identity(x))[0]:
+        if not check(identity(x))[0]:
             ok = False
             notes.append("an identity map fails the lifting check")
     for p in fibs:
         for q in fibs:
-            if p.target == q.source and not spec.check(compose(q, p))[0]:
+            if p.target == q.source and not check(compose(q, p))[0]:
                 ok = False
                 notes.append("a composite of fibrations fails the lifting check")
     for p in fibs:
         for g in corpus.maps:
-            if g.target == p.target and not spec.check(pullback(g, p).proj1)[0]:
+            if g.target == p.target and not check(pullback(g, p).proj1)[0]:
                 ok = False
                 notes.append("a chosen pullback of a fibration fails the lifting check")
     verdicts.append(AxiomVerdict("2 identity/composition/pullback closure", "pass" if ok else "fail", tuple(notes)))
@@ -133,8 +134,11 @@ def audit_semifib(
     # (3) pullback of a trivial cofibration along a fibration stays one
     notes = []
     ok = True
-    tcofs = _trivial_cofibs(corpus, probes)
-    for i in tcofs:
+    # whether each corpus map lifts against the probes, shared with (5)
+    lifts = [has_llp(i, probes)[0] for i in corpus.maps]
+    for i, lifted in zip(corpus.maps, lifts):
+        if not lifted:
+            continue
         for p in fibs:
             if p.target != i.target:
                 continue
@@ -163,8 +167,8 @@ def audit_semifib(
     # (5) trivial cofibrations over a base are stable under base change
     notes = []
     ok = True
-    for i, a, b in corpus.over_triples():
-        if not has_llp(i, probes)[0]:
+    for (i, a, b), lifted in zip(corpus.over_triples(), lifts):
+        if not lifted:
             continue
         for r in corpus.maps:
             if r.target != a.target:

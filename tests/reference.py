@@ -23,6 +23,17 @@ verbatim but for its name.
 identity, whose methods were assigned on the instance, all kept verbatim but
 for the names.  Today a product is the chosen pullback over the point.
 
+``Pushout`` and ``pushout`` are the pushout record and its realizer-only
+construction, which ``ssetkit.kernel.limits.pushout`` keeps for legs that
+are not monomorphisms; along a monomorphism it now attaches cells in place.
+``factor_soa`` is the small object argument that rescanned every
+generator's tops from the first after each attachment and realized the
+whole middle object again through this ``pushout``; it runs on the
+scan of ``has_rlp`` (``ssetkit.lifting._first_unsolved``), which is tested
+against ``has_rlp`` above.  ``constant_map`` is the per-dimension
+degeneracy loop that ``ssetkit.kernel.sset.constant_map`` replaced.  All
+are kept verbatim but for the module prefix of ``_first_unsolved``.
+
 ``free_vars``, ``free_vars_type``, ``subst``, ``subst_type``,
 ``alpha_equal`` and ``alpha_equal_type`` are the per-node walkers over
 ``.itt`` syntax that the binder table of ``ssetkit.tt.syntax`` replaced,
@@ -35,12 +46,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from ssetkit import kernel
+from ssetkit import kernel, lifting
 from ssetkit.kernel.simplex import Simplex, nondeg
 from ssetkit.kernel.build import Built, LevelPresentation
 from ssetkit.kernel.limits import _joint_bound
-from ssetkit.kernel.sset import EMPTY, FinSSet, SMap, SSetError, compose, identity
-from ssetkit.lifting import GeneratorFamily, LiftingProblem
+from ssetkit.kernel.sset import EMPTY, FinSSet, SMap, SSetError, Truncated, compose, identity
+from ssetkit.lifting import (
+    BudgetExhausted,
+    CellAttachment,
+    CellFactorization,
+    GeneratorFamily,
+    LiftingProblem,
+)
 from ssetkit.tt.syntax import (
     App,
     CoprodElim,
@@ -366,6 +383,137 @@ def identity_pullback(f: SMap, g: SMap, f_is_id: bool) -> Pullback:
     pb.components = lambda s: (s, f.apply(s))  # type: ignore[method-assign]
     pb.pair = lambda u, v: u  # type: ignore[method-assign]
     return pb
+
+
+# ---------------------------------------- pushouts and the cell attachment
+
+
+@dataclass
+class Pushout:
+    sset: FinSSet
+    inl: SMap  # from f.target (B)
+    inr: SMap  # from g.target (C)
+    _built: Built
+
+    def induce(self, u: SMap, v: SMap) -> SMap:
+        """Cocone factorization: u from B, v from C with u.f == v.g."""
+        if u.target != v.target:
+            raise SSetError("pushout induce: codomain mismatch")
+        assign: dict[str, Simplex] = {}
+        for cid in self.sset.nondegenerate():
+            _, key = self._built._keys[cid]
+            tag, s = key
+            assign[cid] = u.apply(s) if tag == "b" else v.apply(s)
+        return SMap(self.sset, u.target, assign)
+
+
+def pushout(f: SMap, g: SMap) -> Pushout:
+    """Chosen pushout of the span B <- A -> C (f: A -> B, g: A -> C)."""
+    if f.source != g.source:
+        raise SSetError("pushout: domain mismatch")
+    a, b, c = f.source, f.target, g.target
+    finite = [z.dim_bound for z in (a, b, c) if z.dim_bound is not None]
+    bound = min(finite) if finite else None
+    exact_top = max(b.dim, c.dim)
+    max_level = exact_top if bound is None else min(bound, exact_top)
+    if max_level < exact_top:  # inl and inr could not send the cells above it anywhere
+        raise Truncated(f"pushout truncated at {max_level}, below leg dimension {exact_top}")
+
+    # levelwise classes of B_n + C_n under f(s) ~ g(s)
+    classes: list[dict[tuple, tuple]] = []
+    for n in range(max_level + 1):
+        parent: dict[tuple, tuple] = {}
+
+        def find(t: tuple) -> tuple:
+            while parent.get(t, t) != t:
+                parent[t] = parent.get(parent[t], parent[t])
+                t = parent[t]
+            return t
+
+        def union(t1: tuple, t2: tuple) -> None:
+            r1, r2 = find(t1), find(t2)
+            if r1 != r2:
+                r1, r2 = sorted((r1, r2), key=repr)
+                parent[r2] = r1
+
+        if a.dim >= 0 and (a.dim_bound is None or n <= a.dim_bound):
+            for s in a.simplices(n):
+                union(("b", f.apply(s)), ("c", g.apply(s)))
+        table: dict[tuple, tuple] = {}
+        for s in b.simplices(n):
+            table[("b", s)] = find(("b", s))
+        for s in c.simplices(n):
+            table[("c", s)] = find(("c", s))
+        # canonical representative: smallest member of each class
+        members: dict[tuple, list[tuple]] = {}
+        for k, r in table.items():
+            members.setdefault(r, []).append(k)
+        canon = {r: min(ms, key=repr) for r, ms in members.items()}
+        classes.append({k: canon[r] for k, r in table.items()})
+
+    def cls(n: int, key: tuple) -> tuple:
+        return classes[n][key]
+
+    def elements(n: int):
+        return sorted(set(classes[n].values()), key=repr)
+
+    def face_at(n: int, key: tuple, i: int):
+        tag, s = key
+        z = b if tag == "b" else c
+        return cls(n - 1, (tag, z.face(s, i)))
+
+    def degen_at(n: int, key: tuple, i: int):
+        tag, s = key
+        z = b if tag == "b" else c
+        return cls(n + 1, (tag, z.degen(s, i)))
+
+    pres = LevelPresentation(max_level, elements, face_at, degen_at)
+    built = Built(pres, bound, prefix="g")
+    p = built.sset
+    inl = SMap(b, p, {cc: built.decompose(b.cell_dim(cc), cls(b.cell_dim(cc), ("b", nondeg(cc)))) for cc in b.nondegenerate()})
+    inr = SMap(c, p, {cc: built.decompose(c.cell_dim(cc), cls(c.cell_dim(cc), ("c", nondeg(cc)))) for cc in c.nondegenerate()})
+    return Pushout(p, inl, inr, built)
+
+
+def factor_soa(f: SMap, family: GeneratorFamily, budget: int) -> CellFactorization:
+    """Factor f as (relative cell map, map with RLP up to depth), by need.
+
+    Attaches one generator cell per unsolved lifting problem, in deterministic
+    order, until none remain or the budget runs out (raising BudgetExhausted
+    with the partial factorization attached).
+    """
+    left = identity(f.source)
+    right = f
+    attachments: list[CellAttachment] = []
+    while True:
+        found = lifting._first_unsolved((gen, right) for gen in family.generators)
+        if found is None:
+            return CellFactorization(left, right, tuple(attachments), True)
+        if len(attachments) >= budget:
+            partial = CellFactorization(left, right, tuple(attachments), False)
+            raise BudgetExhausted(
+                f"cell budget {budget} exhausted with unsolved problems remaining", partial
+            )
+        idx, prob = found
+        gen = family.generators[idx]
+        po = pushout(gen, prob.top)
+        step = po.inr  # middle -> new middle (cobase change of the generator)
+        left = compose(step, left)
+        right = po.induce(prob.bottom, right)
+        attachments.append(CellAttachment(idx, prob.top))
+    # unreachable
+
+
+def constant_map(x: FinSSet, target: FinSSet, vertex: str) -> SMap:
+    """The map collapsing x to a single vertex of the target."""
+    assign = {}
+    for c in x.nondegenerate():
+        n = x.cell_dim(c)
+        s = nondeg(vertex)
+        for i in range(n):
+            s = target.degen(s, i)
+        assign[c] = s
+    return SMap(x, target, assign)
 
 
 # ------------------------------------------------------- .itt syntax walkers

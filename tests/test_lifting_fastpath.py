@@ -128,9 +128,9 @@ def _record(monkeypatch):
     lefts = []
     problems, solve = lifting.lifting_problems, lifting.solve_lift
 
-    def recording_problems(gen, p):
+    def recording_problems(gen, p, tops=None):
         lefts.append(gen)
-        return problems(gen, p)
+        return problems(gen, p, tops)
 
     def recording_solve(problem, **kw):
         lefts.append(problem.left)

@@ -25,8 +25,10 @@ from ssetkit.model import (
     SemifibCorpus,
     audit_semifib,
     ctx_extend,
+    dep_coprod,
     enumerate_terms,
     hom_type,
+    id_type,
     pi_type,
     pushout_cells,
     sigma_pair,
@@ -142,6 +144,19 @@ def test_hom_refuses_a_base_class_of_another_depth():
     assert hom_type(pi, FibClassSpec("inner", 2)).spec.depth == 2
     with pytest.raises(ModelError, match="depth"):
         hom_type(pi, FibClassSpec("inner", 3))
+
+
+def test_id_and_coproduct_refuse_a_family_of_another_depth():
+    gamma = LUContext(terminal())
+    a = constant_type(gamma, discrete(2))
+    p0 = LUTerm(a, constant_map(gamma.sset, discrete(2), "p0"))
+    ext = ctx_extend(gamma, a)
+    bd = Binder(a, ext.pb, subst(a, ext.proj))
+    with pytest.raises(ModelError, match="depth"):
+        id_type(a, p0, p0, kan_family(4), 300)
+    with pytest.raises(ModelError, match="depth"):
+        dep_coprod(bd, kan_family(3), 300)
+    assert id_type(a, p0, p0, kan_family(2), 300).spec.depth == 2
 
 
 def test_audit_refuses_a_depth_other_than_the_class_depth():
