@@ -17,6 +17,13 @@ the later cells it fixes are the search plan, computed once per source
 (``search_plan``).  The backtracking keeps one candidate iterator per depth
 on an explicit stack, so large sources do not hit the recursion limit.
 
+With ``mono`` the same search yields only the monomorphisms, in the same
+order: each candidate iterator is filtered as it is pushed, to
+nondegenerate candidates whose base no earlier cell holds.  This is the
+Eilenberg-Zilber test of ``SMap.preimages``, applied cell by cell, and it
+is the whole of ``find_isomorphism``.  It is the one map search of the
+kernel.
+
 One search asks for the same face tuple many times.  ``face_lookup``
 memoizes the lookups by face tuple for one search, and dies with it; on the
 ``catfib_classify`` workload of ``tools/bench_search.py`` it cuts them from
@@ -93,19 +100,18 @@ def enumerate_maps(
     *,
     forced: Optional[dict[str, Simplex]] = None,
     constraint: Optional[Callable[[str, Simplex], bool]] = None,
-    limit: Optional[int] = None,
+    mono: bool = False,
 ) -> Iterator[SMap]:
     """Yield all simplicial maps source -> target.
 
     ``forced`` pins images of particular cells; ``constraint`` filters
-    candidate images cell by cell.  The target must be represented at least
-    up to the dimension of the source.
+    candidate images cell by cell; ``mono`` yields only the monomorphisms.
+    The target must be represented at least up to the dimension of the
+    source.
     """
     check_represented(target, source.dim)
     cells, due = search_plan(source)
     forced = forced or {}
-    if limit is not None and limit <= 0:
-        return
     if not cells:
         yield SMap(source, target, {})
         return
@@ -157,8 +163,26 @@ def enumerate_maps(
     # stack[k] iterates the candidates for cells[k]; a deeper entry of
     # ``assign`` left over from an abandoned branch is overwritten before it
     # is read, and its key keeps its place, so yielded dicts are in cell order
-    count = 0
-    stack = [candidates(cells[0])]
+    stack: list[Iterator[Simplex]] = []
+    push = append = stack.append
+    if mono:
+        # a map is mono exactly when it sends the nondegenerate cells to
+        # distinct nondegenerate cells (``SMap.preimages``); a candidate's
+        # base stays held until its iterator moves on, and an iterator
+        # resumes only after every deeper one is exhausted
+        held: set[str] = set()
+
+        def injective(options: Iterator[Simplex]) -> Iterator[Simplex]:
+            for cand in options:
+                if not cand.word and cand.base not in held:
+                    held.add(cand.base)
+                    yield cand
+                    held.discard(cand.base)
+
+        def push(options: Iterator[Simplex]) -> None:
+            append(injective(options))
+
+    push(candidates(cells[0]))
     while stack:
         k = len(stack) - 1
         cand = next(stack[k], None)
@@ -170,12 +194,9 @@ def enumerate_maps(
             continue
         if k + 1 < len(cells):
             found = early[k + 1]
-            stack.append(candidates(cells[k + 1]) if found is None else iter(found))
+            push(candidates(cells[k + 1]) if found is None else iter(found))
             continue
-        count += 1
         yield SMap(source, target, dict(assign))
-        if limit is not None and count >= limit:
-            return
 
 
 def count_maps(source: FinSSet, target: FinSSet) -> int:

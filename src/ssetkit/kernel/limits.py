@@ -226,7 +226,7 @@ def pushout(f: SMap, g: SMap) -> Pushout:
     max_level = exact_top if bound is None else min(bound, exact_top)
     if max_level < exact_top:  # inl and inr could not send the cells above it anywhere
         raise Truncated(f"pushout truncated at {max_level}, below leg dimension {exact_top}")
-    hit = _cells_hit(f)
+    hit = f.preimages()
     if hit is not None:
         return _attach(f, g, hit, bound)
 
@@ -284,20 +284,6 @@ def pushout(f: SMap, g: SMap) -> Pushout:
     inl = SMap(b, p, {cc: built.decompose(b.cell_dim(cc), cls(b.cell_dim(cc), ("b", nondeg(cc)))) for cc in b.nondegenerate()})
     inr = SMap(c, p, {cc: built.decompose(c.cell_dim(cc), cls(c.cell_dim(cc), ("c", nondeg(cc)))) for cc in c.nondegenerate()})
     return Pushout(p, inl, inr, {cid: key for cid, (_, key) in built._keys.items()})
-
-
-def _cells_hit(f: SMap) -> Optional[dict[str, str]]:
-    """``{f(a): a}`` over the nondegenerate cells a of f.source when f sends
-    them to distinct nondegenerate cells, else None.
-
-    By Eilenberg-Zilber this holds exactly when f is a monomorphism: f then
-    sends s_w a to s_w f(a), and these are distinct for distinct (w, a).
-    """
-    hit: dict[str, str] = {}
-    for cell, s in f.assignment.items():
-        if s.word or hit.setdefault(s.base, cell) != cell:
-            return None
-    return hit
 
 
 def _attach(f: SMap, g: SMap, hit: dict[str, str], bound: Optional[int]) -> Pushout:

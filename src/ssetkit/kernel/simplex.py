@@ -13,7 +13,8 @@ order.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from itertools import combinations
+from typing import NamedTuple
 
 
 class Simplex(NamedTuple):
@@ -66,33 +67,16 @@ def word_is_valid(word: tuple[int, ...], base_dim: int) -> bool:
     return True
 
 
-def degeneracy_words(base_dim: int, target_dim: int) -> Iterator[tuple[int, ...]]:
+def degeneracy_words(base_dim: int, target_dim: int) -> list[tuple[int, ...]]:
     """All valid strictly decreasing words raising ``base_dim`` to ``target_dim``.
 
-    Yielded in lexicographic order of the word tuples.
+    Listed in lexicographic order of the word tuples.  Every strictly
+    decreasing word over 0..target_dim-1 of that length is applicable: its
+    t-th operator from the inside is at most base_dim + t.
     """
-    length = target_dim - base_dim
-    if length < 0:
-        return
-    if length == 0:
-        yield ()
-        return
-
-    def rec(prefix: list[int], remaining: int) -> Iterator[tuple[int, ...]]:
-        # prefix is outermost-first; next letter must be < prefix[-1] and the
-        # final word must stay applicable, checked at the leaves.
-        if remaining == 0:
-            word = tuple(prefix)
-            if word_is_valid(word, base_dim):
-                yield word
-            return
-        hi = (prefix[-1] - 1) if prefix else (target_dim - 1)
-        for i in range(0, hi + 1):
-            prefix.append(i)
-            yield from rec(prefix, remaining - 1)
-            prefix.pop()
-
-    yield from sorted(rec([], length))
+    if target_dim < base_dim:
+        return []
+    return sorted(tuple(reversed(w)) for w in combinations(range(target_dim), target_dim - base_dim))
 
 
 def collapse_word(values: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -181,8 +181,9 @@ class FinSSet:
             return cached
         out = []
         for m in range(0, min(n, self.dim) + 1):
+            words = degeneracy_words(m, n)
             for base in self.cells[m]:
-                for word in degeneracy_words(m, n):
+                for word in words:
                     out.append(Simplex(word, base))
         result = tuple(sorted(out))
         self._simplex_cache[n] = result
@@ -388,16 +389,24 @@ class SMap:
             raise SSetError("; ".join(problems))
         return self
 
+    def preimages(self) -> Optional[dict[str, str]]:
+        """``{f(a): a}`` over the nondegenerate cells a of the source when f
+        sends them to distinct nondegenerate cells, else None.
+
+        By Eilenberg-Zilber this holds exactly when f is a monomorphism: f
+        then sends s_w a to s_w f(a), and these are distinct for distinct
+        (w, a).  A cell sent to a degenerate s_i y shares its image with the
+        degenerate s_i d_i of itself.
+        """
+        hit: dict[str, str] = {}
+        for cell, s in self.assignment.items():
+            if s.word or hit.setdefault(s.base, cell) != cell:
+                return None
+        return hit
+
     def is_mono(self) -> bool:
-        """Levelwise injectivity; levels above dim(source) follow automatically."""
-        for n in range(0, self.source.dim + 1):
-            seen = set()
-            for s in self.source.simplices(n):
-                img = self.apply(s)
-                if img in seen:
-                    return False
-                seen.add(img)
-        return True
+        """Whether f is a monomorphism, decided by ``preimages``."""
+        return self.preimages() is not None
 
 
 def identity(x: FinSSet) -> SMap:
@@ -425,45 +434,13 @@ def constant_map(x: FinSSet, target: FinSSet, vertex: str) -> SMap:
 
 
 def find_isomorphism(x: FinSSet, y: FinSSet) -> Optional[SMap]:
-    """Search for an isomorphism by matching nondegenerate cells per dimension.
+    """The first isomorphism x -> y in map-search order, or None.
 
-    Cells are matched in the order they are listed, each against the
-    unused cells of y of its dimension in listed order, and the first full
-    match found is returned.  Backtracking keeps one candidate iterator per
-    cell on an explicit stack, so large objects do not hit the recursion
-    limit.
+    With as many nondegenerate cells per dimension on both sides, a
+    monomorphism is a bijection on nondegenerate cells, so an isomorphism.
     """
+    from .homs import enumerate_maps
+
     if [len(l) for l in x.cells] != [len(l) for l in y.cells]:
         return None
-    order = [c for level in x.cells for c in level]
-    if not order:
-        return SMap(x, y, {})
-    assign: dict[str, Simplex] = {}
-    used: set[str] = set()
-
-    def candidates(c: str) -> Iterator[str]:
-        n = x.cell_dim(c)
-        expect = [Simplex(f.word, assign[f.base].base) for f in x.faces[c]] if n else []
-        for cand in y.cells[n]:
-            if cand in used:
-                continue
-            if all(y.face(nondeg(cand), i) == e for i, e in enumerate(expect)):
-                yield cand
-
-    # candidates() reads ``used`` lazily, so a cell's previous choice is
-    # released before its iterator resumes
-    stack = [candidates(order[0])]
-    while stack:
-        c = order[len(stack) - 1]
-        if c in assign:
-            used.discard(assign.pop(c).base)
-        cand = next(stack[-1], None)
-        if cand is None:
-            stack.pop()
-            continue
-        assign[c] = nondeg(cand)
-        used.add(cand)
-        if len(stack) == len(order):
-            return SMap(x, y, assign)
-        stack.append(candidates(order[len(stack)]))
-    return None
+    return next(enumerate_maps(x, y, mono=True), None)

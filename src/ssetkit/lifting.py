@@ -74,7 +74,6 @@ __all__ = [
     "CellFactorization",
     "factor_soa",
     "BudgetExhausted",
-    "retract_argument",
     "leibniz",
     "QuasifibrationReport",
     "quasifibration_check",
@@ -117,14 +116,14 @@ def solve_lift(problem: LiftingProblem):
     forced = _forced_images(i, top)
     if forced is None:
         return None
-    # degenerate images of cells of A also constrain the filler, but only
-    # through their bases, which the forced dict above already pins; cells of
-    # A hitting degenerate simplices of B constrain nothing extra beyond
-    # commutativity of the found map, so re-check.
-    for h in enumerate_sections(p, bottom, forced=forced, limit=1):
-        if all(h.apply(i.apply_cell(c)) == top.apply_cell(c) for c in i.source.nondegenerate()):
-            return h
-    return None
+    # the pins fix h on every cell of i(A), nondegenerate or not (a base of
+    # i(A) is hit nondegenerately), so the first section decides; the
+    # re-check is for a left leg that is not mono, whose degenerate images
+    # may disagree with the top whatever h is
+    h = next(enumerate_sections(p, bottom, forced=forced), None)
+    if h is None or any(h.apply(i.apply_cell(c)) != top.apply_cell(c) for c in i.source.nondegenerate()):
+        return None
+    return h
 
 
 @dataclass(frozen=True)
@@ -419,30 +418,6 @@ def _solved_before(k: int, top: SMap, step: SMap):
         return tuple(Simplex(s.word, old[s.base]) for s in images) < before
 
     return solved
-
-
-def retract_argument(f: SMap, g: SMap) -> Optional[tuple[SMap, SMap, SMap, SMap]]:
-    """Search for a presentation of f as a retract of g.
-
-    Returns (a, r, b, s) with a: A -> C, r: C -> A, b: B -> D, s: D -> B such
-    that r.a = id, s.b = id, g.a = b.f and f.r = s.g.
-    """
-    A, B = f.source, f.target
-    C, D = g.source, g.target
-    ida, idb = identity(A), identity(B)
-    for a in enumerate_maps(A, C):
-        for r in enumerate_maps(C, A):
-            if compose(r, a) != ida:
-                continue
-            for b in enumerate_maps(B, D):
-                if compose(g, a) != compose(b, f):
-                    continue
-                for s in enumerate_maps(D, B):
-                    if compose(s, b) != idb:
-                        continue
-                    if compose(f, r) == compose(s, g):
-                        return a, r, b, s
-    return None
 
 
 def leibniz(i: SMap, j: SMap) -> tuple[SMap, "object"]:

@@ -245,21 +245,16 @@ def factor_through(f: SMap, eps: SMap) -> Optional[SMap]:
     """
     if f.target != eps.target:
         raise ModelError("factor_through: codomain mismatch")
-    if not eps.is_mono():
+    back = eps.preimages()
+    if back is None:
         raise ModelError("factor_through requires a monomorphism")
-    back: dict[str, Simplex] = {}
-    for c in eps.source.nondegenerate():
-        img = eps.apply_cell(c)
-        back.setdefault(img.base, Simplex((), c))
-        if not img.word:
-            back[img.base] = Simplex((), c)
     assign: dict[str, Simplex] = {}
     for c in f.source.nondegenerate():
         img = f.apply_cell(c)
         pre = back.get(img.base)
-        if pre is None or pre.word:
+        if pre is None:
             return None
-        assign[c] = Simplex(img.word, pre.base)
+        assign[c] = Simplex(img.word, pre)
     out = SMap(f.source, eps.source, assign)
     if compose(eps, out) != f:
         return None

@@ -3,15 +3,20 @@
 ``enumerate_maps`` is the scan-and-recurse search that the face-indexed,
 iterative ``ssetkit.kernel.homs.enumerate_maps`` replaced, kept verbatim:
 each cell's candidates are every simplex of the target of its dimension,
-filtered by comparing faces.  ``find_isomorphism`` is the recursive form of
-``ssetkit.kernel.sset.find_isomorphism``, also kept verbatim.
+filtered by comparing faces.  ``find_isomorphism`` is the recursive
+backtracking that ``ssetkit.kernel.sset.find_isomorphism`` once was, also
+kept verbatim; today that function is the first map of the kernel's search
+with ``mono=True``.  ``is_mono`` is the levelwise injectivity test that
+``SMap.preimages`` replaced, kept verbatim as a function of the map, and
+``degeneracy_words`` the generate-validate-sort that
+``ssetkit.kernel.simplex.degeneracy_words`` replaced, kept verbatim.
 
 ``has_rlp`` is the general lifting path that the face-lookup path of
 ``ssetkit.lifting`` replaced for horn and boundary inclusions, kept
 verbatim: ``lifting_problems`` searches maps for every square's bottom and
-``solve_lift`` searches sections for its filler.  It runs on the kernel's
-``enumerate_maps`` and ``enumerate_sections``, which are tested against the
-naive search above.
+``solve_lift`` searches sections for its filler, taking the first only
+unless ``all_fillers``.  It runs on the kernel's ``enumerate_maps`` and
+``enumerate_sections``, which are tested against the naive search above.
 
 ``SimplexDataclass`` is the frozen, ordered dataclass that
 ``ssetkit.kernel.simplex.Simplex`` was before it became a named tuple, kept
@@ -44,10 +49,11 @@ kept verbatim.  Their ``subst`` renames a capturing binder only under
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from ssetkit import kernel, lifting
-from ssetkit.kernel.simplex import Simplex, nondeg
+from ssetkit.kernel.simplex import Simplex, nondeg, word_is_valid
 from ssetkit.kernel.build import Built, LevelPresentation
 from ssetkit.kernel.limits import _joint_bound
 from ssetkit.kernel.sset import EMPTY, FinSSet, SMap, SSetError, Truncated, compose, identity
@@ -227,6 +233,47 @@ def find_isomorphism(x: FinSSet, y: FinSSet) -> Optional[SMap]:
     return None
 
 
+def is_mono(self: SMap) -> bool:
+    """Levelwise injectivity; levels above dim(source) follow automatically."""
+    for n in range(0, self.source.dim + 1):
+        seen = set()
+        for s in self.source.simplices(n):
+            img = self.apply(s)
+            if img in seen:
+                return False
+            seen.add(img)
+    return True
+
+
+def degeneracy_words(base_dim: int, target_dim: int) -> Iterator[tuple[int, ...]]:
+    """All valid strictly decreasing words raising ``base_dim`` to ``target_dim``.
+
+    Yielded in lexicographic order of the word tuples.
+    """
+    length = target_dim - base_dim
+    if length < 0:
+        return
+    if length == 0:
+        yield ()
+        return
+
+    def rec(prefix: list[int], remaining: int) -> Iterator[tuple[int, ...]]:
+        # prefix is outermost-first; next letter must be < prefix[-1] and the
+        # final word must stay applicable, checked at the leaves.
+        if remaining == 0:
+            word = tuple(prefix)
+            if word_is_valid(word, base_dim):
+                yield word
+            return
+        hi = (prefix[-1] - 1) if prefix else (target_dim - 1)
+        for i in range(0, hi + 1):
+            prefix.append(i)
+            yield from rec(prefix, remaining - 1)
+            prefix.pop()
+
+    yield from sorted(rec([], length))
+
+
 def _forced_images(i: SMap, along: SMap) -> Optional[dict[str, Simplex]]:
     """Images a map out of i.target must give the cells i hits nondegenerately
     to restrict to ``along`` along i; None when two cells of A clash."""
@@ -249,7 +296,7 @@ def solve_lift(problem: LiftingProblem, *, all_fillers: bool = False):
     forced = _forced_images(i, top)
     if forced is None:
         return [] if all_fillers else None
-    gen = kernel.enumerate_sections(p, bottom, forced=forced, limit=None if all_fillers else 1)
+    gen = islice(kernel.enumerate_sections(p, bottom, forced=forced), None if all_fillers else 1)
     # degenerate images of cells of A also constrain the filler, but only
     # through their bases, which the forced dict above already pins; cells of
     # A hitting degenerate simplices of B constrain nothing extra beyond

@@ -39,6 +39,7 @@ from ssetkit.kernel import (
     terminal_map,
     yoneda,
 )
+from ssetkit.kernel.simplex import degeneracy_words
 from ssetkit.corpus import (
     catfib_corpus,
     discrete,
@@ -141,6 +142,14 @@ def test_simplex_sets_and_sorts_match_the_dataclass(pairs):
     old = [reference.SimplexDataclass(*p) for p in pairs]
     assert [tuple(s) for s in sorted(new)] == [(s.word, s.base) for s in sorted(old)]
     assert [tuple(s) for s in set(new)] == [(s.word, s.base) for s in set(old)]
+
+
+def test_degeneracy_words_match_the_generated_and_validated_words():
+    for base_dim in range(6):
+        for target_dim in range(9):
+            assert degeneracy_words(base_dim, target_dim) == list(
+                reference.degeneracy_words(base_dim, target_dim)
+            )
 
 
 # -- hom counting and the Yoneda correspondence -------------------------------

@@ -29,7 +29,6 @@ from ssetkit.lifting import (
     leibniz,
     lifting_problems,
     quasifibration_check,
-    retract_argument,
     solve_lift,
 )
 
@@ -117,15 +116,6 @@ def test_rlp_closed_under_pullback():
     assert has_rlp(p, fam)[0]
     pb = pullback(p, constant_map(terminal(), std_simplex(1), "0"))
     assert has_rlp(pb.proj2, fam)[0]
-
-
-def test_retract_argument_identity_retract():
-    f = terminal_map(std_simplex(1))
-    found = retract_argument(f, f)
-    assert found is not None
-    s_top, r_top, s_bot, r_bot = found
-    assert compose(r_top, s_top) == identity(f.source)
-    assert compose(r_bot, s_bot) == identity(f.target)
 
 
 # -- leibniz / pushout-product ------------------------------------------------

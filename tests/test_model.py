@@ -1,12 +1,18 @@
 """Semantic layer: contexts, types-as-spans, formers, and the axiom audit."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
 from ssetkit.acceptance import split_substitution_suite
-from ssetkit.corpus import discrete
+from ssetkit.corpus import discrete, random_map, random_ssets
 from ssetkit.kernel import (
     compose,
     constant_map,
+    enumerate_maps,
     identity,
     product,
     std_simplex,
@@ -27,6 +33,7 @@ from ssetkit.model import (
     ctx_extend,
     dep_coprod,
     enumerate_terms,
+    factor_through,
     hom_type,
     id_type,
     pi_type,
@@ -96,6 +103,34 @@ def test_extension_projection_and_variable():
     assert weak.ctx == ext.ctx
     assert weak.r == compose(a.r, ext.proj)
     assert compose(weak.p, ext.var.section) == weak.r
+
+
+# -- factoring through a monomorphism ---------------------------------------------
+
+
+def _unique_factorization(f, eps):
+    """The one g with eps . g == f, searched over every map, or None."""
+    found = [g for g in enumerate_maps(f.source, eps.source) if compose(eps, g) == f]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_factor_through_matches_the_map_search(seed):
+    rng = random.Random(seed)
+    a, b, c = random_ssets(3, seed, max_dim=2, max_cells=5)
+    cells = [x for level in b.cells for x in level]
+    _, incl = b.subcomplex(rng.sample(cells, rng.randint(1, len(cells))))
+    for eps in (incl, random_map(rng, c, b)):
+        f = random_map(rng, a, b)
+        if eps is None or f is None:
+            continue
+        if reference.is_mono(eps):
+            assert factor_through(f, eps) == _unique_factorization(f, eps)
+        else:
+            with pytest.raises(ModelError):
+                factor_through(f, eps)
 
 
 # -- individual formers ---------------------------------------------------------

@@ -6,12 +6,12 @@ Usage, from the root of a checkout:
 
 Each workload runs five times, each time in a fresh interpreter that
 imports ssetkit from ``DIR`` (default: this checkout's ``src``), and once
-more with ``FinSSet.simplices_with_faces`` wrapped to count its calls, a
-machine-independent measure of the search.  The median wall seconds, the
-single runs and the count are stored under ``NAME`` in each workload of
-``BENCH_search.json``; other columns in that file are kept, so two
-checkouts measured one after the other sit side by side.  Inputs are built
-before the clock starts.
+more with ``FinSSet.simplices_with_faces`` and ``FinSSet.face`` wrapped to
+count their calls, a machine-independent measure of the search.  The median
+wall seconds, the single runs and the counts are stored under ``NAME`` in
+each workload of ``BENCH_search.json``; other columns in that file are
+kept, so two checkouts measured one after the other sit side by side.
+Inputs are built before the clock starts.
 
 Workloads:
 
@@ -21,6 +21,10 @@ Workloads:
 - ``catfib_classify``: ``classify(f, 3)``, then ``g_fib_check(f, 3)`` when f
   is a categorical fibration, over the distinct ``catfib_corpus(50)`` maps
   but the four heaviest (distinct indices 20, 22, 27 and 28, 4-10 s each).
+- ``find_isomorphism``: ``find_isomorphism(x, core_G(x, level=3).core)``
+  over ``lemma_corpus(400)``, then ``b_functor(Δ^1, level=l).sset`` against
+  ``interval_groupoid_skeleton(l)`` for l = 1, 2, 3: the calls that
+  ``lemma_four_conditions`` and criterion 4 make.
 """
 
 from __future__ import annotations
@@ -44,14 +48,16 @@ WORKLOADS = {
     "horn_into_vertices": "list(enumerate_maps(horn(3, 0)[0], catfib_corpus()[28].source))",
     "has_rlp_kan": "has_rlp(catfib_corpus()[28], kan_family(3))",
     "catfib_classify": "classify(f, 3) and g_fib_check(f, 3) over 28 distinct catfib_corpus(50) maps",
+    "find_isomorphism": "find_isomorphism(x, core_G(x, level=3).core) over lemma_corpus(400), "
+                        "and b(Δ^1) against the interval groupoid skeleton at levels 1-3",
 }
 
 
 def _inputs(name: str):
     """The workload's inputs and a function running it on them."""
-    from ssetkit.corpus import catfib_corpus
-    from ssetkit.joyal import g_fib_check
-    from ssetkit.kernel import enumerate_maps, horn
+    from ssetkit.corpus import catfib_corpus, lemma_corpus
+    from ssetkit.joyal import b_functor, core_G, g_fib_check
+    from ssetkit.kernel import enumerate_maps, find_isomorphism, horn, interval_groupoid_skeleton, std_simplex
     from ssetkit.lifting import classify, has_rlp, kan_family
 
     if name == "horn_into_vertices":
@@ -60,6 +66,13 @@ def _inputs(name: str):
     if name == "has_rlp_kan":
         f, family = catfib_corpus()[28], kan_family(3)
         return lambda: has_rlp(f, family)
+    if name == "find_isomorphism":
+        pairs = [(x, core_G(x, level=3).core) for x in lemma_corpus(400)]
+        pairs += [
+            (b_functor(std_simplex(1), level=level).sset, interval_groupoid_skeleton(level)[0])
+            for level in (1, 2, 3)
+        ]
+        return lambda: [find_isomorphism(x, y) for x, y in pairs]
     distinct = []
     for f in catfib_corpus(50):
         if f not in distinct:
@@ -75,7 +88,7 @@ def _inputs(name: str):
 
 
 def child(name: str, count: bool) -> dict:
-    """One measurement in this interpreter: seconds, or the lookup count."""
+    """One measurement in this interpreter: seconds, or the call counts."""
     from ssetkit.kernel import FinSSet
 
     run = _inputs(name)
@@ -83,17 +96,21 @@ def child(name: str, count: bool) -> dict:
         start = time.perf_counter()
         run()
         return {"seconds": time.perf_counter() - start}
-    calls = 0
-    lookup = FinSSet.simplices_with_faces
+    calls = {"simplices_with_faces": 0, "face": 0}
 
-    def counted(self, n, wants):
-        nonlocal calls
-        calls += 1
-        return lookup(self, n, wants)
+    def counted(method: str):
+        original = getattr(FinSSet, method)
 
-    FinSSet.simplices_with_faces = counted
+        def wrapper(self, *args):
+            calls[method] += 1
+            return original(self, *args)
+
+        setattr(FinSSet, method, wrapper)
+
+    counted("simplices_with_faces")
+    counted("face")
     run()
-    return {"calls": calls}
+    return calls
 
 
 def _cpu() -> str:
@@ -117,13 +134,15 @@ def measure(src: Path) -> dict:
     column = {}
     for name in WORKLOADS:
         seconds = [_spawn(src, name, False)["seconds"] for _ in range(RUNS)]
+        calls = _spawn(src, name, True)
         column[name] = {
             "median_s": round(statistics.median(seconds), 6),
             "runs_s": [round(s, 6) for s in seconds],
-            "simplices_with_faces_calls": _spawn(src, name, True)["calls"],
+            "simplices_with_faces_calls": calls["simplices_with_faces"],
+            "face_calls": calls["face"],
         }
         print(f"{name}: {column[name]['median_s']:.4f} s, "
-              f"{column[name]['simplices_with_faces_calls']} lookups", file=sys.stderr)
+              f"{calls['simplices_with_faces']} lookups, {calls['face']} face calls", file=sys.stderr)
     return column
 
 
