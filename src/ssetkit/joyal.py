@@ -388,7 +388,12 @@ class GFibReport:
 
 
 def g_fib_check(p: SMap, level: int) -> GFibReport:
-    """Check that the core of a categorical-type fibration is Kan-type."""
+    """Check that the core of a categorical-type fibration is Kan-type.
+
+    The cat check is scanned again here, whatever the caller has already
+    checked; a caller that holds the cat verdict, such as one that has
+    called ``lifting.classify``, calls ``core_kan_check``, as criterion 5
+    does."""
     ok, ce = has_rlp(p, cat_family(level))
     if not ok:
         raise SSetError(f"input is not a categorical-type fibration at {level}: {ce}")

@@ -27,6 +27,12 @@ general path's searches make them.
 Every other left leg, such as the vertex inclusion of ``cat_family`` or a
 map given to ``has_llp``, takes the general path: ``lifting_problems``
 searches maps for each bottom and ``solve_lift`` a section for each filler.
+
+The families share generators: the inner horns are kan horns, and
+``cat_family`` is the inner horns plus {0} -> J.  ``classify`` scans each
+distinct generator against p once per call, 14 scans at depth 3 where the
+four families list 20 generators.  The sharing is per call, not per
+object: see ``classify``.
 """
 
 from __future__ import annotations
@@ -308,18 +314,45 @@ class Classification:
 
 
 def classify(p: SMap, depth: int) -> Classification:
-    results = {}
+    """The verdicts of the kan, inner, trivial and cat families on p at
+    ``depth``, each with the counterexample ``has_rlp`` would report.
+
+    The families share generators: the inner horns are kan horns, and cat
+    is the inner horns plus {0} -> J.  A generator's first unfilled square
+    depends only on (generator, p), so each distinct generator is scanned
+    at most once per call (14 scans at depth 3, not 20) and the result is
+    looked up by the generator's identity; the families' ``lru_cache``
+    keeps the generators alive for the call.  Families are walked in the
+    order above and each stops at its first failing generator, as
+    ``has_rlp`` does, so every counterexample and every exception is the
+    one four ``has_rlp`` calls give.
+
+    The table dies with the call, and nothing is stored on p or in the
+    module.  A square's right leg is p itself, so a table kept on p is a
+    reference cycle that holds p's source and target until a full
+    collection (kept that way, the fibcheck benchmark's peak read 38-40 MiB
+    against about 31), and a module-level table holds every map it saw.
+    So ``joyal.g_fib_check``, a separate call, scans cat again; a caller
+    that holds the cat verdict calls ``joyal.core_kan_check`` instead.
+    """
+    scans: dict[int, Optional[LiftingProblem]] = {}
+
+    def scan(gen: SMap) -> Optional[LiftingProblem]:
+        if id(gen) not in scans:
+            found = _first_unsolved([(gen, p)])
+            scans[id(gen)] = None if found is None else found[1]
+        return scans[id(gen)]
+
     counter = {}
     for name in ("kan", "inner", "trivial", "cat"):
-        ok, ce = has_rlp(p, family_by_name(name, depth))
-        results[name] = ok
+        ce = next(filter(None, map(scan, family_by_name(name, depth).generators)), None)
         if ce is not None:
             counter[name] = ce
     return Classification(
-        kan_fib=results["kan"],
-        inner_fib=results["inner"],
-        trivial_fib=results["trivial"],
-        cat_fib=results["cat"],
+        kan_fib="kan" not in counter,
+        inner_fib="inner" not in counter,
+        trivial_fib="trivial" not in counter,
+        cat_fib="cat" not in counter,
         depth=depth,
         counterexamples=counter,
     )

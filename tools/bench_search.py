@@ -3,15 +3,19 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_search.py --column NAME [--src DIR]
+    python3 tools/bench_search.py --column parent --src OLD/src \
+        --column change --src NEW/src
 
-Each workload runs five times, each time in a fresh interpreter that
-imports ssetkit from ``DIR`` (default: this checkout's ``src``), and once
-more with ``FinSSet.simplices_with_faces`` and ``FinSSet.face`` wrapped to
-count their calls, a machine-independent measure of the search.  The median
-wall seconds, the single runs and the counts are stored under ``NAME`` in
-each workload of ``BENCH_search.json``; other columns in that file are
-kept, so two checkouts measured one after the other sit side by side.
-Inputs are built before the clock starts.
+Each workload runs five times per tree, each time in a fresh interpreter
+that imports ssetkit from that tree's ``DIR`` (default, for a single
+column: this checkout's ``src``), and once more with
+``FinSSet.simplices_with_faces`` and ``FinSSet.face`` wrapped to count their
+calls, a machine-independent measure of the search.  With two trees the
+timed runs alternate, A, B, A, B, ..., so that drift of the host over the
+invocation falls on both alike.  The median wall seconds, the single runs
+and the counts are stored under each ``NAME`` in each workload of
+``BENCH_search.json``; other columns in that file are kept.  Inputs are
+built before the clock starts.
 
 Workloads:
 
@@ -21,6 +25,11 @@ Workloads:
 - ``catfib_classify``: ``classify(f, 3)``, then ``g_fib_check(f, 3)`` when f
   is a categorical fibration, over the distinct ``catfib_corpus(50)`` maps
   but the four heaviest (distinct indices 20, 22, 27 and 28, 4-10 s each).
+- ``classify_random``: ``classify(f, 3)``, then ``g_fib_check(f, 3)`` when
+  f is a categorical fibration, over the first 128 random maps that the
+  fibcheck benchmark draws (``random.Random(50_000 + k)``, two
+  ``random_sset(rng, max_dim=3, max_cells=6)`` and ``random_map``, skipping
+  the k that give no map).  Most fail early; ``catfib_classify`` has none.
 - ``find_isomorphism``: ``find_isomorphism(x, core_G(x, level=3).core)``
   over ``lemma_corpus(400)``, then ``b_functor(Δ^1, level=l).sset`` against
   ``interval_groupoid_skeleton(l)`` for l = 1, 2, 3: the calls that
@@ -33,6 +42,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -42,12 +52,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_search.json"
 HEAVY = (20, 22, 27, 28)
+RANDOM_BASE, RANDOM_MAPS = 50_000, 128
 RUNS = 5
 
 WORKLOADS = {
     "horn_into_vertices": "list(enumerate_maps(horn(3, 0)[0], catfib_corpus()[28].source))",
     "has_rlp_kan": "has_rlp(catfib_corpus()[28], kan_family(3))",
     "catfib_classify": "classify(f, 3) and g_fib_check(f, 3) over 28 distinct catfib_corpus(50) maps",
+    "classify_random": "classify(f, 3) and g_fib_check(f, 3) over the first 128 fibcheck random maps",
     "find_isomorphism": "find_isomorphism(x, core_G(x, level=3).core) over lemma_corpus(400), "
                         "and b(Δ^1) against the interval groupoid skeleton at levels 1-3",
 }
@@ -55,7 +67,7 @@ WORKLOADS = {
 
 def _inputs(name: str):
     """The workload's inputs and a function running it on them."""
-    from ssetkit.corpus import catfib_corpus, lemma_corpus
+    from ssetkit.corpus import catfib_corpus, lemma_corpus, random_map, random_sset
     from ssetkit.joyal import b_functor, core_G, g_fib_check
     from ssetkit.kernel import enumerate_maps, find_isomorphism, horn, interval_groupoid_skeleton, std_simplex
     from ssetkit.lifting import classify, has_rlp, kan_family
@@ -73,11 +85,22 @@ def _inputs(name: str):
             for level in (1, 2, 3)
         ]
         return lambda: [find_isomorphism(x, y) for x, y in pairs]
-    distinct = []
-    for f in catfib_corpus(50):
-        if f not in distinct:
-            distinct.append(f)
-    maps = [f for i, f in enumerate(distinct) if i not in HEAVY]
+    if name == "classify_random":
+        maps, k = [], 0
+        while len(maps) < RANDOM_MAPS:
+            rng = random.Random(RANDOM_BASE + k)
+            x = random_sset(rng, max_dim=3, max_cells=6)
+            y = random_sset(rng, max_dim=3, max_cells=6)
+            f = random_map(rng, x, y)
+            if f is not None:
+                maps.append(f)
+            k += 1
+    else:
+        distinct = []
+        for f in catfib_corpus(50):
+            if f not in distinct:
+                distinct.append(f)
+        maps = [f for i, f in enumerate(distinct) if i not in HEAVY]
 
     def run():
         for f in maps:
@@ -130,26 +153,33 @@ def _spawn(src: Path, name: str, count: bool) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
-def measure(src: Path) -> dict:
-    column = {}
+def measure(trees: dict[str, Path]) -> dict:
+    """Each tree's results per workload, the trees' timed runs alternated."""
+    columns: dict = {column: {} for column in trees}
     for name in WORKLOADS:
-        seconds = [_spawn(src, name, False)["seconds"] for _ in range(RUNS)]
-        calls = _spawn(src, name, True)
-        column[name] = {
-            "median_s": round(statistics.median(seconds), 6),
-            "runs_s": [round(s, 6) for s in seconds],
-            "simplices_with_faces_calls": calls["simplices_with_faces"],
-            "face_calls": calls["face"],
-        }
-        print(f"{name}: {column[name]['median_s']:.4f} s, "
-              f"{calls['simplices_with_faces']} lookups, {calls['face']} face calls", file=sys.stderr)
-    return column
+        seconds: dict = {column: [] for column in trees}
+        for _ in range(RUNS):
+            for column, src in trees.items():
+                seconds[column].append(_spawn(src, name, False)["seconds"])
+        for column, src in trees.items():
+            calls = _spawn(src, name, True)
+            columns[column][name] = {
+                "median_s": round(statistics.median(seconds[column]), 6),
+                "runs_s": [round(s, 6) for s in seconds[column]],
+                "simplices_with_faces_calls": calls["simplices_with_faces"],
+                "face_calls": calls["face"],
+            }
+            print(f"{name} [{column}]: {columns[column][name]['median_s']:.4f} s, "
+                  f"{calls['simplices_with_faces']} lookups, {calls['face']} face calls", file=sys.stderr)
+    return columns
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--column", help="name to store this checkout's results under")
-    ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding ssetkit")
+    ap.add_argument("--column", action="append", default=[],
+                    help="name to store a tree's results under; give twice to compare two trees")
+    ap.add_argument("--src", type=Path, action="append", default=[],
+                    help="directory holding ssetkit, one per --column (default for one column: this checkout's src)")
     ap.add_argument("--child", choices=WORKLOADS, help=argparse.SUPPRESS)
     ap.add_argument("--count", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -158,23 +188,26 @@ def main() -> int:
         return 0
     if not args.column:
         ap.error("--column is required")
-    column = measure(args.src.resolve())
+    srcs = args.src or ([ROOT / "src"] if len(args.column) == 1 else [])
+    if len(srcs) != len(args.column) or len(set(args.column)) != len(args.column):
+        ap.error("give one --src per --column, and distinct column names")
+    columns = measure({column: src.resolve() for column, src in zip(args.column, srcs)})
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc["about"] = __doc__.splitlines()[0]
-    doc.setdefault("machine", {}).update({
-        args.column: {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "cpu": _cpu(),
-            "nproc": os.cpu_count(),
-        },
-    })
+    machine = {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpu": _cpu(),
+        "nproc": os.cpu_count(),
+    }
+    doc.setdefault("machine", {}).update({column: machine for column in columns})
     doc["runs"] = RUNS
     workloads = doc.setdefault("workloads", {})
     for name, what in WORKLOADS.items():
         entry = workloads.setdefault(name, {})
         entry["what"] = what
-        entry[args.column] = column[name]
+        for column, results in columns.items():
+            entry[column] = results[name]
     OUT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
