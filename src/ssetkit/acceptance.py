@@ -352,7 +352,6 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     """
     spec = FibClassSpec("kan", depth)
     base_spec = FibClassSpec("inner", depth)
-    family = kan_family(depth)
     out: list[tuple[str, bool]] = []
 
     gamma = LUContext(std_simplex(1))
@@ -402,8 +401,8 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     out.append(("sigma-pair-subst", subst_term(pair, sigma) == sigma_pair(s_d, subst_term(p0_g, sigma), LUTerm(subst(bt.type, sigma), compose(bt.section, sigma)))))
 
     # identity types
-    id_g = id_type(k_g, p0_g, p0_g, family, budget)
-    id_d = id_type(k_d, p0_d, p0_d, family, budget)
+    id_g = id_type(k_g, p0_g, p0_g, budget)
+    id_d = id_type(k_d, p0_d, p0_d, budget)
     out.append(("id-subst", subst(id_g, sigma) == id_d))
     out.append(("id-refl-subst", subst_term(id_refl(id_g, p0_g), sigma) == id_refl(id_d, p0_d)))
 
@@ -446,8 +445,8 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     out.append(("dep-prod-lam-subst", subst_term(df, sigma) == pi_lam(dp_d, LUTerm(fam_d.b, compose(dbody.section, sig_pb)))))
 
     # dependent coproduct (stable variant, so the eliminator is available)
-    dc_g = dep_coprod(fam_g, family, budget, variant="stable")
-    dc_d = dep_coprod(fam_d, family, budget, variant="stable")
+    dc_g = dep_coprod(fam_g, budget, variant="stable")
+    dc_d = dep_coprod(fam_d, budget, variant="stable")
     out.append(("dep-coprod-subst", subst(dc_g, sigma) == dc_d))
     cb = LUTerm(subst(fam_g.b, sj), constant_map(gamma.sset, discrete(2), "p0"))
     intro = dep_coprod_intro(dc_g, j_sec, cb)
@@ -627,7 +626,7 @@ def criterion_11() -> CriterionResult:
     ext = ctx_extend(gamma, k)
     suite.append(sigma_type(Binder(k, ext.pb, unit_type(ext.ctx, fine))))
     p0 = LUTerm(k, constant_map(gamma.sset, discrete(2), "p0"))
-    suite.append(id_type(k, p0, p0, kan_family(2), BUDGET))
+    suite.append(id_type(k, p0, p0, BUDGET))
     fails = []
     for idx, a in enumerate(suite):
         accepted, ce = coarse.check(a.p)

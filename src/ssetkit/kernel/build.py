@@ -1,6 +1,6 @@
 """Realize an abstractly presented presheaf as a FinSSet in normal form.
 
-A construction (product, pullback, pushout, exponential, ...) describes its
+A construction (a chosen pullback or a pushforward) describes its
 simplices semantically: hashable keys per level together with face and
 degeneracy actions.  The realizer finds the nondegenerate keys, assigns them
 deterministic ids, and rewrites every face into Eilenberg-Zilber normal form

@@ -4,11 +4,11 @@ Finite limits are chosen pullbacks, one :class:`Pullback` record realized
 from semantic pairs of simplices: the product x x y is the pullback of
 x -> 1 <- y, and a pullback along an identity is the other leg.
 :func:`q_map` is the map between two chosen pullbacks of one leg,
-q(sigma, A) of the model.  A pushout along a monomorphism attaches the
-cells of its target to the other leg's target; any other pushout is
-realized by levelwise union-find on the two legs.  Every construction is
-deterministic, so repeated calls on equal inputs give literally equal
-results -- the model layer's strict substitution laws depend on this.
+q(sigma, A) of the model.  Every pushout, along a monomorphism as in the
+small object argument or along any other map, is glued level by level from
+the nondegenerate cells of its legs.  Every construction is deterministic,
+so repeated calls on equal inputs give literally equal results -- the model
+layer's strict substitution laws depend on this.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .build import Built, LevelPresentation
-from .simplex import Simplex, nondeg
+from .simplex import Simplex, nondeg, word_insert
 from .sset import EMPTY, FinSSet, SMap, SSetError, Truncated, compose, constant_map, identity
 from .standard import std_simplex
 
@@ -160,8 +160,11 @@ class Coproduct:
 def coproduct(x: FinSSet, y: FinSSet) -> Coproduct:
     finite = [b for b in (x.dim_bound, y.dim_bound) if b is not None]
     bound = min(finite) if finite else None
+    exact_top = max(x.dim, y.dim)
+    if bound is not None and bound < exact_top:  # as in pushout: no room for the cells above it
+        raise Truncated(f"coproduct truncated at {bound}, below summand dimension {exact_top}")
     levels = []
-    for n in range(max(x.dim, y.dim) + 1):
+    for n in range(exact_top + 1):
         level = []
         if n <= x.dim:
             level.extend(f"l_{c}" for c in x.cells[n])
@@ -183,8 +186,9 @@ def coproduct(x: FinSSet, y: FinSSet) -> Coproduct:
 class Pushout:
     """The chosen pushout of B <- A -> C, with ``inl`` from B and ``inr`` from C.
 
-    ``origin[cid]`` is the key that represents the cell ``cid``: ``("b", s)``
-    for a simplex s of B, or ``("c", s)`` for one of C.
+    ``origin[cid]`` is the key that represents the cell ``cid``, the least
+    cell of its class in ``repr`` order: ``("b", x)`` for a nondegenerate
+    simplex x of B, or ``("c", t)`` for one of C.
     """
 
     sset: FinSSet
@@ -206,16 +210,16 @@ class Pushout:
 def pushout(f: SMap, g: SMap) -> Pushout:
     """Chosen pushout of the span B <- A -> C (f: A -> B, g: A -> C).
 
-    The pushout is the levelwise quotient of B_n + C_n by f(s) ~ g(s).  Its
-    cells are named ``g{n}_{i}``: each class is keyed by its least member
-    ``(tag, simplex)`` in ``repr`` order, and the nondegenerate classes of
-    level n are numbered in the ``repr`` order of their keys.
-
-    When f is a monomorphism, as a generator of the small object argument
-    is, the pushout is built directly (``_attach``): it is C with the cells
-    of B outside f(A) attached.  Otherwise the levelwise classes are
-    realized by ``kernel/build.Built``.  Both name the cells alike, so the
-    two give equal results on a monomorphism.
+    The pushout is the levelwise quotient of B_n + C_n by f(s) ~ g(s), glued
+    level by level from the legs' cells.  By Eilenberg-Zilber only the
+    nondegenerate cells x of A tie classes: a degenerate s_w y of A ties
+    s_w f(y) to s_w g(y), which level n - |w| has already tied.  A class
+    that meets a degenerate simplex s_w y is the degenerate simplex s_w of
+    y's image, a lower cell that already has a name.  Every other class is
+    a new cell ``g{n}_{i}``, keyed by its least member ``(tag, simplex)``
+    in ``repr`` order; the cells of level n are numbered in the ``repr``
+    order of their keys, and a cell's faces are its key's faces, mapped
+    into the pushout.
     """
     if f.source != g.source:
         raise SSetError("pushout: domain mismatch")
@@ -223,118 +227,70 @@ def pushout(f: SMap, g: SMap) -> Pushout:
     finite = [z.dim_bound for z in (a, b, c) if z.dim_bound is not None]
     bound = min(finite) if finite else None
     exact_top = max(b.dim, c.dim)
-    max_level = exact_top if bound is None else min(bound, exact_top)
-    if max_level < exact_top:  # inl and inr could not send the cells above it anywhere
-        raise Truncated(f"pushout truncated at {max_level}, below leg dimension {exact_top}")
-    hit = f.preimages()
-    if hit is not None:
-        return _attach(f, g, hit, bound)
-
-    # levelwise classes of B_n + C_n under f(s) ~ g(s)
-    classes: list[dict[tuple, tuple]] = []
-    for n in range(max_level + 1):
-        parent: dict[tuple, tuple] = {}
-
-        def find(t: tuple) -> tuple:
-            while parent.get(t, t) != t:
-                parent[t] = parent.get(parent[t], parent[t])
-                t = parent[t]
-            return t
-
-        def union(t1: tuple, t2: tuple) -> None:
-            r1, r2 = find(t1), find(t2)
-            if r1 != r2:
-                r1, r2 = sorted((r1, r2), key=repr)
-                parent[r2] = r1
-
-        if a.dim >= 0 and (a.dim_bound is None or n <= a.dim_bound):
-            for s in a.simplices(n):
-                union(("b", f.apply(s)), ("c", g.apply(s)))
-        table: dict[tuple, tuple] = {}
-        for s in b.simplices(n):
-            table[("b", s)] = find(("b", s))
-        for s in c.simplices(n):
-            table[("c", s)] = find(("c", s))
-        # canonical representative: smallest member of each class
-        members: dict[tuple, list[tuple]] = {}
-        for k, r in table.items():
-            members.setdefault(r, []).append(k)
-        canon = {r: min(ms, key=repr) for r, ms in members.items()}
-        classes.append({k: canon[r] for k, r in table.items()})
-
-    def cls(n: int, key: tuple) -> tuple:
-        return classes[n][key]
-
-    def elements(n: int):
-        return sorted(set(classes[n].values()), key=repr)
-
-    def face_at(n: int, key: tuple, i: int):
-        tag, s = key
-        z = b if tag == "b" else c
-        return cls(n - 1, (tag, z.face(s, i)))
-
-    def degen_at(n: int, key: tuple, i: int):
-        tag, s = key
-        z = b if tag == "b" else c
-        return cls(n + 1, (tag, z.degen(s, i)))
-
-    pres = LevelPresentation(max_level, elements, face_at, degen_at)
-    built = Built(pres, bound, prefix="g")
-    p = built.sset
-    inl = SMap(b, p, {cc: built.decompose(b.cell_dim(cc), cls(b.cell_dim(cc), ("b", nondeg(cc)))) for cc in b.nondegenerate()})
-    inr = SMap(c, p, {cc: built.decompose(c.cell_dim(cc), cls(c.cell_dim(cc), ("c", nondeg(cc)))) for cc in c.nondegenerate()})
-    return Pushout(p, inl, inr, {cid: key for cid, (_, key) in built._keys.items()})
-
-
-def _attach(f: SMap, g: SMap, hit: dict[str, str], bound: Optional[int]) -> Pushout:
-    """The pushout along a monomorphism f: A -> B, whose cells f hits are ``hit``.
-
-    Its cells are the cells of C and the cells of B outside f(A).  A class
-    holding a cell t of C also holds f(a) for each cell a with g(a) = t, and
-    ``('b', ...)`` precedes ``('c', ...)`` in ``repr`` order, so t is keyed
-    by the least such ``('b', f(a))``, or by ``('c', t)`` when g hits t from
-    no cell.  A cell x of B outside f(A) is a class of its own, keyed
-    ``('b', x)``.  These are the keys ``Built`` gives the classes, so the
-    ids agree with the general realizer's.  The faces of C's cells are
-    renamed; a face s_w y of a new cell goes through g when y = f(a), as
-    g(s_w a), and is renamed otherwise.
-    """
-    b, c = f.target, g.target
-    keys: dict[str, tuple[str, Simplex]] = {t: ("c", nondeg(t)) for t in c.nondegenerate()}
-    for cell, s in g.assignment.items():
-        if not s.word:
-            keys[s.base] = min(keys[s.base], ("b", f.assignment[cell]), key=repr)
-    ids_c: dict[str, str] = {}
-    ids_b: dict[str, str] = {}
-
-    def from_c(s: Simplex) -> Simplex:
-        return Simplex(s.word, ids_c[s.base])
-
-    def from_b(s: Simplex) -> Simplex:
-        if s.base in hit:
-            return from_c(g.apply(Simplex(s.word, hit[s.base])))
-        return Simplex(s.word, ids_b[s.base])
-
-    # a cell's faces have their bases at lower levels, whose cells already have ids
+    if bound is not None and bound < exact_top:  # inl and inr could not send the cells above it anywhere
+        raise Truncated(f"pushout truncated at {bound}, below leg dimension {exact_top}")
+    legs = {"b": b, "c": c}
+    image: dict[str, dict[str, Simplex]] = {"b": {}, "c": {}}  # a leg's cell -> its simplex in the pushout
     levels: list[tuple[str, ...]] = []
     faces: dict[str, tuple[Simplex, ...]] = {}
     origin: dict[str, tuple[str, Simplex]] = {}
-    for n in range(max(b.dim, c.dim) + 1):
-        level = [(repr(keys[t]), t, True) for t in c.nondegenerate(n)]
-        level += [(repr(("b", nondeg(x))), x, False) for x in b.nondegenerate(n) if x not in hit]
-        level.sort()
-        names = tuple(f"g{n}_{i}" for i in range(len(level)))
-        for cid, (_, cell, old) in zip(names, level):
-            if old:
-                ids_c[cell], origin[cid] = cid, keys[cell]
-            else:
-                ids_b[cell], origin[cid] = cid, ("b", nondeg(cell))
+    for n in range(exact_top + 1):
+        parent: dict[tuple[str, Simplex], tuple[str, Simplex]] = {}
+
+        def find(t: tuple[str, Simplex]) -> tuple[str, Simplex]:
+            while parent.setdefault(t, t) != t:
+                t = parent[t]
+            return t
+
+        for x in a.nondegenerate(n):
+            r1, r2 = find(("b", f.assignment[x])), find(("c", g.assignment[x]))
+            parent[r2] = r1
+        classes: dict[tuple[str, Simplex], list[tuple[str, Simplex]]] = {}
+        for t in parent:
+            classes.setdefault(find(t), []).append(t)
+        cells = []  # (repr of the key, key, the class's members), one per new cell
+        for members in classes.values():
+            degenerate = next((m for m in members if m[1].word), None)
+            if degenerate is None:
+                key = min(members, key=repr)
+                cells.append((repr(key), key, members))
+                continue
+            tag, s = degenerate
+            simplex = _degenerate(s.word, image[tag][s.base])
+            for tag, s in members:
+                if not s.word:
+                    image[tag][s.base] = simplex
+        for tag, z in legs.items():
+            for x in z.nondegenerate(n):
+                key = (tag, nondeg(x))
+                if key not in parent:
+                    cells.append((repr(key), key, ()))
+        cells.sort()
+        names = tuple(f"g{n}_{i}" for i in range(len(cells)))
+        for cid, (_, key, members) in zip(names, cells):
+            origin[cid] = key
+            tag, s = key
+            to = image[tag]
+            to[s.base] = cell = nondeg(cid)
+            for t, y in members:
+                image[t][y.base] = cell
             if n:
-                faces[cid] = tuple(map(from_c, c.faces[cell]) if old else map(from_b, b.faces[cell]))
+                faces[cid] = tuple([
+                    _degenerate(y.word, to[y.base]) if y.word else to[y.base] for y in legs[tag].faces[s.base]
+                ])
         levels.append(names)
     while levels and not levels[-1]:
         levels.pop()
     p = FinSSet(tuple(levels), faces, bound)
-    inl = SMap(b, p, {x: from_b(nondeg(x)) for x in b.nondegenerate()})
-    inr = SMap(c, p, {t: nondeg(ids_c[t]) for t in c.nondegenerate()})
+    inl = SMap(b, p, {x: image["b"][x] for x in b.nondegenerate()})
+    inr = SMap(c, p, {t: image["c"][t] for t in c.nondegenerate()})
     return Pushout(p, inl, inr, origin)
+
+
+def _degenerate(word: tuple[int, ...], s: Simplex) -> Simplex:
+    """s_w s, in normal form."""
+    if not s.word:
+        return Simplex(word, s.base)
+    for i in reversed(word):
+        s = Simplex(word_insert(s.word, i), s.base)
+    return s

@@ -329,24 +329,17 @@ def hom_app(hom: LUType, f: LUTerm) -> LUTerm:
 # -- identity types ------------------------------------------------------------
 
 
-def _same_depth(former: str, a: LUType, family: GeneratorFamily) -> None:
-    """Refuse a generator family whose depth is not the type's."""
-    if family.depth != a.spec.depth:
-        raise ModelError(f"{former}: the type has depth {a.spec.depth}, the family {family.depth}")
-
-
-def id_type(a: LUType, left: LUTerm, right: LUTerm, family: GeneratorFamily, budget: int) -> LUType:
+def id_type(a: LUType, left: LUTerm, right: LUTerm, budget: int) -> LUType:
     """Id_A(left, right): factor the universe-level diagonal of E_A.
 
     The universe is E_A x_{V_A} E_A and the fibration is the right leg of
     the budgeted factorization of the diagonal, so the construction is
-    independent of the context and strictly stable.  The family must have
-    the type's depth.
+    independent of the context and strictly stable.  The diagonal is
+    factored against A's class, which certifies the fibration.
     """
-    _same_depth("id_type", a, family)
     pb = pullback(a.p, a.p)
     diag = pb.pair(identity(a.total), identity(a.total))
-    fac = factor_soa(diag, family, budget)
+    fac = factor_soa(diag, a.spec.family, budget)
     r_id = pb.pair(left.section, right.section)
     return LUType(a.ctx, r_id, fac.right, a.spec, Id(a, fac))
 
@@ -360,18 +353,17 @@ def id_refl(idt: LUType, at: LUTerm) -> LUTerm:
 # -- coproducts over a base type ------------------------------------------------
 
 
-def dep_coprod(bd: Binder, family: GeneratorFamily, budget: int, variant: str = "stable") -> LUType:
+def dep_coprod(bd: Binder, budget: int, variant: str = "stable") -> LUType:
     """Coproduct over the base type bd.a of the family bd.b.
 
     The universe is shared with the product; the total object is the
-    budgeted fibration factorization of Z -> V_u.  The unstable variant
-    core-restricts the universe along its core inclusion.  The family must
-    have the types' depth.
+    budgeted fibration factorization of Z -> V_u against bd.b's class,
+    which certifies it.  The unstable variant core-restricts the universe
+    along its core inclusion.
     """
-    _same_depth("dep_coprod", bd.a, family)
     b = bd.b
     r, pb_u, prod_ee, z = _pi_universe(bd)
-    fac = factor_soa(compose(pb_u.proj1, z.proj1), family, budget)
+    fac = factor_soa(compose(pb_u.proj1, z.proj1), b.spec.family, budget)
     if variant == "stable":
         rec = Coprod(bd, pb_u, prod_ee, z, fac)
         return LUType(bd.a.ctx, r, fac.right, b.spec, rec)

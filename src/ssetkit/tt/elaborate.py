@@ -72,8 +72,10 @@ __all__ = ["ModelEnv", "SemCtx", "Elaborator", "elaborate_type", "elaborate_term
 class ModelEnv:
     """Bindings of postulated constants to semantic data (closed judgments).
 
-    ``spec``, ``base_spec`` and ``family`` share one depth, the run's: every
-    type the elaborator builds has it.
+    ``spec`` and ``base_spec`` share one depth, the run's: every type the
+    elaborator builds has it.  The formers factor against each type's own
+    class, so ``family`` is read by nothing but the check that it is
+    ``spec.family``.
     """
 
     spec: FibClassSpec
@@ -92,6 +94,10 @@ class ModelEnv:
             raise ModelError(
                 f"model environment: spec, base_spec and family have depths "
                 f"{self.spec.depth}, {self.base_spec.depth} and {self.family.depth}"
+            )
+        if self.family != self.spec.family:
+            raise ModelError(
+                f"model environment: family {self.family.name} is not the {self.spec.name} class's family"
             )
 
 
@@ -145,7 +151,7 @@ class Elaborator:
             a = self.elab_type(ctx, ty.a)
             left = self.elab_term(ctx, ty.left, a)
             right = self.elab_term(ctx, ty.right, a)
-            return id_type(a, left, right, env.family, env.budget)
+            return id_type(a, left, right, env.budget)
         if isinstance(ty, S.THom):
             pi = self._hom_pi(ctx, ty.a, "_", ty.b)
             return hom_type(pi, env.base_spec)
@@ -161,7 +167,7 @@ class Elaborator:
         if isinstance(ty, S.TCoprod):
             bd = self._base_binder(ctx, ty.i, self._base_type(ty.itype), ty.body)
             variant = "stable" if env.stable_coproducts else "unstable"
-            return dep_coprod(bd, env.family, env.budget, variant=variant)
+            return dep_coprod(bd, env.budget, variant=variant)
         if isinstance(ty, S.TPath):
             return self._path_type(ctx, ty.a, ty.left, ty.right)
         if isinstance(ty, S.TExt):

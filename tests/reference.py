@@ -28,9 +28,10 @@ verbatim but for its name.
 identity, whose methods were assigned on the instance, all kept verbatim but
 for the names.  Today a product is the chosen pullback over the point.
 
-``Pushout`` and ``pushout`` are the pushout record and its realizer-only
-construction, which ``ssetkit.kernel.limits.pushout`` keeps for legs that
-are not monomorphisms; along a monomorphism it now attaches cells in place.
+``Pushout`` and ``pushout`` are the pushout record and the construction
+that realized every pushout through ``Built``, from a union-find over every
+simplex of A; ``ssetkit.kernel.limits.pushout`` now glues every span, along
+a monomorphism or not, directly from its legs' cells.
 ``factor_soa`` is the small object argument that rescanned every
 generator's tops from the first after each attachment and realized the
 whole middle object again through this ``pushout``; it runs on the

@@ -7,7 +7,7 @@ import pytest
 from ssetkit import joyal
 from ssetkit.corpus import discrete
 from ssetkit.kernel import closed, constant_map, identity, terminal, terminal_map
-from ssetkit.lifting import kan_family
+from ssetkit.lifting import cat_family, kan_family
 from ssetkit.model import (
     FibClassSpec,
     LUContext,
@@ -205,6 +205,11 @@ def test_model_env_refuses_mixed_depths():
     with pytest.raises(ModelError, match="depth"):
         ModelEnv(spec, FibClassSpec("inner", 3), kan_family(2))
     assert ModelEnv(spec, FibClassSpec("inner", 3), kan_family(3)).spec.depth == 3
+
+
+def test_model_env_refuses_a_family_other_than_its_class_family():
+    with pytest.raises(ModelError, match="not the kan class's family"):
+        ModelEnv(FibClassSpec("kan", 2), FibClassSpec("inner", 2), cat_family(2))
 
 
 # -- declared-out-of-scope constructions ----------------------------------------

@@ -181,17 +181,22 @@ def test_hom_refuses_a_base_class_of_another_depth():
         hom_type(pi, FibClassSpec("inner", 3))
 
 
-def test_id_and_coproduct_refuse_a_family_of_another_depth():
+@pytest.mark.parametrize(
+    "spec, fiber",
+    [(FibClassSpec("cat", 2), std_simplex(1)), (FibClassSpec("inner", 2), std_simplex(1)), (SPEC, discrete(2))],
+    ids=["cat", "inner", "kan"],
+)
+def test_id_and_coproduct_factor_in_their_type_class(spec, fiber):
+    """Both factor against the class of the type they return, so its spec
+    certifies their fibration: an Id over a fiber with an edge lifts in its
+    own class, not only in the class it was factored in."""
     gamma = LUContext(terminal())
-    a = constant_type(gamma, discrete(2))
-    p0 = LUTerm(a, constant_map(gamma.sset, discrete(2), "p0"))
+    a = LUType(gamma, terminal_map(gamma.sset), terminal_map(fiber), spec)
+    p0 = LUTerm(a, constant_map(gamma.sset, fiber, fiber.cells[0][0]))
     ext = ctx_extend(gamma, a)
-    bd = Binder(a, ext.pb, subst(a, ext.proj))
-    with pytest.raises(ModelError, match="depth"):
-        id_type(a, p0, p0, kan_family(4), 300)
-    with pytest.raises(ModelError, match="depth"):
-        dep_coprod(bd, kan_family(3), 300)
-    assert id_type(a, p0, p0, kan_family(2), 300).spec.depth == 2
+    for t in (id_type(a, p0, p0, 300), dep_coprod(Binder(a, ext.pb, subst(a, ext.proj)), 300)):
+        assert t.spec == spec
+        assert spec.check(t.p)[0]
 
 
 def test_audit_refuses_a_depth_other_than_the_class_depth():

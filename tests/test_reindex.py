@@ -8,7 +8,6 @@ import pytest
 
 from ssetkit.corpus import discrete
 from ssetkit.kernel import boundary, constant_map, pullback, std_simplex, terminal, terminal_map
-from ssetkit.lifting import kan_family
 from ssetkit.model import (
     Binder,
     FibClassSpec,
@@ -84,7 +83,7 @@ def _hom():
 
 
 def _coprod(variant):
-    c = dep_coprod(family(const(GAMMA, BASE_SPEC)), kan_family(2), 300, variant=variant)
+    c = dep_coprod(family(const(GAMMA, BASE_SPEC)), 300, variant=variant)
     return c, _coprod_intro(c, None)
 
 
@@ -115,7 +114,7 @@ CASES = {
     "pi-app": (_pi, lambda s, f: pi_app(s, f, LUTerm(s.former.binder.a, constant_map(s.ctx.sset, discrete(2), "p1")))),
     "hom-app": (_hom, hom_app),
     "id-refl": (
-        lambda: (id_type(K, P0, P0, kan_family(2), 300), P0),
+        lambda: (id_type(K, P0, P0, 300), P0),
         lambda idt, t: id_refl(idt, LUTerm(idt.former.a, t.section)),
     ),
     "coprod-intro": (lambda: _coprod("stable"), _coprod_intro),

@@ -1,4 +1,4 @@
-"""Time the map search and count its face lookups; stdlib only.
+"""Time the map search, the small object argument and pushouts, and count their work; stdlib only.
 
 Usage, from the root of a checkout:
 
@@ -34,6 +34,22 @@ Workloads:
   over ``lemma_corpus(400)``, then ``b_functor(Δ^1, level=l).sset`` against
   ``interval_groupoid_skeleton(l)`` for l = 1, 2, 3: the calls that
   ``lemma_four_conditions`` and criterion 4 make.
+- ``boundary_include/B``: ``factor_soa`` of
+  ``corpus/maps/boundary_include.smap`` against ``kan_family(2)`` at budget
+  B = 20, 40, 80, 120, which completes or exhausts its budget.
+- ``coprod_z/B``: ``factor_soa`` against ``kan_family(2)`` of the map
+  Z -> 1 that ``dep_coprod`` factors for ``Coprod (i : I1) A``, with A the
+  constant fibration discrete(2) -> Δ^0 and both types in the kan class at
+  depth 2 (Z has 4 vertices and 2 edges), at budget B = 25, 50, 100, 200.
+- ``pushout``: every pushout that the ``boundary_include`` and ``coprod_z``
+  rows make, and those of ``leibniz(i, j)`` over the pairs of
+  ``corpus/maps`` whose span is not a monomorphism, recorded before the
+  clock starts and then built again.  A smaller budget's pushouts are the
+  first ones of the larger budget's, so each map is recorded once, at its
+  largest budget.
+
+The factor rows also store the cells they attach and ``pushout`` the cells
+it builds, counted in every timed run, which must agree.
 """
 
 from __future__ import annotations
@@ -51,6 +67,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_search.json"
+MAPS = ROOT / "corpus" / "maps"
 HEAVY = (20, 22, 27, 28)
 RANDOM_BASE, RANDOM_MAPS = 50_000, 128
 RUNS = 5
@@ -62,7 +79,65 @@ WORKLOADS = {
     "classify_random": "classify(f, 3) and g_fib_check(f, 3) over the first 128 fibcheck random maps",
     "find_isomorphism": "find_isomorphism(x, core_G(x, level=3).core) over lemma_corpus(400), "
                         "and b(Δ^1) against the interval groupoid skeleton at levels 1-3",
+    **{f"boundary_include/{b}": f"factor_soa(boundary_include, kan_family(2), {b})" for b in (20, 40, 80, 120)},
+    **{f"coprod_z/{b}": f"factor_soa(Z -> 1 of Coprod (i : I1) A, kan_family(2), {b})" for b in (25, 50, 100, 200)},
+    "pushout": "pushout(f, g) over the spans of boundary_include/120, coprod_z/200 "
+               "and the corpus leibniz pairs whose span is not mono",
 }
+
+
+def _factor_map(name: str):
+    """The map a factor row factors."""
+    from ssetkit.corpus import discrete
+    from ssetkit.kernel import compose, load_smap, std_simplex, terminal, terminal_map
+    from ssetkit.model import Binder, FibClassSpec, LUContext, LUType, ctx_extend
+    from ssetkit.model.formers import _pi_universe
+
+    if name == "boundary_include":
+        return load_smap(MAPS / "boundary_include.smap")
+    spec = FibClassSpec("kan", 2)
+    gamma = LUContext(terminal())
+    a = LUType(gamma, terminal_map(gamma.sset), terminal_map(std_simplex(1)), spec)
+    pb = ctx_extend(gamma, a).pb
+    b = LUType(LUContext(pb.sset), terminal_map(pb.sset), terminal_map(discrete(2)), spec)
+    _, pb_u, _, z = _pi_universe(Binder(a, pb, b))
+    return compose(pb_u.proj1, z.proj1)
+
+
+def _attached(f, budget: int) -> int:
+    """Cells ``factor_soa`` attaches to f against ``kan_family(2)`` within the budget."""
+    from ssetkit.lifting import BudgetExhausted, factor_soa, kan_family
+
+    try:
+        fac = factor_soa(f, kan_family(2), budget)
+    except BudgetExhausted as exc:
+        fac = exc.partial
+    return len(fac.attachments)
+
+
+def _spans() -> list:
+    """The spans the pushout workload builds, recorded through ``lifting``."""
+    from ssetkit import lifting
+    from ssetkit.kernel import load_smap
+
+    spans, build = [], lifting.pushout
+
+    def record(f, g):
+        spans.append((f, g))
+        return build(f, g)
+
+    lifting.pushout = record
+    try:
+        _attached(_factor_map("boundary_include"), 120)
+        _attached(_factor_map("coprod_z"), 200)
+        factored = len(spans)
+        maps = [load_smap(p) for p in sorted(MAPS.glob("*.smap"))]
+        for i in maps:
+            for j in maps:
+                lifting.leibniz(i, j)
+    finally:
+        lifting.pushout = build
+    return spans[:factored] + [(f, g) for f, g in spans[factored:] if f.preimages() is None]
 
 
 def _inputs(name: str):
@@ -70,8 +145,17 @@ def _inputs(name: str):
     from ssetkit.corpus import catfib_corpus, lemma_corpus, random_map, random_sset
     from ssetkit.joyal import b_functor, core_G, g_fib_check
     from ssetkit.kernel import enumerate_maps, find_isomorphism, horn, interval_groupoid_skeleton, std_simplex
+    from ssetkit.kernel import pushout
     from ssetkit.lifting import classify, has_rlp, kan_family
 
+    if "/" in name:
+        row, budget = name.split("/")
+        f = _factor_map(row)
+        kan_family(2)  # cached, so the generators are built before the clock starts
+        return lambda: {"attachments": _attached(f, int(budget))}
+    if name == "pushout":
+        spans = _spans()
+        return lambda: {"cells": sum(pushout(f, g).sset.size() for f, g in spans)}
     if name == "horn_into_vertices":
         source, target = horn(3, 0)[0], catfib_corpus()[28].source
         return lambda: list(enumerate_maps(source, target))
@@ -117,8 +201,10 @@ def child(name: str, count: bool) -> dict:
     run = _inputs(name)
     if not count:
         start = time.perf_counter()
-        run()
-        return {"seconds": time.perf_counter() - start}
+        work = run()
+        seconds = time.perf_counter() - start
+        # the factor rows and pushout count their work; the other workloads return no counts
+        return {"seconds": seconds, **(work if isinstance(work, dict) else {})}
     calls = {"simplices_with_faces": 0, "face": 0}
 
     def counted(method: str):
@@ -157,20 +243,26 @@ def measure(trees: dict[str, Path]) -> dict:
     """Each tree's results per workload, the trees' timed runs alternated."""
     columns: dict = {column: {} for column in trees}
     for name in WORKLOADS:
-        seconds: dict = {column: [] for column in trees}
+        runs: dict = {column: [] for column in trees}
         for _ in range(RUNS):
             for column, src in trees.items():
-                seconds[column].append(_spawn(src, name, False)["seconds"])
+                runs[column].append(_spawn(src, name, False))
         for column, src in trees.items():
+            seconds = [r.pop("seconds") for r in runs[column]]
+            work = {json.dumps(r, sort_keys=True) for r in runs[column]}
+            if len(work) != 1:
+                raise RuntimeError(f"{name} [{column}]: work differs between runs: {sorted(work)}")
             calls = _spawn(src, name, True)
             columns[column][name] = {
-                "median_s": round(statistics.median(seconds[column]), 6),
-                "runs_s": [round(s, 6) for s in seconds[column]],
+                "median_s": round(statistics.median(seconds), 6),
+                "runs_s": [round(s, 6) for s in seconds],
                 "simplices_with_faces_calls": calls["simplices_with_faces"],
                 "face_calls": calls["face"],
+                **json.loads(work.pop()),
             }
             print(f"{name} [{column}]: {columns[column][name]['median_s']:.4f} s, "
-                  f"{calls['simplices_with_faces']} lookups, {calls['face']} face calls", file=sys.stderr)
+                  f"{calls['simplices_with_faces']} lookups, {calls['face']} face calls, "
+                  f"{runs[column][0] or 'no other counts'}", file=sys.stderr)
     return columns
 
 
