@@ -17,13 +17,24 @@ Grammar sketch::
              'pinl/pinr/pglue/pelim'; 'one', 'i0', 'i1'
 
 Comments run from ``--`` to end of line.
+
+No token spans a line, so the tokenizer is ``_TOKEN.findall`` over each
+line, which skips the whitespace and comments before each token and keeps
+only the token texts: no position is kept per token.  The parser reads the
+texts as plain strings (a token is a name unless it is one of ``_SYMBOLS``)
+and dispatches a type or an atom on its first token through a table.  A
+position is computed only when it is needed, for ``RawDecl.line`` and for a
+``ParseError``: the line by bisecting the index of each line's first token,
+and the column by scanning that one line again.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import accumulate, chain, islice
+from typing import Callable, Optional
 
 from .syntax import (
     App,
@@ -90,13 +101,15 @@ class RawDecl:
     line: int = field(default=0, compare=False)
 
 
-_TOKEN = re.compile(
-    r"""(?P<ws>\s+|--[^\n]*)
-      | (?P<sym>:=|\(\)|[()<>{}|,.:\\#])
-      | (?P<name>[A-Za-z_][A-Za-z0-9_'-]*)
-    """,
-    re.VERBOSE,
-)
+_SYMBOLS = frozenset({":=", "()", "(", ")", "<", ">", "{", "}", "|", ",", ".", ":", "\\", "#"})
+
+# A token, after the whitespace and comments before it on its line.  ``.``
+# catches a character that starts no token, and ``\Z`` ends the line with one
+# or two empty tokens.
+_TOKEN = re.compile(r"(?:\s+|--[^\n]*)*(:=|\(\)|[()<>{}|,.:\\#]|[A-Za-z_][A-Za-z0-9_'-]*|.|\Z)")
+
+# The one-character tokens that ``.`` does not catch.
+_ONE_CHAR = frozenset("()<>{}|,.:\\#_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 # Deepest nesting of terms and types the parser accepts.  Each level costs at
 # most three Python frames here, so a program at the bound parses (and
@@ -104,61 +117,74 @@ _TOKEN = re.compile(
 # ParseError rather than a RecursionError.
 _MAX_NESTING = 256
 
-_TERM_KEYWORDS = {
-    "one", "i0", "i1", "lam", "app", "spair", "fst", "snd", "refl", "idJ",
-    "in", "coprod-elim", "pinl", "pinr", "pglue", "pelim",
-}
 _TYPE_KEYWORDS = {
     "One", "I1", "Hom", "Pi", "Coprod", "Sigma", "Id", "Path", "Pushout",
 }
 _RESERVED = _TYPE_KEYWORDS | {"def", "postulate", "Type", "Base"}
 
+# What is not a name, the end of input (None) included; what is no variable;
+# and what ends an application spine: anything but '(', '\' and a variable.
+_NOT_NAME = _SYMBOLS | {None}
+_NOT_VARIABLE = _NOT_NAME | _RESERVED
+_NOT_ARGUMENT = _NOT_VARIABLE - {"(", "\\"}
+
 
 class _Tokens:
+    """The token texts of a source, then None, and a cursor over them."""
+
     def __init__(self, src: str):
-        self.toks: list[tuple[str, str, int, int]] = []
-        line, bol = 1, 0
-        pos = 0
-        while pos < len(src):
-            m = _TOKEN.match(src, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {src[pos]!r}", line, pos - bol + 1)
-            text = m.group(0)
-            if m.lastgroup != "ws":
-                self.toks.append((m.lastgroup, text, line, pos - bol + 1))
-            line += text.count("\n")
-            if "\n" in text:
-                bol = pos + text.rindex("\n") + 1
-            pos = m.end()
+        self.lines = src.split("\n")
+        # the token texts of each line, without the empty ones at its end
+        self.per_line = [list(filter(None, found)) for found in map(_TOKEN.findall, self.lines)]
+        self.toks: list[Optional[str]] = list(chain.from_iterable(self.per_line))
+        self.firsts: Optional[list] = None  # the index of each line's first token
+        stray = [t for t in set(self.toks) if len(t) == 1 and t not in _ONE_CHAR]
+        self.toks.append(None)
+        if stray:
+            i = min(self.toks.index(t) for t in stray)
+            raise ParseError(f"unexpected character {self.toks[i]!r}", *self.position(i))
         self.idx = 0
         self.depth = 0
 
-    def peek(self, k: int = 0) -> Optional[tuple]:
-        if self.idx + k < len(self.toks):
-            return self.toks[self.idx + k]
-        return None
+    def line(self, i: int) -> int:
+        """The line of token i."""
+        if self.firsts is None:
+            self.firsts = [0, *accumulate(map(len, self.per_line))]
+        return bisect_right(self.firsts, i)
 
-    def next(self) -> tuple:
-        t = self.peek()
+    def position(self, i: int) -> tuple:
+        """Line and column of token i, or 1:1 for the end of input."""
+        if self.toks[i] is None:
+            return 1, 1
+        line = self.line(i)
+        matches = _TOKEN.finditer(self.lines[line - 1])
+        match = next(islice(matches, i - self.firsts[line - 1], None))
+        return line, match.start(1) + 1
+
+    def peek(self, k: int = 0) -> Optional[str]:
+        """The token k ahead; k = 1 only when the next token is not None."""
+        return self.toks[self.idx + k]
+
+    def next(self) -> str:
+        t = self.toks[self.idx]
         if t is None:
-            last = self.toks[-1] if self.toks else (None, "", 1, 1)
-            raise ParseError("unexpected end of input", last[2], last[3])
+            raise ParseError("unexpected end of input", *self.position(self.idx - 1))
         self.idx += 1
         return t
 
-    def expect(self, text: str) -> tuple:
+    def expect(self, text: str) -> None:
+        if self.toks[self.idx] == text:
+            self.idx += 1
+            return
         t = self.next()
-        if t[1] != text:
-            raise ParseError(f"expected {text!r}, found {t[1]!r}", t[2], t[3])
-        return t
+        raise self.err(f"expected {text!r}, found {t!r}", self.idx - 1)
 
-    def at(self, text: str, k: int = 0) -> bool:
-        t = self.peek(k)
-        return t is not None and t[1] == text
+    def at(self, text: str) -> bool:
+        return self.toks[self.idx] == text
 
-    def err(self, message: str) -> ParseError:
-        t = self.peek() or (None, "", 1, 1)
-        return ParseError(message, t[2], t[3])
+    def err(self, message: str, i: Optional[int] = None) -> ParseError:
+        """A ParseError at token i, by default the next one."""
+        return ParseError(message, *self.position(self.idx if i is None else i))
 
     def deeper(self) -> None:
         """Go one level deeper in the syntax tree, refusing to pass _MAX_NESTING."""
@@ -167,25 +193,11 @@ class _Tokens:
         self.depth += 1
 
 
-def _nested(parse):
-    """Count each ``parse`` call as one level of nesting, for its duration."""
-
-    def nested(ts: _Tokens):
-        depth = ts.depth
-        ts.deeper()
-        try:
-            return parse(ts)
-        finally:
-            ts.depth = depth
-
-    return nested
-
-
 def _parse_name(ts: _Tokens) -> str:
     t = ts.next()
-    if t[0] != "name":
-        raise ParseError(f"expected a name, found {t[1]!r}", t[2], t[3])
-    return t[1]
+    if t in _SYMBOLS:
+        raise ts.err(f"expected a name, found {t!r}", ts.idx - 1)
+    return t
 
 
 # ---------------------------------------------------------------- types
@@ -204,10 +216,10 @@ def _parse_tele_entry(ts: _Tokens) -> tuple:
 
 def _parse_tele(ts: _Tokens) -> tuple:
     if ts.at("()"):  # an explicitly empty telescope
-        ts.next()
+        ts.idx += 1
         return ()
     out: list = []
-    while ts.at("(") and ts.peek(1) is not None and ts.peek(1)[0] == "name":
+    while ts.at("(") and ts.peek(1) not in _NOT_NAME:
         # lookahead: a telescope entry is '(' names ':' ...
         save = ts.idx
         try:
@@ -227,45 +239,54 @@ def _parse_binder_head(ts: _Tokens) -> tuple:
     return n, ty
 
 
-@_nested
 def _parse_type(ts: _Tokens) -> Type:
-    t = ts.peek()
-    if t is None:
-        raise ts.err("expected a type")
-    kind, text = t[0], t[1]
-    if text == "One":
-        ts.next()
-        return TUnit()
-    if text == "I1":
-        ts.next()
-        return TInterval()
-    if text == "Hom":
-        ts.next()
-        ts.expect("(")
-        if ts.at("("):
-            tele: list = []
-            while ts.at("("):
-                tele.extend(_parse_tele_entry(ts))
-            ts.expect(".")
-            b = _parse_type(ts)
-            ts.expect(")")
-            return TDepHom(tuple(tele), b)
-        a = _parse_type(ts)
-        ts.expect(",")
+    depth = ts.depth
+    ts.deeper()
+    try:
+        t = ts.peek()
+        rule = _TYPE_RULES.get(t)
+        if rule is not None:
+            ts.idx += 1
+            return rule(ts)
+        if t in _NOT_NAME:
+            raise ts.err("expected a type" if t is None else f"expected a type, found {t!r}")
+        ts.idx += 1
+        return TConst(t)
+    finally:
+        ts.depth = depth
+
+
+def _type_hom(ts: _Tokens) -> Type:
+    ts.expect("(")
+    if ts.at("("):
+        tele: list = []
+        while ts.at("("):
+            tele.extend(_parse_tele_entry(ts))
+        ts.expect(".")
         b = _parse_type(ts)
         ts.expect(")")
-        return THom(a, b)
-    if text in ("Pi", "Coprod", "Sigma"):
-        ts.next()
+        return TDepHom(tuple(tele), b)
+    a = _parse_type(ts)
+    ts.expect(",")
+    b = _parse_type(ts)
+    ts.expect(")")
+    return THom(a, b)
+
+
+def _type_binder(node) -> Callable:
+    """``Pi``, ``Coprod`` and ``Sigma``: a binder head, then the body type."""
+
+    def rule(ts: _Tokens) -> Type:
         n, ty = _parse_binder_head(ts)
-        body = _parse_type(ts)
-        if text == "Pi":
-            return TPi(n, ty, body)
-        if text == "Coprod":
-            return TCoprod(n, ty, body)
-        return TSigma(n, ty, body)
-    if text in ("Id", "Path"):
-        ts.next()
+        return node(n, ty, _parse_type(ts))
+
+    return rule
+
+
+def _type_equality(node) -> Callable:
+    """``Id`` and ``Path``: a type and two terms in parentheses."""
+
+    def rule(ts: _Tokens) -> Type:
         ts.expect("(")
         a = _parse_type(ts)
         ts.expect(",")
@@ -273,210 +294,251 @@ def _parse_type(ts: _Tokens) -> Type:
         ts.expect(",")
         right = _parse_term(ts)
         ts.expect(")")
-        return TId(a, left, right) if text == "Id" else TPath(a, left, right)
-    if text == "Pushout":
-        ts.next()
-        ts.expect("(")
-        f = _parse_term(ts)
-        ts.expect(",")
-        g = _parse_term(ts)
-        ts.expect(")")
-        return TPushout(f, g)
-    if text == "<":
-        ts.next()
-        ts.expect("Pi")
-        y, v = _parse_binder_head(ts)
-        a = _parse_type(ts)
-        ts.expect("|")
-        clauses = []
-        while True:
-            x, u = _parse_binder_head(ts)
-            j = _parse_atom(ts)
-            ts.expect(".")
-            body = _parse_term(ts)
-            clauses.append(ExtClause(x, u, j, body))
-            if ts.at(","):
-                ts.next()
-                continue
-            break
-        ts.expect(">")
-        return TExt(y, v, a, tuple(clauses))
-    if text == "(":
-        ts.next()
-        name = _parse_name(ts)
-        args = []
-        while not ts.at(")"):
-            args.append(_parse_atom(ts))
-        ts.expect(")")
-        return TConst(name, tuple(args))
-    if kind == "name":
-        ts.next()
-        return TConst(text)
-    raise ts.err(f"expected a type, found {text!r}")
+        return node(a, left, right)
+
+    return rule
+
+
+def _type_pushout(ts: _Tokens) -> Type:
+    ts.expect("(")
+    f = _parse_term(ts)
+    ts.expect(",")
+    g = _parse_term(ts)
+    ts.expect(")")
+    return TPushout(f, g)
+
+
+def _type_ext(ts: _Tokens) -> Type:
+    ts.expect("Pi")
+    y, v = _parse_binder_head(ts)
+    a = _parse_type(ts)
+    ts.expect("|")
+    clauses = []
+    while True:
+        x, u = _parse_binder_head(ts)
+        j = _parse_atom(ts)
+        ts.expect(".")
+        body = _parse_term(ts)
+        clauses.append(ExtClause(x, u, j, body))
+        if ts.at(","):
+            ts.idx += 1
+            continue
+        break
+    ts.expect(">")
+    return TExt(y, v, a, tuple(clauses))
+
+
+def _type_applied(ts: _Tokens) -> Type:
+    name = _parse_name(ts)
+    args = []
+    while not ts.at(")"):
+        args.append(_parse_atom(ts))
+    ts.expect(")")
+    return TConst(name, tuple(args))
+
+
+_TYPE_RULES = {
+    "One": lambda ts: TUnit(),
+    "I1": lambda ts: TInterval(),
+    "Hom": _type_hom,
+    "Pi": _type_binder(TPi),
+    "Coprod": _type_binder(TCoprod),
+    "Sigma": _type_binder(TSigma),
+    "Id": _type_equality(TId),
+    "Path": _type_equality(TPath),
+    "Pushout": _type_pushout,
+    "<": _type_ext,
+    "(": _type_applied,
+}
 
 
 # ---------------------------------------------------------------- terms
 
 
-@_nested
 def _parse_term(ts: _Tokens) -> Term:
-    if ts.at("\\"):
-        ts.next()
-        x = _parse_name(ts)
-        ts.expect(".")
-        return Lam(x, _parse_term(ts))
-    t = _parse_atom(ts)
-    while True:
-        # each application wraps the spine built so far one level deeper
-        if ts.at("()"):
-            ts.deeper()
-            ts.next()
-            t = HomApp(t)
-            continue
-        nxt = ts.peek()
-        if nxt is not None and (
-            nxt[1] == "("
-            or (nxt[0] == "name" and nxt[1] not in _RESERVED)
-            or nxt[1] == "\\"
-        ):
-            ts.deeper()
-            if nxt[1] == "\\":
-                ts.next()
-                x = _parse_name(ts)
-                ts.expect(".")
-                t = App(t, Lam(x, _parse_term(ts)))
+    depth = ts.depth
+    ts.deeper()
+    try:
+        t = _parse_atom(ts)
+        toks = ts.toks
+        while True:
+            # each application wraps the spine built so far one level deeper
+            nxt = toks[ts.idx]
+            if nxt == "()":
+                ts.deeper()
+                ts.idx += 1
+                t = HomApp(t)
+                continue
+            if nxt in _NOT_ARGUMENT:
                 return t
+            ts.deeper()
+            if nxt == "\\":
+                ts.idx += 1
+                return App(t, _term_lam(ts))
             t = App(t, _parse_atom(ts))
-            continue
-        return t
+    finally:
+        ts.depth = depth
 
 
 def _parse_atom(ts: _Tokens) -> Term:
     t = ts.peek()
-    if t is None:
-        raise ts.err("expected a term")
-    kind, text = t[0], t[1]
-    if text == "one":
-        ts.next()
-        return One()
-    if text == "i0":
-        ts.next()
-        return I0()
-    if text == "i1":
-        ts.next()
-        return I1()
-    if text == "\\":
-        ts.next()
+    rule = _ATOM_RULES.get(t)
+    if rule is not None:
+        ts.idx += 1
+        return rule(ts)
+    if t in _NOT_VARIABLE:
+        raise ts.err("expected a term" if t is None else f"expected a term, found {t!r}")
+    ts.idx += 1
+    return Var(t)
+
+
+def _term_lam(ts: _Tokens) -> Term:
+    x = _parse_name(ts)
+    ts.expect(".")
+    return Lam(x, _parse_term(ts))
+
+
+def _term_hom_lam(ts: _Tokens) -> Term:
+    ts.expect("(")
+    body = _parse_term(ts)
+    ts.expect(")")
+    return HomLam(body)
+
+
+def _term_ext_app(ts: _Tokens) -> Term:
+    ts.expect("{")
+    clauses = []
+    while True:
         x = _parse_name(ts)
         ts.expect(".")
-        return Lam(x, _parse_term(ts))
-    if text == "lam":
-        ts.next()
-        ts.expect("(")
         body = _parse_term(ts)
-        ts.expect(")")
-        return HomLam(body)
-    if text == "app":
-        ts.next()
-        ts.expect("{")
-        clauses = []
-        while True:
-            x = _parse_name(ts)
-            ts.expect(".")
-            body = _parse_term(ts)
-            clauses.append(EAppClause(x, body))
-            if ts.at(","):
-                ts.next()
-                continue
-            break
-        ts.expect("}")
-        ts.expect("(")
-        f = _parse_term(ts)
-        ts.expect(",")
-        v = _parse_term(ts)
-        ts.expect(")")
-        return EApp(tuple(clauses), f, v)
-    if text in ("spair", "in", "pglue"):
-        ts.next()
+        clauses.append(EAppClause(x, body))
+        if ts.at(","):
+            ts.idx += 1
+            continue
+        break
+    ts.expect("}")
+    ts.expect("(")
+    f = _parse_term(ts)
+    ts.expect(",")
+    v = _parse_term(ts)
+    ts.expect(")")
+    return EApp(tuple(clauses), f, v)
+
+
+def _term_binary(node) -> Callable:
+    """``spair``, ``in`` and ``pglue``: two terms in parentheses."""
+
+    def rule(ts: _Tokens) -> Term:
         ts.expect("(")
         a = _parse_term(ts)
         ts.expect(",")
         b = _parse_term(ts)
         ts.expect(")")
-        return {"spair": SPair, "in": In, "pglue": Pglue}[text](a, b)
-    if text in ("fst", "snd", "refl", "pinl", "pinr"):
-        ts.next()
+        return node(a, b)
+
+    return rule
+
+
+def _term_unary(node) -> Callable:
+    """``fst``, ``snd``, ``refl``, ``pinl`` and ``pinr``: one term in parentheses."""
+
+    def rule(ts: _Tokens) -> Term:
         ts.expect("(")
         inner = _parse_term(ts)
         ts.expect(")")
-        return {"fst": Fst, "snd": Snd, "refl": Refl, "pinl": Pinl, "pinr": Pinr}[text](inner)
-    if text == "idJ":
-        ts.next()
-        ts.expect("(")
-        z = _parse_name(ts)
-        p = _parse_name(ts)
-        ts.expect(".")
-        dtype = _parse_type(ts)
-        ts.expect(",")
-        x = _parse_name(ts)
-        ts.expect(".")
-        d = _parse_term(ts)
-        ts.expect(",")
-        q = _parse_term(ts)
+        return node(inner)
+
+    return rule
+
+
+def _term_id_elim(ts: _Tokens) -> Term:
+    ts.expect("(")
+    z = _parse_name(ts)
+    p = _parse_name(ts)
+    ts.expect(".")
+    dtype = _parse_type(ts)
+    ts.expect(",")
+    x = _parse_name(ts)
+    ts.expect(".")
+    d = _parse_term(ts)
+    ts.expect(",")
+    q = _parse_term(ts)
+    ts.expect(")")
+    return IdJ(z, p, dtype, x, d, q)
+
+
+def _term_coprod_elim(ts: _Tokens) -> Term:
+    ts.expect("(")
+    z = _parse_name(ts)
+    ts.expect(".")
+    dtype = _parse_type(ts)
+    ts.expect(",")
+    i = _parse_name(ts)
+    x = _parse_name(ts)
+    ts.expect(".")
+    d = _parse_term(ts)
+    ts.expect(",")
+    scrut = _parse_term(ts)
+    ts.expect(")")
+    return CoprodElim(z, dtype, i, x, d, scrut)
+
+
+def _term_pushout_elim(ts: _Tokens) -> Term:
+    ts.expect("(")
+    w = _parse_name(ts)
+    ts.expect(".")
+    dtype = _parse_type(ts)
+    ts.expect(",")
+    y = _parse_name(ts)
+    ts.expect(".")
+    d1 = _parse_term(ts)
+    ts.expect(",")
+    z = _parse_name(ts)
+    ts.expect(".")
+    d2 = _parse_term(ts)
+    ts.expect(",")
+    x = _parse_name(ts)
+    i = _parse_name(ts)
+    ts.expect(".")
+    d3 = _parse_term(ts)
+    ts.expect(",")
+    scrut = _parse_term(ts)
+    ts.expect(")")
+    return PushElim(w, dtype, y, d1, z, d2, x, i, d3, scrut)
+
+
+def _term_paren(ts: _Tokens) -> Term:
+    a = _parse_term(ts)
+    if ts.at(","):
+        ts.idx += 1
+        b = _parse_term(ts)
         ts.expect(")")
-        return IdJ(z, p, dtype, x, d, q)
-    if text == "coprod-elim":
-        ts.next()
-        ts.expect("(")
-        z = _parse_name(ts)
-        ts.expect(".")
-        dtype = _parse_type(ts)
-        ts.expect(",")
-        i = _parse_name(ts)
-        x = _parse_name(ts)
-        ts.expect(".")
-        d = _parse_term(ts)
-        ts.expect(",")
-        scrut = _parse_term(ts)
-        ts.expect(")")
-        return CoprodElim(z, dtype, i, x, d, scrut)
-    if text == "pelim":
-        ts.next()
-        ts.expect("(")
-        w = _parse_name(ts)
-        ts.expect(".")
-        dtype = _parse_type(ts)
-        ts.expect(",")
-        y = _parse_name(ts)
-        ts.expect(".")
-        d1 = _parse_term(ts)
-        ts.expect(",")
-        z = _parse_name(ts)
-        ts.expect(".")
-        d2 = _parse_term(ts)
-        ts.expect(",")
-        x = _parse_name(ts)
-        i = _parse_name(ts)
-        ts.expect(".")
-        d3 = _parse_term(ts)
-        ts.expect(",")
-        scrut = _parse_term(ts)
-        ts.expect(")")
-        return PushElim(w, dtype, y, d1, z, d2, x, i, d3, scrut)
-    if text == "(":
-        ts.next()
-        a = _parse_term(ts)
-        if ts.at(","):
-            ts.next()
-            b = _parse_term(ts)
-            ts.expect(")")
-            return CPair(a, b)
-        ts.expect(")")
-        return a
-    if kind == "name" and text not in _RESERVED:
-        ts.next()
-        return Var(text)
-    raise ts.err(f"expected a term, found {text!r}")
+        return CPair(a, b)
+    ts.expect(")")
+    return a
+
+
+_ATOM_RULES = {
+    "one": lambda ts: One(),
+    "i0": lambda ts: I0(),
+    "i1": lambda ts: I1(),
+    "\\": _term_lam,
+    "lam": _term_hom_lam,
+    "app": _term_ext_app,
+    "spair": _term_binary(SPair),
+    "in": _term_binary(In),
+    "pglue": _term_binary(Pglue),
+    "fst": _term_unary(Fst),
+    "snd": _term_unary(Snd),
+    "refl": _term_unary(Refl),
+    "pinl": _term_unary(Pinl),
+    "pinr": _term_unary(Pinr),
+    "idJ": _term_id_elim,
+    "coprod-elim": _term_coprod_elim,
+    "pelim": _term_pushout_elim,
+    "(": _term_paren,
+}
 
 
 # ---------------------------------------------------------------- files
@@ -487,33 +549,34 @@ def parse_file(src: str) -> tuple[tuple, tuple]:
     ts = _Tokens(src)
     pragmas = []
     while ts.at("#"):
-        ts.next()
+        ts.idx += 1
         pragmas.append(_parse_name(ts))
     decls = []
     while ts.peek() is not None:
-        t = ts.next()
-        if t[1] not in ("def", "postulate"):
-            raise ParseError(f"expected a declaration, found {t[1]!r}", t[2], t[3])
+        start = ts.idx
+        keyword = ts.next()
+        if keyword != "def" and keyword != "postulate":
+            raise ts.err(f"expected a declaration, found {keyword!r}", start)
         name = _parse_name(ts)
         btele = _parse_tele(ts)
         itele = None
         if ts.at("|"):
-            ts.next()
+            ts.idx += 1
             itele = _parse_tele(ts)
         ts.expect(":")
         if ts.at("Type"):
-            ts.next()
+            ts.idx += 1
             rhs: object = "Type"
         elif ts.at("Base"):
-            ts.next()
+            ts.idx += 1
             rhs = "Base"
         else:
             rhs = _parse_type(ts)
         body = None
         if ts.at(":="):
-            ts.next()
+            ts.idx += 1
             body = _parse_term(ts)
-        decls.append(RawDecl(t[1], name, btele, itele, rhs, body, line=t[2]))
+        decls.append(RawDecl(keyword, name, btele, itele, rhs, body, line=ts.line(start)))
     return tuple(pragmas), tuple(decls)
 
 

@@ -1,4 +1,4 @@
-"""Time the map search, the small object argument and pushouts, and count their work; stdlib only.
+"""Time the map search, the small object argument, pushouts and the .itt front end, and count their work; stdlib only.
 
 Usage, from the root of a checkout:
 
@@ -6,16 +6,21 @@ Usage, from the root of a checkout:
     python3 tools/bench_search.py --column parent --src OLD/src \
         --column change --src NEW/src
 
-Each workload runs five times per tree, each time in a fresh interpreter
-that imports ssetkit from that tree's ``DIR`` (default, for a single
-column: this checkout's ``src``), and once more with
+Each workload runs in rounds, one timed run per tree a round, each run in a
+fresh interpreter that imports ssetkit from that tree's ``DIR`` (default,
+for a single column: this checkout's ``src``).  With two trees the rounds
+alternate which tree runs first, A B, B A, A B, ..., so that drift of the
+host over the invocation falls on both alike, and they go on until the
+interquartile ranges of the trees' seconds are disjoint, at least
+``MIN_ROUNDS`` and at most ``MAX_ROUNDS`` rounds; a single tree runs
+``MIN_ROUNDS``.  Each tree then runs once more with
 ``FinSSet.simplices_with_faces`` and ``FinSSet.face`` wrapped to count their
-calls, a machine-independent measure of the search.  With two trees the
-timed runs alternate, A, B, A, B, ..., so that drift of the host over the
-invocation falls on both alike.  The median wall seconds, the single runs
-and the counts are stored under each ``NAME`` in each workload of
-``BENCH_search.json``; other columns in that file are kept.  Inputs are
-built before the clock starts.
+calls, a machine-independent measure of the search.  The median wall
+seconds with their interquartile range, the rounds in which the tree was
+fastest, the single runs and the counts are stored under each ``NAME`` in
+each workload of ``BENCH_search.json``; other columns in that file are
+kept.  Inputs are built, and their garbage collected, before the clock
+starts.
 
 Workloads:
 
@@ -48,13 +53,24 @@ Workloads:
   first ones of the larger budget's, so each map is recorded once, at its
   largest budget.
 
-The factor rows also store the cells they attach and ``pushout`` the cells
-it builds, counted in every timed run, which must agree.
+- ``parse``: ``parse_file`` over the 248 sources of rounds 0-3 of the
+  perfbench ``typecheck`` workload at seed 1 (768 KB; generated by
+  ``perfbench.workloads.generate_program`` or read from ``corpus/itt``),
+  counting the tokens (read through the tree's tokenizer before the clock
+  starts), the declarations and the sources that do not parse.
+- ``check``: the checker over the same sources, parsed before the clock
+  starts, as ``check_source`` checks them, counting the declarations
+  checked and the sources rejected.
+
+The factor rows also store the cells they attach, ``pushout`` the cells it
+builds, and ``parse`` and ``check`` what they count, in every timed run;
+these must agree between the runs and between the trees.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -63,6 +79,7 @@ import statistics
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,7 +87,8 @@ OUT = ROOT / "BENCH_search.json"
 MAPS = ROOT / "corpus" / "maps"
 HEAVY = (20, 22, 27, 28)
 RANDOM_BASE, RANDOM_MAPS = 50_000, 128
-RUNS = 5
+TYPECHECK_SEED, TYPECHECK_ROUNDS = 1, 4
+MIN_ROUNDS, MAX_ROUNDS = 10, 15
 
 WORKLOADS = {
     "horn_into_vertices": "list(enumerate_maps(horn(3, 0)[0], catfib_corpus()[28].source))",
@@ -83,6 +101,8 @@ WORKLOADS = {
     **{f"coprod_z/{b}": f"factor_soa(Z -> 1 of Coprod (i : I1) A, kan_family(2), {b})" for b in (25, 50, 100, 200)},
     "pushout": "pushout(f, g) over the spans of boundary_include/120, coprod_z/200 "
                "and the corpus leibniz pairs whose span is not mono",
+    "parse": "parse_file over the 248 sources of typecheck seed 1, rounds 0-3",
+    "check": "the checker over the 248 parsed sources of typecheck seed 1, rounds 0-3",
 }
 
 
@@ -140,6 +160,80 @@ def _spans() -> list:
     return spans[:factored] + [(f, g) for f, g in spans[factored:] if f.preimages() is None]
 
 
+def _typecheck_sources() -> list[str]:
+    """The sources of the first rounds of the perfbench ``typecheck`` workload."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench.workloads import choose_round, generate_program, load_pool
+
+    pool = load_pool("typecheck")
+    sources = []
+    for round_no in range(TYPECHECK_ROUNDS):
+        for iid in choose_round(pool, TYPECHECK_SEED, round_no):
+            spec = pool["items"][iid]["spec"]
+            if spec["kind"] == "generated":
+                sources.append(generate_program(spec["size"], spec["variant"], spec["bad"])[0])
+            else:
+                sources.append((ROOT / spec["file"]).read_text())
+    return sources
+
+
+def _tokens(src: str) -> int:
+    """The tokens of ``src``, read through the tree's tokenizer; 0 when it refuses them."""
+    from ssetkit.tt.parser import ParseError, _Tokens
+
+    try:
+        ts = _Tokens(src)
+    except ParseError:
+        return 0
+    count = 0
+    while ts.peek() is not None:
+        ts.next()
+        count += 1
+    return count
+
+
+def _tt_inputs(name: str):
+    """The ``parse`` or ``check`` workload's function over its inputs."""
+    from ssetkit.tt import CheckError, Checker, ParseError, parse_file
+
+    sources = _typecheck_sources()
+    if name == "parse":
+        tokens = sum(map(_tokens, sources))
+
+        def parse():
+            declarations = errors = 0
+            for src in sources:
+                try:
+                    declarations += len(parse_file(src)[1])
+                except ParseError:
+                    errors += 1
+            return {"tokens": tokens, "declarations": declarations, "parse_errors": errors}
+
+        return parse
+    parsed = []
+    for src in sources:
+        try:
+            parsed.append(parse_file(src))
+        except ParseError:
+            pass
+
+    def check():
+        declarations = rejected = 0
+        for pragmas, decls in parsed:
+            ck = Checker(stable_coproducts="stable-coproducts" in pragmas)
+            try:
+                if set(pragmas) - {"stable-coproducts"}:
+                    raise CheckError("pragma", "unknown pragma")
+                for d in decls:
+                    ck.check_decl(d)
+                    declarations += 1
+            except CheckError:
+                rejected += 1
+        return {"declarations": declarations, "rejected": rejected}
+
+    return check
+
+
 def _inputs(name: str):
     """The workload's inputs and a function running it on them."""
     from ssetkit.corpus import catfib_corpus, lemma_corpus, random_map, random_sset
@@ -148,6 +242,8 @@ def _inputs(name: str):
     from ssetkit.kernel import pushout
     from ssetkit.lifting import classify, has_rlp, kan_family
 
+    if name in ("parse", "check"):
+        return _tt_inputs(name)
     if "/" in name:
         row, budget = name.split("/")
         f = _factor_map(row)
@@ -200,10 +296,13 @@ def child(name: str, count: bool) -> dict:
 
     run = _inputs(name)
     if not count:
+        # the garbage of building the inputs is set-up, not the workload's: left
+        # pending, it can start a full collection inside the timed section
+        gc.collect()
         start = time.perf_counter()
         work = run()
         seconds = time.perf_counter() - start
-        # the factor rows and pushout count their work; the other workloads return no counts
+        # the factor rows, pushout, parse and check count their work; the others return no counts
         return {"seconds": seconds, **(work if isinstance(work, dict) else {})}
     calls = {"simplices_with_faces": 0, "face": 0}
 
@@ -239,28 +338,56 @@ def _spawn(src: Path, name: str, count: bool) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
+def _quartiles(seconds: list[float]) -> tuple[float, float]:
+    q1, _, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    return q1, q3
+
+
+def _separated(seconds: dict) -> bool:
+    """Whether no two trees' interquartile ranges of seconds overlap."""
+    ranges = [_quartiles(s) for s in seconds.values()]
+    return all(a[1] < b[0] or b[1] < a[0] for a, b in combinations(ranges, 2))
+
+
 def measure(trees: dict[str, Path]) -> dict:
-    """Each tree's results per workload, the trees' timed runs alternated."""
+    """Each tree's results per workload, from rounds that alternate which tree runs first."""
     columns: dict = {column: {} for column in trees}
+    order = list(trees.items())
     for name in WORKLOADS:
         runs: dict = {column: [] for column in trees}
-        for _ in range(RUNS):
-            for column, src in trees.items():
-                runs[column].append(_spawn(src, name, False))
-        for column, src in trees.items():
-            seconds = [r.pop("seconds") for r in runs[column]]
-            work = {json.dumps(r, sort_keys=True) for r in runs[column]}
+        seconds: dict = {column: [] for column in trees}
+        wins = dict.fromkeys(trees, 0)
+        for k in range(MAX_ROUNDS):
+            for column, src in order if k % 2 == 0 else order[::-1]:
+                run = _spawn(src, name, False)
+                seconds[column].append(run.pop("seconds"))
+                runs[column].append(run)
+            times = {column: s[-1] for column, s in seconds.items()}
+            fastest = min(times.values())
+            if list(times.values()).count(fastest) == 1:
+                wins[min(times, key=times.get)] += 1
+            if k + 1 >= MIN_ROUNDS and (len(trees) == 1 or _separated(seconds)):
+                break
+        works = {column: {json.dumps(r, sort_keys=True) for r in runs[column]} for column in trees}
+        for column, work in works.items():
             if len(work) != 1:
                 raise RuntimeError(f"{name} [{column}]: work differs between runs: {sorted(work)}")
+        if len(set.union(*works.values())) != 1:
+            raise RuntimeError(f"{name}: work differs between trees: {works}")
+        for column, src in trees.items():
             calls = _spawn(src, name, True)
+            q1, q3 = _quartiles(seconds[column])
             columns[column][name] = {
-                "median_s": round(statistics.median(seconds), 6),
-                "runs_s": [round(s, 6) for s in seconds],
+                "median_s": round(statistics.median(seconds[column]), 6),
+                "iqr_s": round(q3 - q1, 6),
+                "wins": wins[column],
+                "runs_s": [round(s, 6) for s in seconds[column]],
                 "simplices_with_faces_calls": calls["simplices_with_faces"],
                 "face_calls": calls["face"],
-                **json.loads(work.pop()),
+                **runs[column][0],
             }
-            print(f"{name} [{column}]: {columns[column][name]['median_s']:.4f} s, "
+            print(f"{name} [{column}]: {columns[column][name]['median_s']:.4f} s "
+                  f"(IQR {q3 - q1:.4f} s, fastest in {wins[column]} of {len(seconds[column])}), "
                   f"{calls['simplices_with_faces']} lookups, {calls['face']} face calls, "
                   f"{runs[column][0] or 'no other counts'}", file=sys.stderr)
     return columns
@@ -293,7 +420,7 @@ def main() -> int:
         "nproc": os.cpu_count(),
     }
     doc.setdefault("machine", {}).update({column: machine for column in columns})
-    doc["runs"] = RUNS
+    doc["runs"] = {"min_rounds": MIN_ROUNDS, "max_rounds": MAX_ROUNDS}
     workloads = doc.setdefault("workloads", {})
     for name, what in WORKLOADS.items():
         entry = workloads.setdefault(name, {})
