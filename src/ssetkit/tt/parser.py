@@ -31,6 +31,7 @@ and the column by scanning that one line again.
 from __future__ import annotations
 
 import re
+import string
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
@@ -109,12 +110,13 @@ _SYMBOLS = frozenset({":=", "()", "(", ")", "<", ">", "{", "}", "|", ",", ".", "
 _TOKEN = re.compile(r"(?:\s+|--[^\n]*)*(:=|\(\)|[()<>{}|,.:\\#]|[A-Za-z_][A-Za-z0-9_'-]*|.|\Z)")
 
 # The one-character tokens that ``.`` does not catch.
-_ONE_CHAR = frozenset("()<>{}|,.:\\#_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_ONE_CHAR = frozenset(s for s in _SYMBOLS if len(s) == 1).union(string.ascii_letters + "_")
 
 # Deepest nesting of terms and types the parser accepts.  Each level costs at
-# most three Python frames here, so a program at the bound parses (and
-# checks) well inside the default recursion limit; deeper input is a
-# ParseError rather than a RecursionError.
+# most three Python frames here (which is why the type rules that read an
+# atom call ``_atom_rule(ts)(ts)`` rather than ``_parse_atom``), so a program
+# at the bound parses (and checks) well inside the default recursion limit;
+# deeper input is a ParseError rather than a RecursionError.
 _MAX_NESTING = 256
 
 _TYPE_KEYWORDS = {
@@ -316,7 +318,7 @@ def _type_ext(ts: _Tokens) -> Type:
     clauses = []
     while True:
         x, u = _parse_binder_head(ts)
-        j = _parse_atom(ts)
+        j = _atom_rule(ts)(ts)
         ts.expect(".")
         body = _parse_term(ts)
         clauses.append(ExtClause(x, u, j, body))
@@ -332,7 +334,7 @@ def _type_applied(ts: _Tokens) -> Type:
     name = _parse_name(ts)
     args = []
     while not ts.at(")"):
-        args.append(_parse_atom(ts))
+        args.append(_atom_rule(ts)(ts))
     ts.expect(")")
     return TConst(name, tuple(args))
 
@@ -390,6 +392,17 @@ def _parse_atom(ts: _Tokens) -> Term:
         raise ts.err("expected a term" if t is None else f"expected a term, found {t!r}")
     ts.idx += 1
     return Var(t)
+
+
+def _atom_rule(ts: _Tokens) -> Callable:
+    """The rule that parses the next atom, its keyword consumed: ``_parse_atom``
+    for a variable or an error.  Calling the rule from the caller's frame
+    saves the frame ``_parse_atom`` would cost."""
+    rule = _ATOM_RULES.get(ts.peek())
+    if rule is None:
+        return _parse_atom
+    ts.idx += 1
+    return rule
 
 
 def _term_lam(ts: _Tokens) -> Term:

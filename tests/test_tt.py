@@ -54,10 +54,25 @@ def nested_program(levels: int) -> str:
     return PRELUDE + "def x () | () : A := " + "fst(spair(" * pairs + inner + ", a0))" * pairs + "\n"
 
 
+def nested_type(levels: int, outer: str) -> str:
+    """A type nesting ``levels`` deep through an atom: each ``outer`` wraps
+    the type so far in an idJ motive, one level per wrap."""
+    ty = "A"
+    for _ in range(levels - 1):
+        ty = outer.format(f"idJ(z p. {ty}, w. w, w)")
+    return ty
+
+
+# a type applied to an atom, and an extension type's clause atom
+THROUGH_AN_ATOM = ["(C {})", "<Pi (y : V) A | (x : U) {} . a>"]
+
+
 def test_nesting_at_the_bound_checks():
     ck = check_source(nested_program(_MAX_NESTING))
     assert "x" in ck.decls
     assert parse_type("Sigma (y : A) " * (_MAX_NESTING - 1) + "A") is not None
+    for outer in THROUGH_AN_ATOM:
+        assert parse_type(nested_type(_MAX_NESTING, outer)) is not None
     # an application spine at the bound is checked (and rejected) without a
     # RecursionError
     with pytest.raises(CheckError, match="cannot apply"):
@@ -69,6 +84,9 @@ def test_nesting_above_the_bound_is_a_parse_error():
         check_source(nested_program(_MAX_NESTING + 1))
     with pytest.raises(ParseError, match="nesting deeper than"):
         parse_type("Sigma (y : A) " * _MAX_NESTING + "A")
+    for outer in THROUGH_AN_ATOM:
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_type(nested_type(_MAX_NESTING + 1, outer))
     with pytest.raises(ParseError, match="nesting deeper than"):
         parse_term("\\x. " * 5000 + "x")
     with pytest.raises(ParseError, match="nesting deeper than"):

@@ -20,7 +20,9 @@ seconds with their interquartile range, the rounds in which the tree was
 fastest, the single runs and the counts are stored under each ``NAME`` in
 each workload of ``BENCH_search.json``; other columns in that file are
 kept.  Inputs are built, and their garbage collected, before the clock
-starts.
+starts.  The file's ``method`` records how each column was measured: the
+columns from before ``56195ca`` took five runs per tree with no collection
+before the clock, so compare columns only when their methods agree.
 
 Workloads:
 
@@ -420,7 +422,8 @@ def main() -> int:
         "nproc": os.cpu_count(),
     }
     doc.setdefault("machine", {}).update({column: machine for column in columns})
-    doc["runs"] = {"min_rounds": MIN_ROUNDS, "max_rounds": MAX_ROUNDS}
+    method = {"min_rounds": MIN_ROUNDS, "max_rounds": MAX_ROUNDS, "collect_before_clock": True}
+    doc.setdefault("method", {}).update({column: method for column in columns})
     workloads = doc.setdefault("workloads", {})
     for name, what in WORKLOADS.items():
         entry = workloads.setdefault(name, {})
