@@ -7,6 +7,11 @@ exponential is the point case of the pushforward: Y^X is the dependent
 product of the projection Y x X -> X along X -> 1, so it is a
 :class:`Pushforward` and shares its simplices, transpose and evaluation.
 
+A pushforward realizes itself: its simplices are keys (tau, section), its
+cells the keys that are no degeneracy of a key, and a key is s_j of a key
+only when j is a letter of tau's normal-form word, so only those letters
+are tested.
+
 A pushforward can be infinite-dimensional even for finite inputs, so it
 takes an explicit ``depth`` and returns an honest truncation: every level up
 to ``depth`` is the true level.  Downstream consumers (map enumeration,
@@ -16,7 +21,8 @@ they need.
 
 from __future__ import annotations
 
-from .build import Built, LevelPresentation
+from typing import Optional
+
 from .homs import enumerate_sections
 from .limits import Pullback, product, pullback, q_map, terminal_map
 from .simplex import Simplex, nondeg
@@ -38,7 +44,8 @@ class Pushforward:
     """The dependent product of g: E -> A along f: A -> B, truncated.
 
     An n-simplex over tau: std(n) -> B is a section of g over the pullback of
-    f along tau.
+    f along tau, the key (tau, section).  The cells of level n are numbered
+    ``f{n}_{i}`` in the ``repr`` order of their keys.
     """
 
     def __init__(self, f: SMap, g: SMap, depth: int):
@@ -47,47 +54,90 @@ class Pushforward:
         self.f = f
         self.g = g
         self.depth = depth
-        b = f.target
         self._fibers: dict[tuple[int, Simplex], Pullback] = {}
+        self._ids: dict[tuple, str] = {}  # a cell's key -> the cell
+        self._keys: dict[str, tuple] = {}  # a cell -> its key
+        self._decomp: dict[tuple, Simplex] = {}  # a key -> its normal form
+        levels: list[tuple[str, ...]] = []
+        faces: dict[str, tuple[Simplex, ...]] = {}
+        for n in range(depth + 1):
+            names: list[str] = []
+            for key in sorted(self._elements(n), key=repr):
+                if self._degeneracy_position(n, key) is not None:
+                    continue
+                cid = f"f{n}_{len(names)}"
+                names.append(cid)
+                self._ids[key] = cid
+                self._keys[cid] = key
+                if n:
+                    faces[cid] = tuple(self.decompose(n - 1, self._face(n, key, i)) for i in range(n + 1))
+            levels.append(tuple(names))
+        while levels and not levels[-1]:
+            levels.pop()
+        self.sset = FinSSet(tuple(levels), faces, depth)
+        self.struct = SMap(self.sset, f.target, {c: key[0] for c, key in self._keys.items()})
 
-        def fiber(n: int, tau: Simplex) -> Pullback:
-            key = (n, tau)
-            if key not in self._fibers:
-                self._fibers[key] = pullback(yoneda(b, tau), f)
-            return self._fibers[key]
+    def _fiber(self, n: int, tau: Simplex) -> Pullback:
+        """The chosen pullback of f along tau: std(n) -> B."""
+        fib = self._fibers.get((n, tau))
+        if fib is None:
+            fib = self._fibers[(n, tau)] = pullback(yoneda(self.f.target, tau), self.f)
+        return fib
 
-        self._fiber = fiber
+    def _elements(self, n: int) -> list[tuple]:
+        """Every key of level n, degenerate or not."""
+        return [
+            (tau, _encode(s))
+            for tau in self.f.target.simplices(n)
+            for s in enumerate_sections(self.g, self._fiber(n, tau).proj2)
+        ]
 
-        def elements(n: int):
-            out = []
-            for tau in b.simplices(n):
-                for s in enumerate_sections(g, fiber(n, tau).proj2):
-                    out.append((tau, _encode(s)))
-            return out
+    def _reindex(self, n: int, key: tuple, op: SMap, new_tau: Simplex) -> tuple:
+        """Restrict a key of level n along op: std(m) -> std(n), whose base
+        simplex tau . op is new_tau."""
+        tau, enc = key
+        pb_from = self._fiber(n, tau)
+        s = _decode(enc, pb_from.sset, self.g.source)
+        q = q_map(op, pb_from, self._fiber(op.source.dim, new_tau))
+        return (new_tau, _encode(compose(s, q)))
 
-        def reindex(n_from: int, key: tuple, op: SMap, new_tau: Simplex) -> tuple:
-            """Restrict an n_from-level element along op: std(m) -> std(n_from),
-            whose base simplex tau . op is new_tau."""
-            tau, enc = key
-            pb_from = fiber(n_from, tau)
-            s = _decode(enc, pb_from.sset, g.source)
-            q = q_map(op, pb_from, fiber(op.source.dim, new_tau))
-            return (new_tau, _encode(compose(s, q)))
+    def _face(self, n: int, key: tuple, i: int) -> tuple:
+        return self._reindex(n, key, delta_map(n, i), self.f.target.face(key[0], i))
 
-        pres = LevelPresentation(
-            max_level=depth,
-            elements=elements,
-            face_at=lambda n, k, i: reindex(n, k, delta_map(n, i), b.face(k[0], i)),
-            degen_at=lambda n, k, i: reindex(n, k, sigma_map(n, i), b.degen(k[0], i)),
-        )
-        self._built = Built(pres, depth, prefix="f")
-        self.sset = self._built.sset
-        self.struct = SMap(
-            self.sset, b, {c: self._built._keys[c][1][0] for c in self.sset.nondegenerate()}
-        )
+    def _degen(self, n: int, key: tuple, i: int) -> tuple:
+        return self._reindex(n, key, sigma_map(n, i), self.f.target.degen(key[0], i))
+
+    def _degeneracy_position(self, n: int, key: tuple) -> Optional[int]:
+        """Largest j with key == s_j d_j key, the outermost letter of the
+        key's normal form; only tau's letters can be one."""
+        for j in key[0].word:
+            if self._degen(n - 1, self._face(n, key, j), j) == key:
+                return j
+        return None
+
+    def decompose(self, n: int, key: tuple) -> Simplex:
+        """The normal form of a key of level n."""
+        memo = self._decomp.get(key)
+        if memo is not None:
+            return memo
+        word: list[int] = []
+        level, cur = n, key
+        while (j := self._degeneracy_position(level, cur)) is not None:
+            word.append(j)
+            cur = self._face(level, cur, j)
+            level -= 1
+        cid = self._ids.get(cur)
+        if cid is None:
+            raise SSetError(f"semantic simplex {cur!r} at level {level} was never realized")
+        result = self._decomp[key] = Simplex(tuple(word), cid)
+        return result
 
     def section_at(self, s: Simplex) -> tuple[Simplex, SMap]:
-        n, (tau, enc) = self._built.key_of(s)
+        n, key = self.sset.cell_dim(s.base), self._keys[s.base]
+        for i in reversed(s.word):
+            key = self._degen(n, key, i)
+            n += 1
+        tau, enc = key
         return tau, _decode(enc, self._fiber(n, tau).sset, self.g.source)
 
     def transpose(self, w_map: SMap, k: SMap, pb: Pullback) -> SMap:
@@ -104,7 +154,7 @@ class Pushforward:
                 raise SSetError("transpose: source dimension exceeds pushforward depth")
             tau = w_map.apply_cell(c)
             sec = compose(k, q_map(yoneda(w, nondeg(c)), pb, self._fiber(m, tau)))
-            assign[c] = self._built.decompose(m, (tau, _encode(sec)))
+            assign[c] = self.decompose(m, (tau, _encode(sec)))
         return SMap(w, self.sset, assign)
 
     def evaluate(self, s: Simplex, a: Simplex) -> Simplex:
@@ -181,7 +231,7 @@ class Exponential(Pushforward):
             n = self.sset.cell_dim(c)
             tau, sec = self.section_at(nondeg(c))
             new = act(sec, self._fiber(n, tau), other._fiber(n, tau))
-            assign[c] = other._built.decompose(n, (tau, _encode(new)))
+            assign[c] = other.decompose(n, (tau, _encode(new)))
         return SMap(self.sset, other.sset, assign)
 
 

@@ -1,7 +1,8 @@
 """Finite limits and colimits with their mediating maps.
 
-Finite limits are chosen pullbacks, one :class:`Pullback` record realized
-from semantic pairs of simplices: the product x x y is the pullback of
+Finite limits are chosen pullbacks, one :class:`Pullback` record glued
+level by level from its legs' simplices: a pair is a cell when the two
+normal-form words share no letter.  The product x x y is the pullback of
 x -> 1 <- y, and a pullback along an identity is the other leg.
 :func:`q_map` is the map between two chosen pullbacks of one leg,
 q(sigma, A) of the model.  Every pushout, along a monomorphism as in the
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .build import Built, LevelPresentation
 from .simplex import Simplex, nondeg, word_insert
 from .sset import EMPTY, FinSSet, SMap, SSetError, Truncated, compose, constant_map, identity
 from .standard import std_simplex
@@ -49,7 +49,7 @@ def initial_map(x: FinSSet) -> SMap:
 
 
 def _joint_bound(xs: list[FinSSet], exact_bound: int) -> tuple[int, Optional[int]]:
-    """Realization level and resulting dim_bound for a limit-style build."""
+    """Realization level and resulting dim_bound of a pullback."""
     finite = [x.dim_bound for x in xs if x.dim_bound is not None]
     if finite:
         bound = min(finite)
@@ -84,30 +84,59 @@ class Pullback:
 
 
 def _pullback(f: SMap, g: SMap, prefix: str) -> Pullback:
-    """Realize the pairs of simplices of f.source and g.source over one
-    simplex of the common target, with ids ``{prefix}{level}_{index}``."""
+    """Glue the pairs of simplices of f.source and g.source over one simplex
+    of the common target, with ids ``{prefix}{level}_{index}``.
+
+    By Eilenberg-Zilber, componentwise, a pair (a, b) is s_j of a pair
+    exactly when j is a letter of both normal-form words.  So the cells of
+    level n are the pairs whose words share no letter, numbered in the
+    ``repr`` order of the pairs, and a pair is s_w of the cell left when its
+    common letters w are stripped, highest first.
+    """
     x, y = f.source, g.source
     if x.dim < 0 or y.dim < 0:  # no simplices, so simplex_of is never called
         return Pullback(EMPTY, initial_map(x), initial_map(y), f, None)  # type: ignore[arg-type]
     max_level, dim_bound = _joint_bound([x, y], x.dim + y.dim)
+    normal: dict[tuple[Simplex, Simplex], Simplex] = {}  # a pair -> its simplex, seeded with the cells
 
-    def elements(n: int):
-        ys = {}
+    def simplex_of(a: Simplex, b: Simplex) -> Simplex:
+        s = normal.get((a, b))
+        if s is not None:
+            return s
+        word = tuple(sorted(set(a.word).intersection(b.word), reverse=True))
+        c, d = a, b
+        for j in word:
+            c, d = x.face(c, j), y.face(d, j)
+        cell = normal.get((c, d)) if word else None
+        if cell is None:
+            raise SSetError(f"semantic simplex {(c, d)!r} at level {x.simplex_dim(c)} was never realized")
+        s = normal[(a, b)] = Simplex(word, cell.base)
+        return s
+
+    levels: list[tuple[str, ...]] = []
+    faces: dict[str, tuple[Simplex, ...]] = {}
+    pairs: dict[str, tuple[Simplex, Simplex]] = {}
+    for n in range(max_level + 1):
+        over: dict[Simplex, list[Simplex]] = {}
         for b in y.simplices(n):
-            ys.setdefault(g.apply(b), []).append(b)
-        return [(a, b) for a in x.simplices(n) for b in ys.get(f.apply(a), ())]
-
-    pres = LevelPresentation(
-        max_level=max_level,
-        elements=elements,
-        face_at=lambda n, k, i: (x.face(k[0], i), y.face(k[1], i)),
-        degen_at=lambda n, k, i: (x.degen(k[0], i), y.degen(k[1], i)),
-    )
-    built = Built(pres, dim_bound, prefix=prefix)
-    p = built.sset
-    proj1 = SMap(p, x, {c: built._keys[c][1][0] for c in p.nondegenerate()})
-    proj2 = SMap(p, y, {c: built._keys[c][1][1] for c in p.nondegenerate()})
-    return Pullback(p, proj1, proj2, f, lambda a, b: built.decompose(x.simplex_dim(a), (a, b)))
+            over.setdefault(g.apply(b), []).append(b)
+        kept = sorted(
+            ((a, b) for a in x.simplices(n) for b in over.get(f.apply(a), ()) if set(a.word).isdisjoint(b.word)),
+            key=repr,
+        )
+        names = tuple(f"{prefix}{n}_{i}" for i in range(len(kept)))
+        for cid, (a, b) in zip(names, kept):
+            pairs[cid] = (a, b)
+            normal[(a, b)] = nondeg(cid)
+            if n:
+                faces[cid] = tuple(simplex_of(x.face(a, i), y.face(b, i)) for i in range(n + 1))
+        levels.append(names)
+    while levels and not levels[-1]:
+        levels.pop()
+    p = FinSSet(tuple(levels), faces, dim_bound)
+    proj1 = SMap(p, x, {c: a for c, (a, _) in pairs.items()})
+    proj2 = SMap(p, y, {c: b for c, (_, b) in pairs.items()})
+    return Pullback(p, proj1, proj2, f, simplex_of)
 
 
 def product(x: FinSSet, y: FinSSet) -> Pullback:

@@ -22,11 +22,23 @@ unless ``all_fillers``.  It runs on the kernel's ``enumerate_maps`` and
 ``ssetkit.kernel.simplex.Simplex`` was before it became a named tuple, kept
 verbatim but for its name.
 
+``Built`` and ``LevelPresentation`` are the generic realizer that
+``ssetkit.kernel.build`` held, kept verbatim: it sorts every semantic key
+of a level and tests each for degeneracy with face and degeneracy calls.
 ``Product`` and ``product`` are the product record and its realizer that
 ``ssetkit.kernel.limits.product`` replaced, and ``Pullback`` and
 ``identity_pullback`` the pullback record and the chosen pullback along an
 identity, whose methods were assigned on the instance, all kept verbatim but
 for the names.  Today a product is the chosen pullback over the point.
+``pullback(f, g, prefix)`` is the ``ssetkit.kernel.limits._pullback`` that
+realized every pair of X_n x_Z Y_n through ``Built``; the kernel now glues
+the pairs whose words share no letter directly.  ``Pushforward`` and
+``Exponential`` are the ``ssetkit.kernel.closed`` classes that realized
+their keys through ``Built``, testing every degeneracy position; the kernel
+now tests only the letters of the base simplex's word.  All three are kept
+verbatim but for the name of ``pullback`` and the module prefix of the
+kernel's ``Pullback``, ``initial_map``, ``pullback`` and ``product``; the
+pushforward's fibers and products come from the kernel.
 
 ``Pushout`` and ``pushout`` are the pushout record and the construction
 that realized every pushout through ``Built``, from a union-find over every
@@ -60,11 +72,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, Optional
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from ssetkit import kernel, lifting
+from ssetkit.kernel import delta_map, enumerate_sections, q_map, sigma_map, terminal_map, yoneda
 from ssetkit.kernel.simplex import Simplex, nondeg, word_is_valid
-from ssetkit.kernel.build import Built, LevelPresentation
 from ssetkit.kernel.limits import _joint_bound
 from ssetkit.kernel.sset import EMPTY, FinSSet, SMap, SSetError, Truncated, compose, identity
 from ssetkit.lifting import (
@@ -350,6 +362,97 @@ def has_rlp(p: SMap, family: GeneratorFamily) -> tuple[bool, Optional[LiftingPro
     return (True, None) if found is None else (False, found[1])
 
 
+# ------------------------------------------------------------ the realizer
+
+
+Key = Hashable
+
+
+def _canon(key: Key) -> str:
+    return repr(key)
+
+
+@dataclass
+class LevelPresentation:
+    """Semantic levels of a presheaf, up to ``max_level`` inclusive."""
+
+    max_level: int
+    elements: Callable[[int], Sequence[Key]]
+    face_at: Callable[[int, Key, int], Key]
+    degen_at: Callable[[int, Key, int], Key]
+
+
+class Built:
+    """The realized simplicial set plus translation to/from semantic keys."""
+
+    def __init__(self, pres: LevelPresentation, dim_bound: Optional[int], prefix: str = "x"):
+        self.pres = pres
+        self._decomp: dict[tuple[int, Key], Simplex] = {}
+        self._ids: dict[Key, str] = {}
+        self._keys: dict[str, tuple[int, Key]] = {}
+
+        levels: list[tuple[str, ...]] = []
+        faces: dict[str, tuple[Simplex, ...]] = {}
+        for n in range(pres.max_level + 1):
+            elems = list(pres.elements(n))
+            elems.sort(key=_canon)
+            level_ids = []
+            for key in elems:
+                if self._degeneracy_position(n, key) is not None:
+                    continue
+                cid = f"{prefix}{n}_{len(level_ids)}"
+                level_ids.append(cid)
+                self._ids[key] = cid
+                self._keys[cid] = (n, key)
+            levels.append(tuple(level_ids))
+            if n > 0:
+                for cid in level_ids:
+                    _, key = self._keys[cid]
+                    faces[cid] = tuple(
+                        self.decompose(n - 1, pres.face_at(n, key, i)) for i in range(n + 1)
+                    )
+        while levels and not levels[-1]:
+            levels = levels[:-1]
+        self.sset = FinSSet(tuple(levels), faces, dim_bound)
+
+    def _degeneracy_position(self, n: int, key: Key) -> Optional[int]:
+        """Largest j with key == s_j d_j key, i.e. the outermost EZ letter."""
+        for j in range(n - 1, -1, -1):
+            below = self.pres.face_at(n, key, j)
+            if self.pres.degen_at(n - 1, below, j) == key:
+                return j
+        return None
+
+    def decompose(self, n: int, key: Key) -> Simplex:
+        """EZ normal form of an arbitrary semantic n-simplex."""
+        memo = self._decomp.get((n, key))
+        if memo is not None:
+            return memo
+        word: list[int] = []
+        level, cur = n, key
+        while True:
+            j = self._degeneracy_position(level, cur)
+            if j is None:
+                break
+            word.append(j)
+            cur = self.pres.face_at(level, cur, j)
+            level -= 1
+        cid = self._ids.get(cur)
+        if cid is None:
+            raise SSetError(f"semantic simplex {cur!r} at level {level} was never realized")
+        result = Simplex(tuple(word), cid)
+        self._decomp[(n, key)] = result
+        return result
+
+    def key_of(self, s: Simplex) -> tuple[int, Key]:
+        """Semantic key of an arbitrary simplex of the realized object."""
+        n, key = self._keys[s.base]
+        for i in reversed(s.word):
+            key = self.pres.degen_at(n, key, i)
+            n += 1
+        return n, key
+
+
 # ------------------------------------------------ products and pullbacks
 
 
@@ -441,6 +544,191 @@ def identity_pullback(f: SMap, g: SMap, f_is_id: bool) -> Pullback:
     pb.components = lambda s: (s, f.apply(s))  # type: ignore[method-assign]
     pb.pair = lambda u, v: u  # type: ignore[method-assign]
     return pb
+
+
+def pullback(f: SMap, g: SMap, prefix: str) -> Pullback:
+    """Realize the pairs of simplices of f.source and g.source over one
+    simplex of the common target, with ids ``{prefix}{level}_{index}``."""
+    x, y = f.source, g.source
+    if x.dim < 0 or y.dim < 0:  # no simplices, so simplex_of is never called
+        return kernel.Pullback(EMPTY, kernel.initial_map(x), kernel.initial_map(y), f, None)  # type: ignore[arg-type]
+    max_level, dim_bound = _joint_bound([x, y], x.dim + y.dim)
+
+    def elements(n: int):
+        ys = {}
+        for b in y.simplices(n):
+            ys.setdefault(g.apply(b), []).append(b)
+        return [(a, b) for a in x.simplices(n) for b in ys.get(f.apply(a), ())]
+
+    pres = LevelPresentation(
+        max_level=max_level,
+        elements=elements,
+        face_at=lambda n, k, i: (x.face(k[0], i), y.face(k[1], i)),
+        degen_at=lambda n, k, i: (x.degen(k[0], i), y.degen(k[1], i)),
+    )
+    built = Built(pres, dim_bound, prefix=prefix)
+    p = built.sset
+    proj1 = SMap(p, x, {c: built._keys[c][1][0] for c in p.nondegenerate()})
+    proj2 = SMap(p, y, {c: built._keys[c][1][1] for c in p.nondegenerate()})
+    return kernel.Pullback(p, proj1, proj2, f, lambda a, b: built.decompose(x.simplex_dim(a), (a, b)))
+
+
+# -------------------------------------------- pushforwards and exponentials
+
+
+def _encode(m: SMap) -> tuple:
+    return tuple(sorted(m.assignment.items()))
+
+
+def _decode(enc: tuple, source: FinSSet, target: FinSSet) -> SMap:
+    return SMap(source, target, dict(enc))
+
+
+class Pushforward:
+    """The dependent product of g: E -> A along f: A -> B, truncated.
+
+    An n-simplex over tau: std(n) -> B is a section of g over the pullback of
+    f along tau.
+    """
+
+    def __init__(self, f: SMap, g: SMap, depth: int):
+        if g.target != f.source:
+            raise SSetError("pushforward: g must land in the domain of f")
+        self.f = f
+        self.g = g
+        self.depth = depth
+        b = f.target
+        self._fibers: dict[tuple[int, Simplex], Pullback] = {}
+
+        def fiber(n: int, tau: Simplex) -> Pullback:
+            key = (n, tau)
+            if key not in self._fibers:
+                self._fibers[key] = kernel.pullback(yoneda(b, tau), f)
+            return self._fibers[key]
+
+        self._fiber = fiber
+
+        def elements(n: int):
+            out = []
+            for tau in b.simplices(n):
+                for s in enumerate_sections(g, fiber(n, tau).proj2):
+                    out.append((tau, _encode(s)))
+            return out
+
+        def reindex(n_from: int, key: tuple, op: SMap, new_tau: Simplex) -> tuple:
+            """Restrict an n_from-level element along op: std(m) -> std(n_from),
+            whose base simplex tau . op is new_tau."""
+            tau, enc = key
+            pb_from = fiber(n_from, tau)
+            s = _decode(enc, pb_from.sset, g.source)
+            q = q_map(op, pb_from, fiber(op.source.dim, new_tau))
+            return (new_tau, _encode(compose(s, q)))
+
+        pres = LevelPresentation(
+            max_level=depth,
+            elements=elements,
+            face_at=lambda n, k, i: reindex(n, k, delta_map(n, i), b.face(k[0], i)),
+            degen_at=lambda n, k, i: reindex(n, k, sigma_map(n, i), b.degen(k[0], i)),
+        )
+        self._built = Built(pres, depth, prefix="f")
+        self.sset = self._built.sset
+        self.struct = SMap(
+            self.sset, b, {c: self._built._keys[c][1][0] for c in self.sset.nondegenerate()}
+        )
+
+    def section_at(self, s: Simplex) -> tuple[Simplex, SMap]:
+        n, (tau, enc) = self._built.key_of(s)
+        return tau, _decode(enc, self._fiber(n, tau).sset, self.g.source)
+
+    def transpose(self, w_map: SMap, k: SMap, pb: Pullback) -> SMap:
+        """Adjoint transpose.
+
+        Given w_map: W -> B, the chosen pullback pb of (w_map, f), and
+        k: pb.sset -> E over A (g . k == pb.proj2), produce W -> Pi_f(g).
+        """
+        w = w_map.source
+        assign = {}
+        for c in w.nondegenerate():
+            m = w.cell_dim(c)
+            if m > self.depth:
+                raise SSetError("transpose: source dimension exceeds pushforward depth")
+            tau = w_map.apply_cell(c)
+            sec = compose(k, q_map(yoneda(w, nondeg(c)), pb, self._fiber(m, tau)))
+            assign[c] = self._built.decompose(m, (tau, _encode(sec)))
+        return SMap(w, self.sset, assign)
+
+    def evaluate(self, s: Simplex, a: Simplex) -> Simplex:
+        """Counit: evaluate an n-simplex of Pi at an n-simplex of A over it."""
+        n = self.sset.simplex_dim(s)
+        tau, sec = self.section_at(s)
+        fib = self._fiber(n, tau)
+        top = nondeg("_".join(str(v) for v in range(n + 1)))
+        return sec.apply(fib.simplex_of(top, a))
+
+    def counit(self, pb: Pullback) -> SMap:
+        """Evaluation Pi_f(g) x_B A -> E on a chosen pullback of (struct, f)."""
+        assign = {}
+        for c in pb.sset.nondegenerate():
+            s, a = pb.components(nondeg(c))
+            assign[c] = self.evaluate(s, a)
+        return SMap(pb.sset, self.g.source, assign)
+
+
+class Exponential(Pushforward):
+    """base^exponent, truncated at ``depth``: the pushforward of the
+    projection base x X -> X along X -> 1.
+
+    An n-simplex is a section of that projection over std(n) x X, that is a
+    map std(n) x X -> base.
+    """
+
+    def __init__(self, base: FinSSet, exponent: FinSSet, depth: int):
+        if not (base.is_exact and exponent.is_exact):
+            raise SSetError("exponential requires exact inputs")
+        self.base = base
+        self.prod = kernel.product(base, exponent)
+        super().__init__(terminal_map(exponent), self.prod.proj2, depth)
+
+    def curry(self, k: SMap, pb: Pullback) -> SMap:
+        """Transpose k: W x X -> base into W -> base^X.
+
+        ``pb`` is the chosen pullback W -> 1 <- X, the source of k.
+        """
+        return self.transpose(pb.left_map, self.prod.pair(k, pb.proj2), pb)
+
+    def uncurry(self, h: SMap, pb: Pullback) -> SMap:
+        """Transpose h: W -> base^X into W x X -> base, on pb as in curry."""
+        assign = {}
+        for c in pb.sset.nondegenerate():
+            w, x = pb.components(nondeg(c))
+            assign[c] = self.prod.proj1.apply(self.evaluate(h.apply(w), x))
+        return SMap(pb.sset, self.base, assign)
+
+    def postcompose(self, g: SMap, other: "Exponential") -> SMap:
+        """g^X: base^X -> other.sset for g: base -> other.base."""
+        g_x = other.prod.pair(compose(g, self.prod.proj1), self.prod.proj2)
+        return self._on_sections(other, lambda sec, fib, fib_o: compose(g_x, sec))
+
+    def precompose(self, j: SMap, other: "Exponential") -> SMap:
+        """base^j: base^X -> base^U for j: U -> X (other = base^U)."""
+
+        def restrict(sec: SMap, fib: Pullback, fib_u: Pullback) -> SMap:
+            incl = fib.pair(fib_u.proj1, compose(j, fib_u.proj2))
+            return other.prod.pair(compose(self.prod.proj1, compose(sec, incl)), fib_u.proj2)
+
+        return self._on_sections(other, restrict)
+
+    def _on_sections(self, other: "Exponential", act) -> SMap:
+        """The map self.sset -> other.sset that sends the simplex with section
+        sec over the fiber fib to the one with section act(sec, fib, fib_o),
+        fib_o being other's fiber at the same level."""
+        assign = {}
+        for c in self.sset.nondegenerate():
+            n = self.sset.cell_dim(c)
+            tau, sec = self.section_at(nondeg(c))
+            new = act(sec, self._fiber(n, tau), other._fiber(n, tau))
+            assign[c] = other._built.decompose(n, (tau, _encode(new)))
+        return SMap(self.sset, other.sset, assign)
 
 
 # ---------------------------------------- pushouts and the cell attachment

@@ -3,7 +3,7 @@
 ``pushout`` glues every span, along a monomorphism or not, from its legs'
 cells, and ``factor_soa`` passes over the tops that an earlier scan
 already found solved.  ``reference.pushout`` realizes every pushout
-through ``kernel/build.Built``, and ``reference.factor_soa`` rescans from
+through ``reference.Built``, and ``reference.factor_soa`` rescans from
 the first generator's first top after each attachment.  Both pairs must
 agree exactly: the same cells, faces and legs, the same ``Truncated``
 messages, and the same attachments.  ``b_functor`` and ``leibniz``, whose

@@ -3,8 +3,8 @@
 
 The goldens hold the stdout of that command for each ordered pair of maps
 in ``corpus/maps``, as ``I--J.json``, recorded while ``limits.pushout``
-still realized every span that is not a monomorphism through
-``kernel/build.Built``.  Every pair exits 0.  The verb runs in-process,
+still realized every span that is not a monomorphism through the
+generic realizer, kept as ``reference.Built``.  Every pair exits 0.  The verb runs in-process,
 from the repository root.
 """
 

@@ -1,16 +1,20 @@
 """Kernel layer: simplicial identities, hom counting, (co)limits, serialization."""
 
 import random
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
 from ssetkit.kernel import (
     EMPTY,
+    FinSSet,
     Simplex,
+    SMap,
     SSetError,
+    Truncated,
     boundary,
     compose,
     constant_map,
@@ -39,8 +43,10 @@ from ssetkit.kernel import (
     terminal_map,
     yoneda,
 )
+from ssetkit.kernel.limits import _pullback
 from ssetkit.kernel.simplex import degeneracy_words
 from ssetkit.corpus import (
+    adjunction_pairs,
     catfib_corpus,
     discrete,
     random_map,
@@ -237,6 +243,60 @@ def test_product_matches_the_old_product(x, y, seed):
         assert new.pair(u, v) == old.pair(u, v)
 
 
+def _truncated(f, extra):
+    """f with its source truncated ``extra`` levels above its top cells."""
+    x = f.source
+    return SMap(FinSSet(x.cells, x.faces, max(x.dim, 0) + extra), f.target, f.assignment)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class and text of the SSetError it raises."""
+    try:
+        return fn(*args)
+    except SSetError as e:
+        return type(e).__name__, str(e)
+
+
+@given(
+    seed=seeds,
+    codomain=st.sampled_from(["delta1", "delta2", "random"]),
+    truncate=st.sampled_from([None, 0, 1]),
+    swap=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_pullback_matches_the_old_pullback(seed, codomain, truncate, swap):
+    rng = random.Random(seed)
+    x, y = (random_sset(rng, max_dim=2, max_cells=5) for _ in range(2))
+    if codomain == "random":
+        z = random_sset(rng, max_dim=2, max_cells=4)
+    else:
+        z = std_simplex(1 if codomain == "delta1" else 2)
+    f, g = random_map(rng, x, z), random_map(rng, y, z)
+    assume(f is not None and g is not None)
+    if truncate is not None:
+        f = _truncated(f, truncate)
+    if swap:
+        f, g = g, f
+    new, old = _pullback(f, g, "q"), reference.pullback(f, g, "q")
+    assert new.sset.key() == old.sset.key()
+    assert (new.proj1, new.proj2) == (old.proj1, old.proj2)
+    x, y = f.source, g.source
+    # every pair of x_n x y_n, incompatible ones and those one level above
+    # the realized ones included, has the same simplex or the same error
+    for n in range(x.dim + y.dim + 2):
+        try:
+            pairs = [(a, b) for a in x.simplices(n) for b in y.simplices(n)]
+        except Truncated:
+            break
+        for a, b in pairs:
+            assert _outcome(new.simplex_of, a, b) == _outcome(old.simplex_of, a, b)
+    w = random_sset(rng, max_dim=2, max_cells=4)
+    h = random_map(rng, w, new.sset) if new.sset.is_exact or w.dim <= new.sset.dim_bound else None
+    if h is not None:
+        u, v = compose(new.proj1, h), compose(new.proj2, h)
+        assert new.pair(u, v) == old.pair(u, v) == h
+
+
 @given(seed=seeds)
 @settings(max_examples=40, deadline=None)
 def test_identity_pullback_matches_the_old_one(seed):
@@ -341,6 +401,74 @@ def test_pushforward_sections_match_transpose():
     n_direct = sum(1 for _ in enumerate_sections(g, identity(std_simplex(1))))
     n_push = sum(1 for _ in enumerate_sections(pf.struct, identity(std_simplex(1))))
     assert n_direct == n_push
+
+
+# -- one pushforward, against the realizer it replaced ---------------------------
+#
+# A key (tau, section) of a pushforward is tested for degeneracy only at the
+# letters of tau's word.  Criterion 2's pushforwards and exponentials have
+# bases of dimension at most 1; the first four catfib_corpus fibrations with
+# a 2-dimensional base (Δ^2, Δ^1 x Δ^1, Δ^2 + 2 points, and Δ^2 under
+# Δ^2 x 2 points) give bases with nondegenerate edges and triangles.
+
+
+def _same_pushforward(new, old):
+    assert new.sset.key() == old.sset.key()
+    assert new.struct == old.struct
+    for n in range(new.depth + 1):
+        for s in new.sset.simplices(n):
+            assert new.section_at(s) == old.section_at(s)
+
+
+def _catfib_over_a_triangle():
+    """The distinct catfib_corpus fibrations whose base is 2-dimensional."""
+    out = []
+    for p in catfib_corpus():
+        if p.target.dim == 2 and p not in out:
+            out.append(p)
+    return out
+
+
+PUSHFORWARDS = [  # (f, g, w_map), the first three criterion 2's
+    (terminal_map(discrete(2)), product(discrete(2), discrete(2)).proj1, terminal_map(std_simplex(1))),
+    (constant_map(terminal(), std_simplex(1), "0"), identity(terminal()), identity(std_simplex(1))),
+    (terminal_map(std_simplex(1)), identity(std_simplex(1)), terminal_map(discrete(2))),
+] + [
+    (p, g, identity(p.target))
+    for p in _catfib_over_a_triangle()[:4]
+    for g in (identity(p.source), product(p.source, discrete(2)).proj1)
+]
+
+
+@pytest.mark.parametrize("f,g,w_map", PUSHFORWARDS)
+def test_pushforward_matches_the_old_pushforward(f, g, w_map):
+    new, old = pushforward(f, g, 2), reference.Pushforward(f, g, 2)
+    _same_pushforward(new, old)
+    pb = pullback(w_map, f)
+    for k in islice(enumerate_sections(g, pb.proj2), 16):
+        assert new.transpose(w_map, k, pb) == old.transpose(w_map, k, pb)
+
+
+ADJUNCTION_EXPONENTS = list(dict.fromkeys(b for _, b in adjunction_pairs()))
+
+
+@pytest.mark.parametrize("base", [std_simplex(1), discrete(2)], ids=["delta1", "discrete2"])
+@pytest.mark.parametrize("x", ADJUNCTION_EXPONENTS, ids=range(len(ADJUNCTION_EXPONENTS)))
+def test_exponential_matches_the_old_exponential(base, x):
+    new, old = exponential(base, x, 2), reference.Exponential(base, x, 2)
+    _same_pushforward(new, old)
+    for w in EXP_SOURCES:
+        pb = _chosen(w, x)
+        for k in islice(enumerate_maps(pb.sset, base), 16):
+            assert new.curry(k, pb) == old.curry(k, pb)
+        for h in islice(enumerate_maps(w, new.sset), 16):
+            assert new.uncurry(h, pb) == old.uncurry(h, pb)
+    new_other, old_other = exponential(std_simplex(1), x, 2), reference.Exponential(std_simplex(1), x, 2)
+    for g in enumerate_maps(base, std_simplex(1)):
+        assert new.postcompose(g, new_other) == old.postcompose(g, old_other)
+    j = constant_map(terminal(), x, x.cells[0][-1])
+    new_u, old_u = exponential(base, terminal(), 2), reference.Exponential(base, terminal(), 2)
+    assert new.precompose(j, new_u) == old.precompose(j, old_u)
 
 
 def _naive_sections(p, over):

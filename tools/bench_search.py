@@ -1,4 +1,4 @@
-"""Time the map search, the small object argument, pushouts and the .itt front end, and count their work; stdlib only.
+"""Time the map search, the small object argument, (co)limits, pushforwards, the .itt front end and interp, and count their work; stdlib only.
 
 Usage, from the root of a checkout:
 
@@ -55,6 +55,14 @@ Workloads:
   first ones of the larger budget's, so each map is recorded once, at its
   largest budget.
 
+- ``pullback``: every ``limits._pullback`` call, products included, that
+  criteria 2, 9 (``split_substitution_suite()``) and 11 make, recorded
+  before the clock starts and then built again.
+- ``pushforward``: every ``closed.Pushforward`` that criterion 2 builds (its
+  50 exponentials and 3 pushforwards) and that ``audit_semifib`` builds on
+  the ``audit`` verb's corpus for each family at depth 2, recorded before
+  the clock starts and then built again.
+
 - ``parse``: ``parse_file`` over the 248 sources of rounds 0-3 of the
   perfbench ``typecheck`` workload at seed 1 (768 KB; generated by
   ``perfbench.workloads.generate_program`` or read from ``corpus/itt``),
@@ -63,10 +71,15 @@ Workloads:
 - ``check``: the checker over the same sources, parsed before the clock
   starts, as ``check_source`` checks them, counting the declarations
   checked and the sources rejected.
+- ``interp``: the elaborator over the interp items of the same rounds, as
+  the workload interprets them in the kan class at depth 2, checked before
+  the clock starts, counting the definitions interpreted, skipped and
+  failed.
 
-The factor rows also store the cells they attach, ``pushout`` the cells it
-builds, and ``parse`` and ``check`` what they count, in every timed run;
-these must agree between the runs and between the trees.
+The factor rows also store the cells they attach, ``pushout``, ``pullback``
+and ``pushforward`` the cells they build, and ``parse``, ``check`` and
+``interp`` what they count, in every timed run; these must agree between
+the runs and between the trees.
 """
 
 from __future__ import annotations
@@ -103,8 +116,11 @@ WORKLOADS = {
     **{f"coprod_z/{b}": f"factor_soa(Z -> 1 of Coprod (i : I1) A, kan_family(2), {b})" for b in (25, 50, 100, 200)},
     "pushout": "pushout(f, g) over the spans of boundary_include/120, coprod_z/200 "
                "and the corpus leibniz pairs whose span is not mono",
+    "pullback": "limits._pullback over the calls of criteria 2, 9 and 11",
+    "pushforward": "closed.Pushforward over the calls of criterion 2 and audit_semifib for each family at depth 2",
     "parse": "parse_file over the 248 sources of typecheck seed 1, rounds 0-3",
     "check": "the checker over the 248 parsed sources of typecheck seed 1, rounds 0-3",
+    "interp": "the elaborator over the checked interp items of typecheck seed 1, rounds 0-3",
 }
 
 
@@ -137,46 +153,73 @@ def _attached(f, budget: int) -> int:
     return len(fac.attachments)
 
 
+def _recorded(owner, attr: str, run) -> list[tuple]:
+    """The arguments of every call of ``owner.attr`` that ``run()`` makes."""
+    calls, original = [], getattr(owner, attr)
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+
+    setattr(owner, attr, record)
+    try:
+        run()
+    finally:
+        setattr(owner, attr, original)
+    return calls
+
+
 def _spans() -> list:
     """The spans the pushout workload builds, recorded through ``lifting``."""
     from ssetkit import lifting
     from ssetkit.kernel import load_smap
 
-    spans, build = [], lifting.pushout
-
-    def record(f, g):
-        spans.append((f, g))
-        return build(f, g)
-
-    lifting.pushout = record
-    try:
+    def factor():
         _attached(_factor_map("boundary_include"), 120)
         _attached(_factor_map("coprod_z"), 200)
-        factored = len(spans)
-        maps = [load_smap(p) for p in sorted(MAPS.glob("*.smap"))]
-        for i in maps:
-            for j in maps:
-                lifting.leibniz(i, j)
-    finally:
-        lifting.pushout = build
-    return spans[:factored] + [(f, g) for f, g in spans[factored:] if f.preimages() is None]
+
+    maps = [load_smap(p) for p in sorted(MAPS.glob("*.smap"))]
+    factored = _recorded(lifting, "pushout", factor)
+    leibniz = _recorded(lifting, "pushout", lambda: [lifting.leibniz(i, j) for i in maps for j in maps])
+    return factored + [(f, g) for f, g in leibniz if f.preimages() is None]
 
 
-def _typecheck_sources() -> list[str]:
-    """The sources of the first rounds of the perfbench ``typecheck`` workload."""
+def _limit_inputs(name: str):
+    """The ``pullback`` or ``pushforward`` workload's function over its recorded calls."""
+    from ssetkit import acceptance, cli
+    from ssetkit.kernel import closed, limits
+    from ssetkit.model import FibClassSpec, audit_semifib
+
+    if name == "pullback":
+        calls = _recorded(limits, "_pullback", lambda: [
+            acceptance.criterion_2(), acceptance.criterion_9(), acceptance.criterion_11()
+        ])
+        return lambda: {"cells": sum(limits._pullback(*args).sset.size() for args in calls)}
+
+    def build():
+        acceptance.criterion_2()
+        for family in ("kan", "inner", "trivial", "cat"):
+            audit_semifib(FibClassSpec(family, 2), cli._default_audit_corpus(), budget=300, depth=2)
+
+    calls = _recorded(closed.Pushforward, "__init__", build)  # (self, f, g, depth)
+    return lambda: {"cells": sum(closed.Pushforward(*args[1:]).sset.size() for args in calls)}
+
+
+def _typecheck_items() -> list[tuple[str, str]]:
+    """The kind and source of each item of the first rounds of the perfbench ``typecheck`` workload."""
     sys.path.insert(0, str(ROOT))
     from perfbench.workloads import choose_round, generate_program, load_pool
 
     pool = load_pool("typecheck")
-    sources = []
+    items = []
     for round_no in range(TYPECHECK_ROUNDS):
         for iid in choose_round(pool, TYPECHECK_SEED, round_no):
             spec = pool["items"][iid]["spec"]
             if spec["kind"] == "generated":
-                sources.append(generate_program(spec["size"], spec["variant"], spec["bad"])[0])
+                items.append((spec["kind"], generate_program(spec["size"], spec["variant"], spec["bad"])[0]))
             else:
-                sources.append((ROOT / spec["file"]).read_text())
-    return sources
+                items.append((spec["kind"], (ROOT / spec["file"]).read_text()))
+    return items
 
 
 def _tokens(src: str) -> int:
@@ -198,7 +241,7 @@ def _tt_inputs(name: str):
     """The ``parse`` or ``check`` workload's function over its inputs."""
     from ssetkit.tt import CheckError, Checker, ParseError, parse_file
 
-    sources = _typecheck_sources()
+    sources = [src for _, src in _typecheck_items()]
     if name == "parse":
         tokens = sum(map(_tokens, sources))
 
@@ -236,6 +279,40 @@ def _tt_inputs(name: str):
     return check
 
 
+def _interp_inputs():
+    """The ``interp`` workload's function over its checked sources."""
+    from ssetkit import lifting, model, tt
+
+    checked = [tt.check_source(src) for kind, src in _typecheck_items() if kind == "interp"]
+    family = lifting.kan_family(2)
+
+    def interp():
+        counts = {"interpreted": 0, "skipped": 0, "failed": 0}
+        for ck in checked:
+            env = tt.ModelEnv(
+                spec=model.FibClassSpec("kan", 2),
+                base_spec=model.FibClassSpec("inner", 2),
+                family=family,
+                budget=300,
+                stable_coproducts=ck.stable,
+            )
+            el = tt.Elaborator(env)
+            for decl in ck.decls.values():
+                if decl.kind != "term" or decl.body is None:
+                    counts["skipped"] += 1
+                    continue
+                try:
+                    el.elab_decl(decl)
+                    counts["interpreted"] += 1
+                except model.UnsupportedConstruction:
+                    counts["skipped"] += 1
+                except model.ModelError:
+                    counts["failed"] += 1
+        return counts
+
+    return interp
+
+
 def _inputs(name: str):
     """The workload's inputs and a function running it on them."""
     from ssetkit.corpus import catfib_corpus, lemma_corpus, random_map, random_sset
@@ -246,6 +323,10 @@ def _inputs(name: str):
 
     if name in ("parse", "check"):
         return _tt_inputs(name)
+    if name == "interp":
+        return _interp_inputs()
+    if name in ("pullback", "pushforward"):
+        return _limit_inputs(name)
     if "/" in name:
         row, budget = name.split("/")
         f = _factor_map(row)
@@ -304,7 +385,7 @@ def child(name: str, count: bool) -> dict:
         start = time.perf_counter()
         work = run()
         seconds = time.perf_counter() - start
-        # the factor rows, pushout, parse and check count their work; the others return no counts
+        # every row from the factor rows on counts its work; the rows before it return no counts
         return {"seconds": seconds, **(work if isinstance(work, dict) else {})}
     calls = {"simplices_with_faces": 0, "face": 0}
 
