@@ -18,7 +18,6 @@ from .kernel import (
     FinSSet,
     SMap,
     boundary,
-    compose,
     constant_map,
     coproduct,
     enumerate_maps,

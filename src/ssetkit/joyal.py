@@ -17,7 +17,6 @@ from typing import Mapping, Optional
 
 from .kernel import (
     FinSSet,
-    Pushout,
     SMap,
     SSetError,
     Simplex,
@@ -240,22 +239,30 @@ class BResult:
     """b(X): every nondegenerate edge glued to a classifying interval.
 
     ``copies`` records, per inverted edge, the inclusion of its interval
-    copy; ``steps`` keeps the pushouts so maps out of b(X) can be induced.
+    copy.  Every cell of b(X) is the image of a cell of X under the unit or
+    of a cell of the interval under a copy.
     """
 
     sset: FinSSet
     unit: SMap  # X -> b(X)
     edges: tuple[str, ...]
     copies: Mapping[str, SMap] = field(compare=False)
-    steps: tuple[Pushout, ...] = field(compare=False)
     level: int
 
     def induce(self, on_base: SMap, on_copies: Mapping[str, SMap]) -> SMap:
-        """The map b(X) -> Z from a cocone: a map on X and one per copy."""
-        cur = on_base
-        for e, po in zip(self.edges, self.steps):
-            cur = po.induce(cur, on_copies[e])
-        return SMap(self.sset, cur.target, cur.assignment)
+        """The map b(X) -> Z from a cocone: a map on X and one per copy.
+
+        Where the unit and the copies meet, the cocone agrees, so each cell
+        takes the image of the first cell that hits it.
+        """
+        image: dict[str, Simplex] = {}
+        legs = [(self.unit, on_base)] + [(self.copies[e], on_copies[e]) for e in self.edges]
+        for leg, to in legs:
+            for c in leg.source.nondegenerate():
+                s = leg.assignment[c]
+                if not s.word:
+                    image.setdefault(s.base, to.apply_cell(c))
+        return SMap(self.sset, on_base.target, {c: image[c] for c in self.sset.nondegenerate()})
 
 
 @lru_cache(maxsize=None)
@@ -270,7 +277,6 @@ def b_functor(x: FinSSet, level: int) -> BResult:
     current = x
     unit = identity(x)
     copies: dict[str, SMap] = {}
-    steps: list[Pushout] = []
     for e in edges:
         classifier = compose(unit, edge_classifier(x, nondeg(e)))
         po = pushout(classifier, edge)
@@ -278,14 +284,13 @@ def b_functor(x: FinSSet, level: int) -> BResult:
             copies[prev] = compose(po.inl, copies[prev])
         copies[e] = po.inr
         unit = compose(po.inl, unit)
-        steps.append(po)
         current = po.sset
     if edges:
         bound = level if x.dim_bound is None else min(level, x.dim_bound)
         current = _retag(current, bound)
         unit = SMap(x, current, unit.assignment)
         copies = {e: SMap(sk, current, m.assignment) for e, m in copies.items()}
-    return BResult(current, unit, edges, copies, tuple(steps), level)
+    return BResult(current, unit, edges, copies, level)
 
 
 def b_map(f: SMap, level: int) -> SMap:

@@ -13,17 +13,14 @@ from .sset import (
     identity,
 )
 from .standard import (
-    CategoryPresentation,
     boundary,
     delta_map,
     horn,
     interval_groupoid_skeleton,
-    nerve,
     nerve_j,
     sigma_map,
     simplex_space_map,
     std_simplex,
-    walking_iso_category,
     yoneda,
 )
 from .homs import check_represented, count_maps, enumerate_maps, enumerate_sections, face_lookup

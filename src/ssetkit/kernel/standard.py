@@ -1,4 +1,4 @@
-"""Standard simplicial sets: simplices, boundaries, horns, nerves.
+"""Standard simplicial sets: simplices, boundaries, horns, the classifying interval.
 
 Cells of the standard n-simplex are named by their vertex sets, joined with
 underscores ("0", "0_2", "0_1_2", ...), so inclusions are easy to read in
@@ -8,9 +8,8 @@ diagnostics and serialized files.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 from .simplex import Simplex, collapse_word, nondeg
 from .sset import EMPTY, FinSSet, SMap, SSetError
@@ -23,9 +22,6 @@ __all__ = [
     "delta_map",
     "sigma_map",
     "yoneda",
-    "CategoryPresentation",
-    "nerve",
-    "walking_iso_category",
     "nerve_j",
     "interval_groupoid_skeleton",
 ]
@@ -114,136 +110,35 @@ def yoneda(x: FinSSet, s: Simplex) -> SMap:
     return SMap(src, x, assign)
 
 
-# -- nerves of finite categories ------------------------------------------
-
-
-@dataclass(frozen=True)
-class CategoryPresentation:
-    """A finite category given by its full composition table.
-
-    ``arrows`` maps non-identity arrow names to (source, target) objects.
-    ``compose`` maps pairs (f, g) with f: a -> b, g: b -> c (apply f first)
-    to the name of the composite, or to ``None`` meaning an identity arrow.
-    """
-
-    objects: tuple[str, ...]
-    arrows: Mapping[str, tuple[str, str]]
-    compose: Mapping[tuple[str, str], Optional[str]]
-
-    def src(self, a: str) -> str:
-        return self.arrows[a][0]
-
-    def tgt(self, a: str) -> str:
-        return self.arrows[a][1]
-
-    def validate(self) -> list[str]:
-        problems = []
-        for (f, g), h in self.compose.items():
-            if self.tgt(f) != self.src(g):
-                problems.append(f"compose entry ({f},{g}) not composable")
-                continue
-            if h is not None and (self.src(h), self.tgt(h)) != (self.src(f), self.tgt(g)):
-                problems.append(f"composite {h} of ({f},{g}) has wrong endpoints")
-        for f in self.arrows:
-            for g in self.arrows:
-                if self.tgt(f) == self.src(g) and (f, g) not in self.compose:
-                    problems.append(f"missing composite for ({f},{g})")
-        return problems
-
-    def comp(self, f: Optional[str], g: Optional[str]) -> Optional[str]:
-        """Composition with None standing for identity arrows."""
-        if f is None:
-            return g
-        if g is None:
-            return f
-        return self.compose[(f, g)]
-
-
-ID = None  # identity marker inside chains
-
-
-def nerve(cat: CategoryPresentation, depth: int) -> FinSSet:
-    """The nerve, realized up to dimension ``depth``.
-
-    Exact when some level at or below ``depth`` carries no nondegenerate
-    chain (then nothing nondegenerate can appear above it either), otherwise
-    truncated at ``depth``.
-    """
-    problems = cat.validate()
-    if problems:
-        raise SSetError("; ".join(problems))
-
-    # chains at level n: (start_object, arrows...) with len == n, identities
-    # excluded -- a chain containing an identity is degenerate, and every
-    # degenerate simplex is a degeneracy word applied to such a reduced chain.
-    # We realize nondegenerate chains directly.
-    levels: list[tuple[str, ...]] = [tuple(f"n_{o}" for o in sorted(cat.objects))]
-    chain_of = {f"n_{o}": (o,) for o in cat.objects}
-    faces: dict[str, tuple[Simplex, ...]] = {}
-
-    def chains(n: int):
-        if n == 0:
-            for o in sorted(cat.objects):
-                yield (o,)
-            return
-        for prefix in chains(n - 1):
-            tail = prefix[0] if n == 1 else cat.tgt(prefix[-1])
-            for a in sorted(cat.arrows):
-                if cat.src(a) == tail:
-                    yield prefix + (a,)
-
-    def chain_id(ch: tuple) -> str:
-        return "n_" + "__".join(ch)
-
-    def face_of_chain(ch: tuple, i: int) -> Simplex:
-        obj, arrows = ch[0], list(ch[1:])
-        n = len(arrows)
-        word: tuple[int, ...] = ()
-        if i == 0:
-            new = [cat.tgt(arrows[0])] + arrows[1:]
-        elif i == n:
-            new = [obj] + arrows[:-1]
-        else:
-            composite = cat.comp(arrows[i - 1], arrows[i])
-            if composite is None:
-                # the inner composite is an identity: the face is degenerate
-                new = [obj] + arrows[: i - 1] + arrows[i + 1 :]
-                word = (i - 1,)
-            else:
-                new = [obj] + arrows[: i - 1] + [composite] + arrows[i + 1 :]
-        return Simplex(word, chain_id(tuple(new)))
-
-    n = 1
-    exact = False
-    while n <= depth:
-        level = []
-        for ch in chains(n):
-            cid = chain_id(ch)
-            level.append(cid)
-            chain_of[cid] = ch
-            faces[cid] = tuple(face_of_chain(ch, i) for i in range(n + 1))
-        if not level:
-            exact = True
-            break
-        levels.append(tuple(level))
-        n += 1
-    return FinSSet(tuple(levels), faces, None if exact else depth).assert_valid()
-
-
-@lru_cache(maxsize=None)
-def walking_iso_category() -> CategoryPresentation:
-    """The groupoid with two objects and a unique arrow in each direction."""
-    return CategoryPresentation(
-        objects=("a", "b"),
-        arrows={"f": ("a", "b"), "g": ("b", "a")},
-        compose={("f", "g"): None, ("g", "f"): None},
-    )
+# -- the classifying interval ----------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def nerve_j(depth: int) -> FinSSet:
-    """Truncated nerve of the walking isomorphism (the classifying interval)."""
-    return nerve(walking_iso_category(), depth)
+    """Truncated nerve of the walking isomorphism f: a -> b, g: b -> a (the
+    classifying interval), realized up to dimension ``depth``.
+
+    Each level n has two nondegenerate chains, one from ``a`` and one from
+    ``b``, whose arrows alternate f and g; ``n_a__f__g`` is the chain
+    a -f-> b -g-> a.  d_0 is the chain from the other object with one arrow
+    fewer and d_n drops the last arrow.  Since f g and g f are identities, an
+    inner face d_i is s_{i-1} of the chain with two arrows fewer.
+    """
+
+    def chain(start: int, n: int) -> str:
+        return "__".join(["n_" + "ab"[start]] + ["fg"[(start + k) % 2] for k in range(n)])
+
+    # level 0 holds the two objects even at a negative depth, which assert_valid refuses
+    levels = [tuple(chain(start, n) for start in (0, 1)) for n in range(max(depth, 0) + 1)]
+    faces: dict[str, tuple[Simplex, ...]] = {}
+    for n in range(1, depth + 1):
+        for start in (0, 1):
+            faces[chain(start, n)] = (
+                nondeg(chain(1 - start, n - 1)),
+                *(Simplex((i - 1,), chain(start, n - 2)) for i in range(1, n)),
+                nondeg(chain(start, n - 1)),
+            )
+    return FinSSet(tuple(levels), faces, depth).assert_valid()
 
 
 @lru_cache(maxsize=None)

@@ -483,7 +483,6 @@ class QuasifibrationReport:
     ok: bool
     probe_results: tuple[tuple[int, bool], ...]
     factorization: CellFactorization
-    detail: str = ""
 
 
 def quasifibration_check(
@@ -532,7 +531,7 @@ def identity_closure_check(
     """For each fine-family fibration p: Y -> G, factor the relative diagonal
     Y -> Y xG Y over the coarse family and demand the right factor be a
     fine-family fibration again."""
-    from .kernel import product, pullback
+    from .kernel import pullback
 
     failures = []
     details = []

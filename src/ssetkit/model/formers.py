@@ -20,33 +20,26 @@ as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..kernel import (
     Exponential,
-    FinSSet,
     Pullback,
     Pushforward,
     SMap,
     compose,
-    constant_map,
-    coproduct,
     exponential,
     identity,
     product,
     pullback,
     pushforward,
-    pushout,
-    std_simplex,
     terminal,
     terminal_map,
 )
 from ..joyal import core_G, core_of_map
 from ..lifting import (
-    BudgetExhausted,
     CellFactorization,
-    GeneratorFamily,
     LiftingProblem,
     factor_soa,
     solve_lift,
@@ -94,8 +87,6 @@ __all__ = [
     "extension_type",
     "extension_lam",
     "extension_app",
-    "PushoutCells",
-    "pushout_cells",
 ]
 
 
@@ -486,56 +477,3 @@ def extension_app(ext: LUType, f: LUTerm, v_pt: SMap) -> LUTerm:
     bd = rec.binder
     full = rec.ev.uncurry(f.section, bd.pb)
     return LUTerm(bd.at(v_pt), compose(full, bd.pb.pair(identity(ext.ctx.sset), v_pt)))
-
-
-# -- pushout cell objects ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PushoutCells:
-    """The double mapping cylinder of a span with its budgeted factorization."""
-
-    object: FinSSet
-    inl: SMap  # B -> object
-    inr: SMap  # C -> object
-    glue: SMap  # A x interval -> object
-    to_base: SMap  # object -> Gamma
-    cyl: object = field(compare=False, default=None)
-    fac: CellFactorization = field(compare=False, default=None)
-
-
-def pushout_cells(
-    f: SMap,
-    g: SMap,
-    to_base_b: SMap,
-    to_base_c: SMap,
-    family: GeneratorFamily,
-    budget: int,
-) -> PushoutCells:
-    """B U_A C presented as A x I glued onto B and C, factored over the base."""
-    if f.source != g.source:
-        raise ModelError("pushout_cells: span legs must share a domain")
-    if compose(to_base_b, f) != compose(to_base_c, g):
-        raise ModelError("pushout_cells: base maps disagree on the span")
-    a = f.source
-    interval = std_simplex(1)
-    cyl = product(a, interval)
-    i0 = cyl.pair(identity(a), constant_map(a, interval, "0"))
-    i1 = cyl.pair(identity(a), constant_map(a, interval, "1"))
-    aa = coproduct(a, a)
-    m1 = aa.induce(i0, i1)
-    d = coproduct(f.target, g.target)
-    m2 = aa.induce(compose(d.inl, f), compose(d.inr, g))
-    po = pushout(m1, m2)
-    glue = po.inl
-    inl = compose(po.inr, d.inl)
-    inr = compose(po.inr, d.inr)
-    to_cyl_base = compose(compose(to_base_b, f), cyl.proj1)
-    to_base = po.induce(to_cyl_base, d.induce(to_base_b, to_base_c))
-    try:
-        fac = factor_soa(to_base, family, budget)
-    except BudgetExhausted as exc:
-        # fibrant replacement over the base can be an infinite cell complex;
-        # keep the partial factorization so callers see how far it got
-        fac = exc.partial
-    return PushoutCells(po.sset, inl, inr, glue, to_base, cyl, fac)

@@ -8,7 +8,7 @@ naming the rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .equality import equal_terms, equal_types, normalize, unfold

@@ -176,7 +176,7 @@ class Elaborator:
             )
         if isinstance(ty, S.TPushout):
             raise UnsupportedConstruction(
-                "pushout types have cell-level semantics only (pushout_cells)"
+                "pushout types have no former; one glues along the Joyal cylinder A x J"
             )
         if isinstance(ty, S.TInterval):
             raise UnsupportedConstruction("I1 is base-side; it has no indexed interpretation")

@@ -52,6 +52,17 @@ against ``has_rlp`` above.  ``constant_map`` is the per-dimension
 degeneracy loop that ``ssetkit.kernel.sset.constant_map`` replaced.  All
 are kept verbatim but for the module prefix of ``_first_unsolved``.
 
+``CategoryPresentation``, ``nerve`` and ``walking_iso_category`` are the
+nerve of a finite category given by its composition table, and the walking
+isomorphism, that ``ssetkit.kernel.standard`` built the classifying
+interval through, kept verbatim; ``nerve_j`` now writes the interval's two
+alternating chains per level directly.  ``BResult``, ``b_functor`` and
+``b_map`` are the interval completion b of ``ssetkit.joyal`` that kept
+every pushout it glued, so that ``induce`` could replay them; the package's
+``induce`` assigns each cell of b(X) its cocone image directly.  They are
+kept verbatim but for the module prefix of ``Pushout``, ``pushout``,
+``constant_map``, ``edge_classifier`` and ``_retag``.
+
 ``free_vars``, ``free_vars_type``, ``subst``, ``subst_type``,
 ``alpha_equal`` and ``alpha_equal_type`` are the per-node walkers over
 ``.itt`` syntax that the binder table of ``ssetkit.tt.syntax`` replaced,
@@ -70,12 +81,21 @@ the nesting bound is the package's ``_MAX_NESTING``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence
 
-from ssetkit import kernel, lifting
-from ssetkit.kernel import delta_map, enumerate_sections, q_map, sigma_map, terminal_map, yoneda
+from ssetkit import joyal, kernel, lifting
+from ssetkit.kernel import (
+    delta_map,
+    enumerate_sections,
+    interval_groupoid_skeleton,
+    q_map,
+    sigma_map,
+    terminal_map,
+    yoneda,
+)
 from ssetkit.kernel.simplex import Simplex, nondeg, word_is_valid
 from ssetkit.kernel.limits import _joint_bound
 from ssetkit.kernel.sset import EMPTY, FinSSet, SMap, SSetError, Truncated, compose, identity
@@ -860,6 +880,203 @@ def constant_map(x: FinSSet, target: FinSSet, vertex: str) -> SMap:
             s = target.degen(s, i)
         assign[c] = s
     return SMap(x, target, assign)
+
+
+# ---------------------------------------- nerves of finite categories
+
+
+@dataclass(frozen=True)
+class CategoryPresentation:
+    """A finite category given by its full composition table.
+
+    ``arrows`` maps non-identity arrow names to (source, target) objects.
+    ``compose`` maps pairs (f, g) with f: a -> b, g: b -> c (apply f first)
+    to the name of the composite, or to ``None`` meaning an identity arrow.
+    """
+
+    objects: tuple[str, ...]
+    arrows: Mapping[str, tuple[str, str]]
+    compose: Mapping[tuple[str, str], Optional[str]]
+
+    def src(self, a: str) -> str:
+        return self.arrows[a][0]
+
+    def tgt(self, a: str) -> str:
+        return self.arrows[a][1]
+
+    def validate(self) -> list[str]:
+        problems = []
+        for (f, g), h in self.compose.items():
+            if self.tgt(f) != self.src(g):
+                problems.append(f"compose entry ({f},{g}) not composable")
+                continue
+            if h is not None and (self.src(h), self.tgt(h)) != (self.src(f), self.tgt(g)):
+                problems.append(f"composite {h} of ({f},{g}) has wrong endpoints")
+        for f in self.arrows:
+            for g in self.arrows:
+                if self.tgt(f) == self.src(g) and (f, g) not in self.compose:
+                    problems.append(f"missing composite for ({f},{g})")
+        return problems
+
+    def comp(self, f: Optional[str], g: Optional[str]) -> Optional[str]:
+        """Composition with None standing for identity arrows."""
+        if f is None:
+            return g
+        if g is None:
+            return f
+        return self.compose[(f, g)]
+
+
+def nerve(cat: CategoryPresentation, depth: int) -> FinSSet:
+    """The nerve, realized up to dimension ``depth``.
+
+    Exact when some level at or below ``depth`` carries no nondegenerate
+    chain (then nothing nondegenerate can appear above it either), otherwise
+    truncated at ``depth``.
+    """
+    problems = cat.validate()
+    if problems:
+        raise SSetError("; ".join(problems))
+
+    # chains at level n: (start_object, arrows...) with len == n, identities
+    # excluded -- a chain containing an identity is degenerate, and every
+    # degenerate simplex is a degeneracy word applied to such a reduced chain.
+    # We realize nondegenerate chains directly.
+    levels: list[tuple[str, ...]] = [tuple(f"n_{o}" for o in sorted(cat.objects))]
+    chain_of = {f"n_{o}": (o,) for o in cat.objects}
+    faces: dict[str, tuple[Simplex, ...]] = {}
+
+    def chains(n: int):
+        if n == 0:
+            for o in sorted(cat.objects):
+                yield (o,)
+            return
+        for prefix in chains(n - 1):
+            tail = prefix[0] if n == 1 else cat.tgt(prefix[-1])
+            for a in sorted(cat.arrows):
+                if cat.src(a) == tail:
+                    yield prefix + (a,)
+
+    def chain_id(ch: tuple) -> str:
+        return "n_" + "__".join(ch)
+
+    def face_of_chain(ch: tuple, i: int) -> Simplex:
+        obj, arrows = ch[0], list(ch[1:])
+        n = len(arrows)
+        word: tuple[int, ...] = ()
+        if i == 0:
+            new = [cat.tgt(arrows[0])] + arrows[1:]
+        elif i == n:
+            new = [obj] + arrows[:-1]
+        else:
+            composite = cat.comp(arrows[i - 1], arrows[i])
+            if composite is None:
+                # the inner composite is an identity: the face is degenerate
+                new = [obj] + arrows[: i - 1] + arrows[i + 1 :]
+                word = (i - 1,)
+            else:
+                new = [obj] + arrows[: i - 1] + [composite] + arrows[i + 1 :]
+        return Simplex(word, chain_id(tuple(new)))
+
+    n = 1
+    exact = False
+    while n <= depth:
+        level = []
+        for ch in chains(n):
+            cid = chain_id(ch)
+            level.append(cid)
+            chain_of[cid] = ch
+            faces[cid] = tuple(face_of_chain(ch, i) for i in range(n + 1))
+        if not level:
+            exact = True
+            break
+        levels.append(tuple(level))
+        n += 1
+    return FinSSet(tuple(levels), faces, None if exact else depth).assert_valid()
+
+
+@lru_cache(maxsize=None)
+def walking_iso_category() -> CategoryPresentation:
+    """The groupoid with two objects and a unique arrow in each direction."""
+    return CategoryPresentation(
+        objects=("a", "b"),
+        arrows={"f": ("a", "b"), "g": ("b", "a")},
+        compose={("f", "g"): None, ("g", "f"): None},
+    )
+
+
+# ------------------------------------------- b(X) through its pushouts
+
+
+@dataclass(frozen=True)
+class BResult:
+    """b(X): every nondegenerate edge glued to a classifying interval.
+
+    ``copies`` records, per inverted edge, the inclusion of its interval
+    copy; ``steps`` keeps the pushouts so maps out of b(X) can be induced.
+    """
+
+    sset: FinSSet
+    unit: SMap  # X -> b(X)
+    edges: tuple[str, ...]
+    copies: Mapping[str, SMap] = field(compare=False)
+    steps: tuple[kernel.Pushout, ...] = field(compare=False)
+    level: int
+
+    def induce(self, on_base: SMap, on_copies: Mapping[str, SMap]) -> SMap:
+        """The map b(X) -> Z from a cocone: a map on X and one per copy."""
+        cur = on_base
+        for e, po in zip(self.edges, self.steps):
+            cur = po.induce(cur, on_copies[e])
+        return SMap(self.sset, cur.target, cur.assignment)
+
+
+@lru_cache(maxsize=None)
+def b_functor(x: FinSSet, level: int) -> BResult:
+    """Glue a truncated classifying interval onto every nondegenerate edge.
+
+    Levels <= ``level`` of the result agree with the untruncated completion;
+    the result is marked truncated accordingly (unless nothing was glued).
+    """
+    sk, edge = interval_groupoid_skeleton(level)
+    edges = tuple(x.nondegenerate(1)) if x.dim >= 1 else ()
+    current = x
+    unit = identity(x)
+    copies: dict[str, SMap] = {}
+    steps: list[kernel.Pushout] = []
+    for e in edges:
+        classifier = compose(unit, joyal.edge_classifier(x, nondeg(e)))
+        po = kernel.pushout(classifier, edge)
+        for prev in copies:
+            copies[prev] = compose(po.inl, copies[prev])
+        copies[e] = po.inr
+        unit = compose(po.inl, unit)
+        steps.append(po)
+        current = po.sset
+    if edges:
+        bound = level if x.dim_bound is None else min(level, x.dim_bound)
+        current = joyal._retag(current, bound)
+        unit = SMap(x, current, unit.assignment)
+        copies = {e: SMap(sk, current, m.assignment) for e, m in copies.items()}
+    return BResult(current, unit, edges, copies, tuple(steps), level)
+
+
+def b_map(f: SMap, level: int) -> SMap:
+    """The induced map b(f): b(X) -> b(Y)."""
+    bx = b_functor(f.source, level)
+    by = b_functor(f.target, level)
+    sk, _ = interval_groupoid_skeleton(level)
+    on_base = compose(by.unit, f)
+    on_copies: dict[str, SMap] = {}
+    for e in bx.edges:
+        img = f.apply_cell(e)
+        if img.word:
+            # the edge collapses: route its interval copy through the vertex
+            vertex = by.unit.apply(nondeg(img.base))
+            on_copies[e] = kernel.constant_map(sk, by.sset, vertex.base)
+        else:
+            on_copies[e] = by.copies[img.base]
+    return bx.induce(on_base, on_copies)
 
 
 # ------------------------------------------------------- .itt syntax walkers

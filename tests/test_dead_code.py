@@ -2,7 +2,8 @@
 
 A name counts as used when it is read somewhere in ``src/``, ``tests/`` or
 ``tools/``: as a plain name or as an attribute.  Its own ``def``, import
-lines and ``__all__`` entries are not reads, so they do not count.
+lines and ``__all__`` entries are not reads, so they do not count.  Every
+import in the package is read in the scope that makes it.
 """
 
 import ast
@@ -83,3 +84,62 @@ def test_every_limit_record_field_is_read():
     """Each field of the chosen (co)limit records is read in ``src/``, as above."""
     classes, reads = _classes_and_reads()
     assert _unread_fields(classes, reads, {"Pullback", "Pushout", "Coproduct"}) == []
+
+
+def _bound_names(node):
+    """The names an import statement binds, with the statement's line."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [
+        ((alias.asname or alias.name).split(".")[0], node.lineno)
+        for alias in node.names
+        if alias.name != "*"
+    ]
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _imports_in(node):
+    """The import statements under ``node`` outside any nested scope."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, _SCOPES):
+            yield from _imports_in(child)
+
+
+def _unread_imports(scope, exported):
+    """Imports made in ``scope`` itself that no name load under it reads."""
+    reads = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [
+        (name, line)
+        for node in _imports_in(scope)
+        for name, line in _bound_names(node)
+        if name not in reads | exported
+    ]
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ) and isinstance(node.value, (ast.List, ast.Tuple)):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def test_every_import_in_the_package_is_read():
+    """Each import in ``src/ssetkit``, at module level or in a function, is
+    read in its scope.  Names in ``__all__`` and the re-exports of a
+    package's ``__init__`` are the module's interface, so they count as read."""
+    unread = []
+    for path, tree in _trees("src/ssetkit"):
+        if path.name == "__init__.py":
+            continue
+        rel = path.relative_to(ROOT)
+        scopes = [(tree, _exports(tree))] + [
+            (node, set()) for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        unread += [f"{rel}:{line}: {name}" for scope, exported in scopes for name, line in _unread_imports(scope, exported)]
+    assert unread == []

@@ -27,6 +27,7 @@ from ssetkit.kernel import (
     find_isomorphism,
     horn,
     identity,
+    interval_groupoid_skeleton,
     load_smap,
     load_sset,
     nerve_j,
@@ -535,6 +536,42 @@ def test_pushout_cocone_and_induce():
     collapse = po.induce(terminal_map(std_simplex(1)), terminal_map(std_simplex(1)))
     assert collapse.validate() == []
     assert collapse.target == terminal()
+
+
+# -- the classifying interval, against the nerve of its category -------------------
+
+
+def _same_sset(x, y):
+    assert x.cells == y.cells
+    assert list(x.faces.items()) == list(y.faces.items())  # insertion order too
+    assert x.dim_bound == y.dim_bound
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_nerve_j_matches_the_nerve_of_the_walking_isomorphism(depth):
+    _same_sset(nerve_j(depth), reference.nerve(reference.walking_iso_category(), depth))
+
+
+@pytest.mark.parametrize("depth", [-2, -1])
+def test_nerve_j_refuses_a_negative_depth_as_the_nerve_does(depth):
+    with pytest.raises(SSetError) as new:
+        nerve_j(depth)
+    with pytest.raises(SSetError) as old:
+        reference.nerve(reference.walking_iso_category(), depth)
+    assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("level", range(1, 5))
+def test_interval_skeleton_matches_the_nerve_of_the_walking_isomorphism(level):
+    old = reference.nerve(reference.walking_iso_category(), level).skeleton(level)
+    _same_sset(interval_groupoid_skeleton(level)[0], old)
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_nerve_j_saves_as_the_corpus_file(corpus_dir, tmp_path, depth):
+    path = tmp_path / f"interval_groupoid_{depth}.sset"
+    save_sset(nerve_j(depth), path)
+    assert path.read_bytes() == (corpus_dir / "ssets" / path.name).read_bytes()
 
 
 # -- isomorphism search -------------------------------------------------------

@@ -26,11 +26,10 @@ from ssetkit.kernel import (
     find_isomorphism,
     horn,
     identity,
-    nerve,
+    nerve_j,
     nondeg,
     std_simplex,
     terminal,
-    walking_iso_category,
 )
 from ssetkit.lifting import has_rlp, kan_family
 
@@ -185,7 +184,7 @@ def test_constraint_filters_after_the_shared_lookup():
     assert edges == [("e2", "e1"), ("e3", "e1")]
 
 
-ISO_NERVE = nerve(walking_iso_category(), 2)
+ISO_NERVE = nerve_j(2)
 
 
 @given(seed=seeds, extra=st.integers(min_value=0, max_value=2))

@@ -19,7 +19,6 @@ from ssetkit.kernel import (
     terminal,
     terminal_map,
 )
-from ssetkit.lifting import kan_family
 from ssetkit.model import (
     Binder,
     FibClassSpec,
@@ -37,7 +36,6 @@ from ssetkit.model import (
     hom_type,
     id_type,
     pi_type,
-    pushout_cells,
     sigma_pair,
     sigma_proj1,
     sigma_proj2,
@@ -222,22 +220,6 @@ def test_weaken_is_substitution_along_the_projection():
     assert w.type.ctx.sset == ext.ctx.sset
     assert w == subst_term(t, ext.proj)
     assert w.section == compose(t.section, ext.proj)
-
-
-def test_pushout_cells_glue_a_circle():
-    """The span pt <- S^0 -> pt glues to a circle: two vertices, two edges."""
-    pt, s0 = terminal(), discrete(2)
-    f = g = terminal_map(s0)
-    cells = pushout_cells(f, g, identity(pt), identity(pt), kan_family(2), budget=3)
-    assert [len(level) for level in cells.object.cells] == [2, 2]
-    ends = [cells.cyl.pair(identity(s0), constant_map(s0, std_simplex(1), v)) for v in "01"]
-    assert compose(cells.glue, ends[0]) == compose(cells.inl, f)
-    assert compose(cells.glue, ends[1]) == compose(cells.inr, g)
-    assert compose(cells.to_base, cells.inl) == identity(pt)
-    # the circle is not Kan, so the budget runs out and the partial
-    # factorization is kept
-    assert not cells.fac.complete and len(cells.fac.attachments) == 3
-    assert compose(cells.fac.right, cells.fac.left) == cells.to_base
 
 
 # -- the full substitution/equation suite ----------------------------------------
