@@ -77,9 +77,9 @@ from .lifting import cat_family, classify, has_rlp, identity_closure_check, inne
 from .model import (
     Binder,
     FibClassSpec,
-    LUContext,
     LUTerm,
     LUType,
+    constant_type,
     ctx_extend,
     dep_coprod,
     dep_coprod_elim,
@@ -339,25 +339,21 @@ def criterion_8() -> CriterionResult:
 # --------------------------------------- 9: strict substitution and equations
 
 
-def _constant_type(gamma: LUContext, fiber: FinSSet, spec: FibClassSpec) -> LUType:
-    return LUType(gamma, terminal_map(gamma.sset), terminal_map(fiber), spec)
-
-
 def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[str, bool]]:
     """Strictness and equation judgments for the type formers.
 
     Each entry is (name, holds); substitution judgments compare types and
-    terms with the strict dataclass equality (context, classifier, fibration),
+    terms with the strict dataclass equality (classifier, fibration, class),
     and the beta/eta judgments compare sections on the nose.
     """
     spec = FibClassSpec("kan", depth)
     base_spec = FibClassSpec("inner", depth)
     out: list[tuple[str, bool]] = []
 
-    gamma = LUContext(std_simplex(1))
-    delta = LUContext(terminal())
-    sigma = constant_map(delta.sset, gamma.sset, "0")  # vertex substitution
-    tau = constant_map(std_simplex(2), gamma.sset, "1")
+    gamma = std_simplex(1)
+    delta = terminal()
+    sigma = constant_map(delta, gamma, "0")  # vertex substitution
+    tau = constant_map(std_simplex(2), gamma, "1")
 
     # unit
     u_g = unit_type(gamma, spec)
@@ -365,33 +361,33 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     out.append(("unit-subst", subst(u_g, sigma) == u_d))
     out.append(("unit-term-subst", subst_term(unit_term(u_g), sigma) == unit_term(u_d)))
     out.append(
-        ("subst-compose", subst(u_g, compose(sigma, terminal_map(delta.sset))) == subst(subst(u_g, sigma), terminal_map(delta.sset)))
+        ("subst-compose", subst(u_g, compose(sigma, terminal_map(delta))) == subst(subst(u_g, sigma), terminal_map(delta)))
     )
 
     # a constant two-point type and its extension
-    k_g = _constant_type(gamma, discrete(2), spec)
-    k_d = _constant_type(delta, discrete(2), spec)
+    k_g = constant_type(gamma, discrete(2), spec)
+    k_d = constant_type(delta, discrete(2), spec)
     out.append(("const-subst", subst(k_g, sigma) == k_d))
-    ext_g = ctx_extend(gamma, k_g)
-    ext_d = ctx_extend(delta, k_d)
+    ext_g = ctx_extend(k_g)
+    ext_d = ctx_extend(k_d)
     sig_ext = q_map(sigma, ext_g.pb, ext_d.pb)
     out.append(("ext-proj-natural", compose(sigma, ext_d.proj) == compose(ext_g.proj, sig_ext)))
     out.append(("ext-var-strict", subst_term(ext_g.var, sig_ext) == ext_d.var))
 
     # terms of the constant type
-    p0_g = LUTerm(k_g, constant_map(gamma.sset, discrete(2), "p0"))
-    p0_d = LUTerm(k_d, constant_map(delta.sset, discrete(2), "p0"))
-    p1_g = LUTerm(k_g, constant_map(gamma.sset, discrete(2), "p1"))
+    p0_g = LUTerm(k_g, constant_map(gamma, discrete(2), "p0"))
+    p0_d = LUTerm(k_d, constant_map(delta, discrete(2), "p0"))
+    p1_g = LUTerm(k_g, constant_map(gamma, discrete(2), "p1"))
     out.append(("term-subst", subst_term(p0_g, sigma) == p0_d))
 
     # sigma
-    b_g = _constant_type(ext_g.ctx, discrete(2), spec)
-    b_d = _constant_type(ext_d.ctx, discrete(2), spec)
+    b_g = constant_type(ext_g.ctx, discrete(2), spec)
+    b_d = constant_type(ext_d.ctx, discrete(2), spec)
     s_g = sigma_type(bd_g := Binder(k_g, ext_g.pb, b_g))
     s_d = sigma_type(bd_d := Binder(k_d, ext_d.pb, b_d))
     out.append(("sigma-subst", subst(s_g, sigma) == s_d))
-    sa = ext_g.pb.pair(identity(gamma.sset), p0_g.section)
-    bt = LUTerm(subst(b_g, sa), constant_map(gamma.sset, discrete(2), "p1"))
+    sa = ext_g.pb.pair(identity(gamma), p0_g.section)
+    bt = LUTerm(subst(b_g, sa), constant_map(gamma, discrete(2), "p1"))
     pair = sigma_pair(s_g, p0_g, bt)
     out.append(("sigma-beta-1", sigma_proj1(s_g, pair) == p0_g))
     out.append(("sigma-beta-2", sigma_proj2(s_g, pair).section == bt.section))
@@ -410,9 +406,9 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     pi_g = pi_type(bd_g)
     pi_d = pi_type(bd_d)
     out.append(("pi-subst", subst(pi_g, sigma) == pi_d))
-    body = LUTerm(b_g, constant_map(ext_g.ctx.sset, discrete(2), "p0"))
+    body = LUTerm(b_g, constant_map(ext_g.ctx, discrete(2), "p0"))
     f_g = pi_lam(pi_g, body)
-    out.append(("pi-beta", pi_app(pi_g, f_g, p1_g).section == compose(body.section, sa1 := ext_g.pb.pair(identity(gamma.sset), p1_g.section))))
+    out.append(("pi-beta", pi_app(pi_g, f_g, p1_g).section == compose(body.section, sa1 := ext_g.pb.pair(identity(gamma), p1_g.section))))
     out.append(("pi-eta", pi_lam(pi_g, pi_app_var(pi_g, f_g)) == f_g))
     out.append(("pi-lam-subst", subst_term(f_g, sigma) == pi_lam(pi_d, LUTerm(b_d, compose(body.section, sig_ext)))))
 
@@ -425,20 +421,20 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     out.append(("hom-lam-subst", subst_term(h_g, sigma) == hom_lam(hom_d, subst_term(f_g, sigma))))
 
     # dependent product over a base type: Pi over the base type reindexed to the context
-    i_type = LUType(LUContext(terminal()), identity(terminal()), terminal_map(discrete(2)), base_spec)
-    i_g = subst(i_type, terminal_map(gamma.sset))
-    i_d = subst(i_type, terminal_map(delta.sset))
-    pb_g = ctx_extend(gamma, i_g).pb
-    pb_d = ctx_extend(delta, i_d).pb
-    fam_g = Binder(i_g, pb_g, _constant_type(LUContext(pb_g.sset), discrete(2), spec))
-    fam_d = Binder(i_d, pb_d, _constant_type(LUContext(pb_d.sset), discrete(2), spec))
+    i_type = constant_type(terminal(), discrete(2), base_spec)
+    i_g = subst(i_type, terminal_map(gamma))
+    i_d = subst(i_type, terminal_map(delta))
+    pb_g = ctx_extend(i_g).pb
+    pb_d = ctx_extend(i_d).pb
+    fam_g = Binder(i_g, pb_g, constant_type(pb_g.sset, discrete(2), spec))
+    fam_d = Binder(i_d, pb_d, constant_type(pb_d.sset, discrete(2), spec))
     dp_g = pi_type(fam_g)
     dp_d = pi_type(fam_d)
     out.append(("dep-prod-subst", subst(dp_g, sigma) == dp_d))
     dbody = LUTerm(fam_g.b, constant_map(pb_g.sset, discrete(2), "p1"))
     df = pi_lam(dp_g, dbody)
-    j_sec = constant_map(gamma.sset, discrete(2), "p0")
-    sj = pb_g.pair(identity(gamma.sset), j_sec)
+    j_sec = constant_map(gamma, discrete(2), "p0")
+    sj = pb_g.pair(identity(gamma), j_sec)
     out.append(("dep-prod-beta", pi_app(dp_g, df, LUTerm(i_g, j_sec)).section == compose(dbody.section, sj)))
     out.append(("dep-prod-eta", pi_lam(dp_g, pi_app_var(dp_g, df)) == df))
     sig_pb = q_map(sigma, pb_g, pb_d)
@@ -448,27 +444,27 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     dc_g = dep_coprod(fam_g, budget, variant="stable")
     dc_d = dep_coprod(fam_d, budget, variant="stable")
     out.append(("dep-coprod-subst", subst(dc_g, sigma) == dc_d))
-    cb = LUTerm(subst(fam_g.b, sj), constant_map(gamma.sset, discrete(2), "p0"))
+    cb = LUTerm(subst(fam_g.b, sj), constant_map(gamma, discrete(2), "p0"))
     intro = dep_coprod_intro(dc_g, j_sec, cb)
     out.append(
         ("dep-coprod-intro-subst", subst_term(intro, sigma) == dep_coprod_intro(dc_d, compose(j_sec, sigma), LUTerm(subst(cb.type, sigma), compose(cb.section, sigma))))
     )
-    ext_c = ctx_extend(LUContext(gamma.sset), dc_g)
-    d_type = _constant_type(ext_c.ctx, discrete(2), spec)
+    ext_c = ctx_extend(dc_g)
+    d_type = constant_type(ext_c.ctx, discrete(2), spec)
     ext_b = pullback(fam_g.b.r, fam_g.b.p)
     d_sec = constant_map(ext_b.sset, discrete(2), "p1")
     elim = dep_coprod_elim(dc_g, d_type, d_sec, intro)
-    out.append(("dep-coprod-beta", elim.section == constant_map(gamma.sset, discrete(2), "p1")))
+    out.append(("dep-coprod-beta", elim.section == constant_map(gamma, discrete(2), "p1")))
 
     # extension (path) types: y : I binds through the chosen extension by the constant type
     interval = std_simplex(1)
     u, j_incl = boundary(1)
 
-    def path_type(ctx: LUContext) -> LUType:
-        v = _constant_type(ctx, interval, base_spec)
-        pb_v = ctx_extend(ctx, v).pb
+    def path_type(ctx: FinSSet) -> LUType:
+        v = constant_type(ctx, interval, base_spec)
+        pb_v = ctx_extend(v).pb
         partial = constant_map(pullback(v.r, terminal_map(u)).sset, discrete(2), "p0")
-        a_over = _constant_type(LUContext(pb_v.sset), discrete(2), spec)
+        a_over = constant_type(pb_v.sset, discrete(2), spec)
         return extension_type(Binder(v, pb_v, a_over), j_incl, partial)
 
     pth_g = path_type(gamma)
@@ -476,12 +472,12 @@ def split_substitution_suite(depth: int = 2, budget: int = 300) -> list[tuple[st
     pb_gv = pth_g.former.binder.pb
     total_sec = constant_map(pb_gv.sset, discrete(2), "p0")
     lam = extension_lam(pth_g, total_sec)
-    v_pt = constant_map(gamma.sset, interval, "0")
+    v_pt = constant_map(gamma, interval, "0")
     app_sec = extension_app(pth_g, lam, v_pt).section
-    out.append(("extension-beta", app_sec == compose(total_sec, pb_gv.pair(identity(gamma.sset), v_pt))))
+    out.append(("extension-beta", app_sec == compose(total_sec, pb_gv.pair(identity(gamma), v_pt))))
 
     # weakening is substitution along the chosen projection
-    out.append(("weaken-as-subst", subst(k_g, ext_g.proj) == LUType(ext_g.ctx, compose(k_g.r, ext_g.proj), k_g.p, spec)))
+    out.append(("weaken-as-subst", subst(k_g, ext_g.proj) == LUType(compose(k_g.r, ext_g.proj), k_g.p, spec)))
     out.append(("tau-subst", subst(subst(u_g, tau), identity(std_simplex(2))) == subst(u_g, tau)))
     return out
 
@@ -617,15 +613,15 @@ def criterion_10() -> CriterionResult:
 def criterion_11() -> CriterionResult:
     fine = FibClassSpec("kan", 2)
     coarse = FibClassSpec("inner", 2)
-    gamma = LUContext(terminal())
+    gamma = terminal()
     suite: list[LUType] = [
         unit_type(gamma, fine),
-        _constant_type(gamma, discrete(2), fine),
+        constant_type(gamma, discrete(2), fine),
     ]
     k = suite[1]
-    ext = ctx_extend(gamma, k)
+    ext = ctx_extend(k)
     suite.append(sigma_type(Binder(k, ext.pb, unit_type(ext.ctx, fine))))
-    p0 = LUTerm(k, constant_map(gamma.sset, discrete(2), "p0"))
+    p0 = LUTerm(k, constant_map(gamma, discrete(2), "p0"))
     suite.append(id_type(k, p0, p0, BUDGET))
     fails = []
     for idx, a in enumerate(suite):
@@ -633,7 +629,7 @@ def criterion_11() -> CriterionResult:
         if not accepted:
             fails.append(f"type {idx}: rejected by the coarser class")
             continue
-        ext_a = ctx_extend(gamma, a)
+        ext_a = ctx_extend(a)
         pi = pi_type(Binder(a, ext_a.pb, subst(a, ext_a.proj)))
         hom = hom_type(pi, coarse)
         try:

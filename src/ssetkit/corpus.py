@@ -68,7 +68,7 @@ def _edges_between(x: FinSSet, u: str, w: str) -> list[Simplex]:
     """All 1-simplices (degenerate included) from vertex u to vertex w."""
     out = []
     for s in x.simplices(1):
-        if x.vertex_of(s, 0) == nondeg(u) and x.vertex_of(s, 1) == nondeg(w):
+        if x.restrict_along(s, (0,)) == nondeg(u) and x.restrict_along(s, (1,)) == nondeg(w):
             out.append(s)
     return out
 

@@ -76,7 +76,7 @@ def edge_classifier(x: FinSSet, e: Simplex) -> SMap:
     return SMap(
         std_simplex(1),
         x,
-        {"0": x.vertex_of(e, 0), "1": x.vertex_of(e, 1), "0_1": e},
+        {"0": x.restrict_along(e, (0,)), "1": x.restrict_along(e, (1,)), "0_1": e},
     )
 
 
@@ -125,16 +125,20 @@ def _skeletal_verdict(x: FinSSet, e: Simplex, level: int) -> InvertVerdict:
     return InvertVerdict("unknown", level, witness=filler)
 
 
-def _qcat_verdict(x: FinSSet, e: Simplex, level: int) -> InvertVerdict:
+def _require_qcat(x: FinSSet) -> None:
     ok, _ = has_rlp(terminal_map(x), inner_family(3))
     if not ok:
         raise SSetError("qcat mode requires inner-horn lifting at depth 3")
-    u, v = x.vertex_of(e, 0), x.vertex_of(e, 1)
+
+
+def _qcat_verdict(x: FinSSet, e: Simplex) -> InvertVerdict:
+    """The inverse witnesses of e, on an x that passed ``_require_qcat``."""
+    u, v = x.restrict_along(e, (0,)), x.restrict_along(e, (1,))
     linv = rinv = None
     for t in x.simplices(2):
-        e01 = x.edge_of(t, 0, 1)
-        e12 = x.edge_of(t, 1, 2)
-        e02 = x.edge_of(t, 0, 2)
+        e01 = x.restrict_along(t, (0, 1))
+        e12 = x.restrict_along(t, (1, 2))
+        e02 = x.restrict_along(t, (0, 2))
         if linv is None and e01 == e and e02 == x.degen(u, 0):
             linv = t  # e followed by the 12-edge is the identity on u
         if rinv is None and e12 == e and e02 == x.degen(v, 0):
@@ -163,7 +167,8 @@ def invertible_edge(x: FinSSet, e: Simplex, mode: str = "skeletal", *, level: in
     if mode == "skeletal":
         return _skeletal_verdict(x, e, level)
     if mode == "qcat":
-        return _qcat_verdict(x, e, level)
+        _require_qcat(x)
+        return _qcat_verdict(x, e)
     raise SSetError(f"unknown invertibility mode {mode!r}")
 
 
@@ -171,11 +176,13 @@ def invertible_edge(x: FinSSet, e: Simplex, mode: str = "skeletal", *, level: in
 def _edge_verdicts(
     x: FinSSet, mode: str, level: int
 ) -> Mapping[str, InvertVerdict]:
-    out = {}
-    if x.dim >= 1:
-        for c in x.nondegenerate(1):
-            out[c] = invertible_edge(x, nondeg(c), mode, level=level)
-    return out
+    """The verdict of each nondegenerate edge; qcat mode checks x once."""
+    edges = tuple(x.nondegenerate(1))
+    if mode != "qcat":
+        return {c: invertible_edge(x, nondeg(c), mode, level=level) for c in edges}
+    if edges:
+        _require_qcat(x)
+    return {c: _qcat_verdict(x, nondeg(c)) for c in edges}
 
 
 @dataclass(frozen=True)
@@ -202,7 +209,7 @@ def core_G(x: FinSSet, mode: str = "skeletal", *, level: int) -> CoreResult:
         s = nondeg(cell)
         for a in range(n + 1):
             for b in range(a + 1, n + 1):
-                edge = x.edge_of(s, a, b)
+                edge = x.restrict_along(s, (a, b))
                 if not edge.word and edge.base not in good:
                     return False
         return True
@@ -435,10 +442,10 @@ def composite_invertibility_check(x: FinSSet, level: int) -> CompositeReport:
     if x.dim >= 2:
         for c in x.nondegenerate(2):
             s = nondeg(c)
-            first = status(x.edge_of(s, 0, 1))
-            second = status(x.edge_of(s, 1, 2))
+            first = status(x.restrict_along(s, (0, 1)))
+            second = status(x.restrict_along(s, (1, 2)))
             if first == "yes" and second == "yes":
-                outcome = status(x.edge_of(s, 0, 2))
+                outcome = status(x.restrict_along(s, (0, 2)))
                 if outcome == "no":
                     failures.append(c)
                 elif outcome == "unknown":

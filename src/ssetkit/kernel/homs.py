@@ -205,7 +205,7 @@ def count_maps(source: FinSSet, target: FinSSet) -> int:
 
 def enumerate_sections(p: SMap, over: SMap, **kw) -> Iterator[SMap]:
     """Maps s: over.source -> p.source with p . s == over."""
-    if p.target is not over.target and p.target != over.target:
+    if p.target != over.target:
         raise SSetError("section enumeration: codomain mismatch")
 
     def fiber(c: str, cand: Simplex) -> bool:

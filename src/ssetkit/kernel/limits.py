@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .simplex import Simplex, nondeg, word_insert
+from .simplex import Simplex, degenerate, nondeg
 from .sset import EMPTY, FinSSet, SMap, SSetError, Truncated, compose, constant_map, identity
 from .standard import std_simplex
 
@@ -279,13 +279,13 @@ def pushout(f: SMap, g: SMap) -> Pushout:
             classes.setdefault(find(t), []).append(t)
         cells = []  # (repr of the key, key, the class's members), one per new cell
         for members in classes.values():
-            degenerate = next((m for m in members if m[1].word), None)
-            if degenerate is None:
+            met = next((m for m in members if m[1].word), None)  # a degenerate member
+            if met is None:
                 key = min(members, key=repr)
                 cells.append((repr(key), key, members))
                 continue
-            tag, s = degenerate
-            simplex = _degenerate(s.word, image[tag][s.base])
+            tag, s = met
+            simplex = degenerate(s.word, image[tag][s.base])
             for tag, s in members:
                 if not s.word:
                     image[tag][s.base] = simplex
@@ -305,7 +305,7 @@ def pushout(f: SMap, g: SMap) -> Pushout:
                 image[t][y.base] = cell
             if n:
                 faces[cid] = tuple([
-                    _degenerate(y.word, to[y.base]) if y.word else to[y.base] for y in legs[tag].faces[s.base]
+                    degenerate(y.word, to[y.base]) if y.word else to[y.base] for y in legs[tag].faces[s.base]
                 ])
         levels.append(names)
     while levels and not levels[-1]:
@@ -314,12 +314,3 @@ def pushout(f: SMap, g: SMap) -> Pushout:
     inl = SMap(b, p, {x: image["b"][x] for x in b.nondegenerate()})
     inr = SMap(c, p, {t: image["c"][t] for t in c.nondegenerate()})
     return Pushout(p, inl, inr, origin)
-
-
-def _degenerate(word: tuple[int, ...], s: Simplex) -> Simplex:
-    """s_w s, in normal form."""
-    if not s.word:
-        return Simplex(word, s.base)
-    for i in reversed(word):
-        s = Simplex(word_insert(s.word, i), s.base)
-    return s

@@ -55,6 +55,15 @@ def word_insert(word: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(out) + (i,) + word[k:]
 
 
+def degenerate(word: tuple[int, ...], s: Simplex) -> Simplex:
+    """s_w s in normal form, for a strictly decreasing word w."""
+    if not s.word:
+        return Simplex(word, s.base)
+    for i in reversed(word):
+        s = Simplex(word_insert(s.word, i), s.base)
+    return s
+
+
 def word_is_valid(word: tuple[int, ...], base_dim: int) -> bool:
     """Check the word is strictly decreasing and applicable to ``base_dim``."""
     if any(a <= b for a, b in zip(word, word[1:])):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .simplex import Simplex, degeneracy_words, nondeg, word_insert, word_is_valid
+from .simplex import Simplex, degeneracy_words, degenerate, nondeg, word_insert, word_is_valid
 
 
 class SSetError(ValueError):
@@ -100,7 +100,7 @@ class FinSSet:
         )
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FinSSet) and self.key() == other.key()
+        return self is other or (isinstance(other, FinSSet) and self.key() == other.key())
 
     def __hash__(self) -> int:
         return hash(self.key())
@@ -116,50 +116,27 @@ class FinSSet:
         n = self.simplex_dim(s)
         if n < 1 or not 0 <= i <= n:
             raise SSetError(f"d_{i} not applicable to {s} of dim {n}")
-        out: list[int] = []
-        j = i
         word = s.word
+        if not word:
+            return self.faces[s.base][i]
+        out: list[int] = []  # d_i s_w = s_w' d_j, built strictly decreasing
+        j = i
         for k, w in enumerate(word):
             if j == w or j == w + 1:
-                res = Simplex(word[k + 1 :], s.base)
-                return self._apply_word(out, res)
+                return degenerate(tuple(out), Simplex(word[k + 1 :], s.base))
             if j < w:
                 out.append(w - 1)
             else:  # j > w + 1
                 out.append(w)
                 j -= 1
-        res = self.faces[s.base][j]
-        return self._apply_word(out, res)
+        return degenerate(tuple(out), self.faces[s.base][j])
 
-    def _apply_word(self, outer: Sequence[int], s: Simplex) -> Simplex:
-        for letter in reversed(list(outer)):
-            s = Simplex(word_insert(s.word, letter), s.base)
-        return s
-
-    def vertex_of(self, s: Simplex, k: int) -> Simplex:
-        """The k-th vertex of a simplex, as a 0-simplex value."""
-        n = self.simplex_dim(s)
-        for i in range(n, -1, -1):
-            if i != k:
-                s = self.face(s, i)
-                if i < k:
-                    k -= 1
-        return s
-
-    def edge_of(self, s: Simplex, a: int, b: int) -> Simplex:
-        """The (a,b)-edge of a simplex (a < b), as a 1-simplex value."""
-        n = self.simplex_dim(s)
-        for i in range(n, -1, -1):
-            if i != a and i != b:
-                s = self.face(s, i)
-        return s
-
-    def restrict_along(self, s: Simplex, positions: Sequence[int]) -> Simplex:
-        """Precompose with the vertex inclusion picking ``positions`` (sorted)."""
-        n = self.simplex_dim(s)
-        keep = set(positions)
-        for i in range(n, -1, -1):
-            if i not in keep:
+    def restrict_along(self, s: Simplex, positions: tuple[int, ...]) -> Simplex:
+        """Precompose with the vertex inclusion picking ``positions`` (sorted):
+        the k-th vertex is ``restrict_along(s, (k,))``, the (a, b)-edge
+        ``restrict_along(s, (a, b))``."""
+        for i in range(self.simplex_dim(s), -1, -1):
+            if i not in positions:
                 s = self.face(s, i)
         return s
 
@@ -336,7 +313,7 @@ class SMap:
         )
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SMap) and self.key() == other.key()
+        return self is other or (isinstance(other, SMap) and self.key() == other.key())
 
     def __hash__(self) -> int:
         return hash(self.key())
@@ -415,7 +392,7 @@ def identity(x: FinSSet) -> SMap:
 
 def compose(g: SMap, f: SMap) -> SMap:
     """g after f."""
-    if f.target is not g.source and f.target != g.source:
+    if f.target != g.source:
         raise SSetError("composition mismatch")
     return SMap(f.source, g.target, {c: g.apply(s) for c, s in f.assignment.items()})
 

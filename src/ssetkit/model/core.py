@@ -1,10 +1,11 @@
 """Local-universe presentation of types: contexts, types, and terms.
 
-A type over a context G is a pair of maps (r: G -> V, p: E ->> V) with p a
-certified fibration of its class :class:`FibClassSpec`; a term is a section
-G -> E over r.  A type's depth is its class's depth, ``spec.depth``: the
-formers build every universe, pushforward and core of a type at that depth,
-and a binder's domain and family share it.  Substitution is
+A context is a simplicial set.  A type is a span (r: G -> V, p: E ->> V)
+with p a certified fibration of its class :class:`FibClassSpec`, and its
+context G is the source of r, which it does not store again; a term is a
+section G -> E over r.  A type's depth is its class's depth,
+``spec.depth``: the formers build every universe, pushforward and core of a
+type at that depth, and a binder's domain and family share it.  Substitution is
 precomposition of r, so it is strictly functorial, and extended contexts are
 chosen pullbacks (the chooser returns the other leg unchanged along an
 identity, which makes extension by the unit type literally the base context).
@@ -41,7 +42,6 @@ __all__ = [
     "FibClassSpec",
     "ModelError",
     "UnsupportedConstruction",
-    "LUContext",
     "LUType",
     "LUTerm",
     "Extension",
@@ -87,34 +87,28 @@ class FibClassSpec:
 
 
 @dataclass(frozen=True)
-class LUContext:
-    """A base- or indexed-side context: an object of simplicial sets."""
-
-    sset: FinSSet
-
-
-@dataclass(frozen=True)
 class LUType:
-    """A type over ctx: the span ctx -> V <- E with p a fibration.
+    """A type: the span ctx -> V <- E with p a fibration, over ctx = r.source.
 
     ``former`` is the record of the former that built the type, holding what
     its term operations read: universe-level handles, which substitution
     passes through, and the binder, which substitution reindexes.  It never
     participates in equality, so type equality is the strict field-by-field
-    comparison of (ctx, r, p, spec).
+    comparison of (r, p, spec), and two equal types share their context.
     """
 
-    ctx: LUContext
-    r: SMap  # ctx.sset -> V
+    r: SMap  # ctx -> V
     p: SMap  # E ->> V, certified against spec
     spec: FibClassSpec
     former: Optional["Former"] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.r.source != self.ctx.sset:
-            raise ModelError("r must start at the context")
         if self.r.target != self.p.target:
             raise ModelError("r and p must share the universe")
+
+    @property
+    def ctx(self) -> FinSSet:
+        return self.r.source
 
     @property
     def universe(self) -> FinSSet:
@@ -134,7 +128,7 @@ class LUTerm:
     """A term: a section of p over r."""
 
     type: LUType
-    section: SMap  # ctx.sset -> E
+    section: SMap  # ctx -> E
 
     def __post_init__(self) -> None:
         if compose(self.type.p, self.section) != self.type.r:
@@ -145,21 +139,22 @@ class LUTerm:
 class Extension:
     """An extended context with its projection, generic term, and pullback."""
 
-    ctx: LUContext
-    proj: SMap  # ctx.sset -> parent
+    proj: SMap  # ctx -> parent
     var: LUTerm  # the generic term of the weakened type
     pb: Pullback = field(compare=False)
 
+    @property
+    def ctx(self) -> FinSSet:
+        return self.proj.source
+
 
 def _extension(a: LUType, pb: Pullback) -> Extension:
-    var = LUTerm(subst(a, pb.proj1), pb.proj2)
-    return Extension(LUContext(pb.sset), pb.proj1, var, pb)
+    return Extension(pb.proj1, LUTerm(subst(a, pb.proj1), pb.proj2), pb)
 
 
-def ctx_extend(gamma: LUContext, a: LUType) -> Extension:
-    """The chosen pullback of p_A along r_A, with projection and variable."""
-    if a.ctx.sset != gamma.sset:
-        raise ModelError("type is not over the context being extended")
+def ctx_extend(a: LUType) -> Extension:
+    """a's context extended by a: the chosen pullback of p_A along r_A, with
+    projection and variable."""
     return _extension(a, pullback(a.r, a.p))
 
 
@@ -176,7 +171,7 @@ class Binder:
     b: LUType
 
     def __post_init__(self) -> None:
-        if self.b.ctx.sset != self.pb.sset:
+        if self.b.ctx != self.pb.sset:
             raise ModelError("binder: the family must live over the chosen extension")
         if self.a.spec.depth != self.b.spec.depth:
             raise ModelError(
@@ -190,7 +185,7 @@ class Binder:
 
     def at(self, section: SMap) -> LUType:
         """B[a]: the family at a section of a."""
-        return subst(self.b, self.pb.pair(identity(self.a.ctx.sset), section))
+        return subst(self.b, self.pb.pair(identity(self.a.ctx), section))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -221,10 +216,9 @@ def subst(a: LUType, sigma: SMap) -> LUType:
     The former's record moves with the type: its types and binders are
     reindexed along sigma, its universe-level handles stay.
     """
-    if sigma.target != a.ctx.sset:
+    if sigma.target != a.ctx:
         raise ModelError("substitution does not target the type's context")
-    former = _reindex(a.former, sigma)
-    return LUType(LUContext(sigma.source), compose(a.r, sigma), a.p, a.spec, former)
+    return LUType(compose(a.r, sigma), a.p, a.spec, _reindex(a.former, sigma))
 
 
 def subst_term(t: LUTerm, sigma: SMap) -> LUTerm:

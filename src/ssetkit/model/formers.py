@@ -25,6 +25,7 @@ from typing import Optional
 
 from ..kernel import (
     Exponential,
+    FinSSet,
     Pullback,
     Pushforward,
     SMap,
@@ -48,7 +49,6 @@ from .core import (
     Binder,
     FibClassSpec,
     Former,
-    LUContext,
     LUTerm,
     LUType,
     ModelError,
@@ -66,6 +66,7 @@ __all__ = [
     "Coprod",
     "UnstableCoprod",
     "Ext",
+    "constant_type",
     "unit_type",
     "unit_term",
     "sigma_type",
@@ -146,13 +147,18 @@ class Ext(Former):
     ev: Exponential  # E_A^V
 
 
-# -- unit ---------------------------------------------------------------------
+# -- constant types and unit -----------------------------------------------------
 
 
-def unit_type(gamma: LUContext, spec: FibClassSpec) -> LUType:
-    """The unit type: the identity fibration over the terminal universe."""
-    pt = terminal()
-    return LUType(gamma, terminal_map(gamma.sset), identity(pt), spec)
+def constant_type(gamma: FinSSet, fiber: FinSSet, spec: FibClassSpec) -> LUType:
+    """The constant type over gamma with this fiber: gamma -> 1 <- fiber."""
+    return LUType(terminal_map(gamma), terminal_map(fiber), spec)
+
+
+def unit_type(gamma: FinSSet, spec: FibClassSpec) -> LUType:
+    """The unit type: the constant type with the point as fiber, whose
+    fibration 1 -> 1 is the identity."""
+    return constant_type(gamma, terminal(), spec)
 
 
 def unit_term(a: LUType) -> LUTerm:
@@ -197,7 +203,7 @@ def sigma_type(bd: Binder) -> LUType:
     r, pb_u, ev, prod_ev = _shared_universe(bd)
     pb_e = pullback(compose(prod_ev.proj2, ev), b.p)
     p = compose(pb_u.proj1, pb_e.proj1)
-    return LUType(a.ctx, r, p, a.spec, Sigma(bd, pb_u, pb_e))
+    return LUType(r, p, a.spec, Sigma(bd, pb_u, pb_e))
 
 
 def sigma_pair(s: LUType, at: LUTerm, bt: LUTerm) -> LUTerm:
@@ -231,7 +237,7 @@ def pi_type(bd: Binder) -> LUType:
     b = bd.b
     r, pb_u, prod_ee, z = _pi_universe(bd)
     e_pi = pushforward(pb_u.proj1, z.proj1, b.spec.depth)
-    return LUType(bd.a.ctx, r, e_pi.struct, b.spec, Pi(bd, pb_u, prod_ee, z, e_pi))
+    return LUType(r, e_pi.struct, b.spec, Pi(bd, pb_u, prod_ee, z, e_pi))
 
 
 def _pi_apply(rec: Pi, f_sec: SMap, r: SMap, a_sec: SMap) -> SMap:
@@ -248,7 +254,7 @@ def pi_lam(s: LUType, bt: LUTerm) -> LUTerm:
     """Abstraction: a term of B over the chosen extension gives a term of Pi."""
     rec: Pi = s.former
     pb = rec.binder.pb
-    if bt.type.ctx.sset != pb.sset:
+    if bt.type.ctx != pb.sset:
         raise ModelError("pi_lam: the body is not over the chosen extension")
     pb_gu = pullback(s.r, rec.pb_u.proj1)  # ctx x_{V_u} E_u
     alpha = compose(rec.pb_u.proj2, pb_gu.proj2)  # -> E_I (= E_A)
@@ -299,7 +305,7 @@ def hom_type(pi: LUType, base_spec: FibClassSpec, var: Optional[str] = None) -> 
     r_hom = factor_through(pi.r, eps_v)
     if r_hom is None:
         raise ModelError("hom: r does not factor through the core (context not verified)")
-    return LUType(pi.ctx, r_hom, g_p, base_spec, Hom(pi, eps_e, var))
+    return LUType(r_hom, g_p, base_spec, Hom(pi, eps_e, var))
 
 
 def hom_lam(hom: LUType, bt: LUTerm) -> LUTerm:
@@ -326,13 +332,16 @@ def id_type(a: LUType, left: LUTerm, right: LUTerm, budget: int) -> LUType:
     The universe is E_A x_{V_A} E_A and the fibration is the right leg of
     the budgeted factorization of the diagonal, so the construction is
     independent of the context and strictly stable.  The diagonal is
-    factored against A's class, which certifies the fibration.
+    factored against A's class, which certifies the fibration.  The
+    endpoints give the classifier, so they must be terms over A's context.
     """
+    if left.type.ctx != a.ctx or right.type.ctx != a.ctx:
+        raise ModelError("id: the endpoints are not terms over the type's context")
     pb = pullback(a.p, a.p)
     diag = pb.pair(identity(a.total), identity(a.total))
     fac = factor_soa(diag, a.spec.family, budget)
     r_id = pb.pair(left.section, right.section)
-    return LUType(a.ctx, r_id, fac.right, a.spec, Id(a, fac))
+    return LUType(r_id, fac.right, a.spec, Id(a, fac))
 
 
 def id_refl(idt: LUType, at: LUTerm) -> LUTerm:
@@ -357,7 +366,7 @@ def dep_coprod(bd: Binder, budget: int, variant: str = "stable") -> LUType:
     fac = factor_soa(compose(pb_u.proj1, z.proj1), b.spec.family, budget)
     if variant == "stable":
         rec = Coprod(bd, pb_u, prod_ee, z, fac)
-        return LUType(bd.a.ctx, r, fac.right, b.spec, rec)
+        return LUType(r, fac.right, b.spec, rec)
     if variant != "unstable":
         raise ModelError(f"unknown coproduct variant {variant!r}")
     eps = core_G(pb_u.proj1.target, level=b.spec.depth).inclusion
@@ -366,7 +375,7 @@ def dep_coprod(bd: Binder, budget: int, variant: str = "stable") -> LUType:
         raise ModelError("dep_coprod unstable: r does not factor through the core")
     pb_c = pullback(eps, fac.right)
     rec = UnstableCoprod(bd, pb_u, prod_ee, z, fac, pb_c)
-    return LUType(bd.a.ctx, r_core, pb_c.proj1, b.spec, rec)
+    return LUType(r_core, pb_c.proj1, b.spec, rec)
 
 
 def dep_coprod_intro(s: LUType, j_sec: SMap, bt: LUTerm) -> LUTerm:
@@ -397,8 +406,8 @@ def dep_coprod_elim(s: LUType, d_type: LUType, d_sec: SMap, c: LUTerm) -> LUTerm
     if isinstance(rec, UnstableCoprod):
         raise UnsupportedConstruction("the eliminator is provided for stable coproducts")
     bd = rec.binder
-    ext = ctx_extend(LUContext(s.ctx.sset), s)
-    if d_type.ctx.sset != ext.ctx.sset:
+    ext = ctx_extend(s)
+    if d_type.ctx != ext.ctx:
         raise ModelError("dep_coprod_elim: D is not over the coproduct extension")
     ext_b = pullback(bd.b.r, bd.b.p)  # Delta.I.B, the context of d
     if d_sec.source != ext_b.sset or d_sec.target != d_type.total:
@@ -419,7 +428,7 @@ def dep_coprod_elim(s: LUType, d_type: LUType, d_sec: SMap, c: LUTerm) -> LUTerm
     lift = solve_lift(prob)
     if lift is None:
         raise ModelError("dep_coprod_elim: no extension of d over the coproduct fibers")
-    point = ext.pb.pair(identity(s.ctx.sset), c.section)
+    point = ext.pb.pair(identity(s.ctx), c.section)
     return LUTerm(subst(d_type, point), compose(lift, point))
 
 
@@ -459,7 +468,7 @@ def extension_type(bd: Binder, j: SMap, partial: SMap) -> LUType:
     r_v = vav.curry(a.r, pb_gv)
     a_u = eau.curry(partial, pb_gu)
     r_pi = w.pair(r_v, a_u)
-    return LUType(bd.a.ctx, r_pi, p_pi, a.spec, Ext(bd, ev_))
+    return LUType(r_pi, p_pi, a.spec, Ext(bd, ev_))
 
 
 def extension_lam(ext: LUType, total_section: SMap) -> LUTerm:
@@ -476,4 +485,4 @@ def extension_app(ext: LUType, f: LUTerm, v_pt: SMap) -> LUTerm:
     rec: Ext = ext.former
     bd = rec.binder
     full = rec.ev.uncurry(f.section, bd.pb)
-    return LUTerm(bd.at(v_pt), compose(full, bd.pb.pair(identity(ext.ctx.sset), v_pt)))
+    return LUTerm(bd.at(v_pt), compose(full, bd.pb.pair(identity(ext.ctx), v_pt)))

@@ -33,12 +33,12 @@ from ..model import (
     Extension,
     FibClassSpec,
     Hom,
-    LUContext,
     LUTerm,
     LUType,
     ModelError,
     Pi,
     UnsupportedConstruction,
+    constant_type,
     ctx_extend,
     dep_coprod,
     dep_coprod_intro,
@@ -103,15 +103,17 @@ class ModelEnv:
 
 @dataclass
 class SemCtx:
-    """The semantic state of a two-zone context over a base simplicial set."""
+    """The semantic state of a two-zone context: the simplicial set gamma that
+    interprets it, and its variables as maps and terms over gamma."""
 
-    gamma: LUContext
+    gamma: FinSSet
     base_vars: dict = field(default_factory=dict)  # name -> SMap gamma -> fiber
     ind_vars: dict = field(default_factory=dict)  # name -> LUTerm over gamma
 
-    def reindexed(self, sigma: SMap, new_gamma: LUContext) -> "SemCtx":
+    def reindexed(self, sigma: SMap) -> "SemCtx":
+        """The state moved along sigma: gamma' -> gamma to gamma'."""
         return SemCtx(
-            new_gamma,
+            sigma.source,
             {n: compose(m, sigma) for n, m in self.base_vars.items()},
             {n: subst_term(t, sigma) for n, t in self.ind_vars.items()},
         )
@@ -122,7 +124,7 @@ class Elaborator:
         self.env = env
 
     def closed_ctx(self) -> SemCtx:
-        return SemCtx(LUContext(terminal()))
+        return SemCtx(terminal())
 
     # ---------------------------------------------------------------- types
 
@@ -140,10 +142,10 @@ class Elaborator:
                 raise UnsupportedConstruction(
                     f"no semantic binding for type constant {ty.name}"
                 )
-            return subst(base, terminal_map(ctx.gamma.sset))
+            return subst(base, terminal_map(ctx.gamma))
         if isinstance(ty, S.TSigma):
             a = self.elab_type(ctx, ty.xtype)
-            ext = ctx_extend(ctx.gamma, a)
+            ext = ctx_extend(a)
             inner = self._bind_ind(ctx, ext, ty.x)
             b = self.elab_type(inner, ty.body)
             return sigma_type(Binder(a, ext.pb, b))
@@ -194,7 +196,7 @@ class Elaborator:
                 return hit
             glob = env.terms.get(t.name)
             if glob is not None:
-                sigma = terminal_map(ctx.gamma.sset)
+                sigma = terminal_map(ctx.gamma)
                 return LUTerm(subst(glob.type, sigma), compose(glob.section, sigma))
             raise UnsupportedConstruction(f"no semantic binding for {t.name}")
         if isinstance(t, S.SPair):
@@ -280,24 +282,24 @@ class Elaborator:
                 return hit
             glob = self.env.base_terms.get(t.name)
             if glob is not None:
-                return compose(glob, terminal_map(ctx.gamma.sset))
+                return compose(glob, terminal_map(ctx.gamma))
             raise UnsupportedConstruction(f"no semantic binding for base term {t.name}")
         if isinstance(t, S.I0):
-            return constant_map(ctx.gamma.sset, std_simplex(1), "0")
+            return constant_map(ctx.gamma, std_simplex(1), "0")
         if isinstance(t, S.I1):
-            return constant_map(ctx.gamma.sset, std_simplex(1), "1")
+            return constant_map(ctx.gamma, std_simplex(1), "1")
         if isinstance(t, S.One):
-            return terminal_map(ctx.gamma.sset)
+            return terminal_map(ctx.gamma)
         raise UnsupportedConstruction(f"no base interpretation for {type(t).__name__}")
 
     def _bind_ind(self, ctx: SemCtx, ext: Extension, name: Optional[str]) -> SemCtx:
-        inner = ctx.reindexed(ext.proj, ext.ctx)
+        inner = ctx.reindexed(ext.proj)
         inner.ind_vars.pop(name, None)  # a shadowed name moves to the innermost position
         inner.ind_vars[name] = ext.var
         return inner
 
     def _bind_base_pb(self, ctx: SemCtx, pb, name: Optional[str]) -> SemCtx:
-        inner = ctx.reindexed(pb.proj1, LUContext(pb.sset))
+        inner = ctx.reindexed(pb.proj1)
         inner.base_vars[name] = pb.proj2
         return inner
 
@@ -313,14 +315,14 @@ class Elaborator:
     def _base_binder(self, ctx: SemCtx, i: Optional[str], fiber: FinSSet, body: S.Type) -> Binder:
         """The base type with this fiber reindexed to the context, and the
         family over it, in which ``i`` names the base variable."""
-        a = LUType(ctx.gamma, terminal_map(ctx.gamma.sset), terminal_map(fiber), self.env.base_spec)
-        pb = ctx_extend(ctx.gamma, a).pb
+        a = constant_type(ctx.gamma, fiber, self.env.base_spec)
+        pb = ctx_extend(a).pb
         b = self.elab_type(self._bind_base_pb(ctx, pb, i), body)
         return Binder(a, pb, b)
 
     def _hom_pi(self, ctx: SemCtx, a_ty: S.Type, x: str, b_ty: S.Type) -> LUType:
         a = self.elab_type(ctx, a_ty)
-        ext = ctx_extend(ctx.gamma, a)
+        ext = ctx_extend(a)
         inner = self._bind_ind(ctx, ext, x)
         b = self.elab_type(inner, b_ty)
         return pi_type(Binder(a, ext.pb, b))
@@ -339,7 +341,7 @@ class Elaborator:
         lt = self.elab_term(ctx, left, a_base)
         rt = self.elab_term(ctx, right, a_base)
         u, j_incl = boundary(1)
-        pb_gu = pullback(terminal_map(ctx.gamma.sset), terminal_map(u))
+        pb_gu = pullback(terminal_map(ctx.gamma), terminal_map(u))
         partial = self._glue_endpoints(pb_gu, lt.section, rt.section, bd.b.total)
         return extension_type(bd, j_incl, partial)
 

@@ -10,11 +10,10 @@ from ssetkit.kernel import closed, constant_map, identity, terminal, terminal_ma
 from ssetkit.lifting import cat_family, kan_family
 from ssetkit.model import (
     FibClassSpec,
-    LUContext,
     LUTerm,
-    LUType,
     ModelError,
     UnsupportedConstruction,
+    constant_type,
     ctx_extend,
     sigma_proj1,
     sigma_proj2,
@@ -30,8 +29,7 @@ from ssetkit.tt.parser import parse_term, parse_type
 def make_env(depth: int = 2, **kw) -> ModelEnv:
     spec = FibClassSpec("kan", depth)
     env = ModelEnv(spec, FibClassSpec("inner", depth), kan_family(depth), budget=300, **kw)
-    pt = LUContext(terminal())
-    k = LUType(pt, terminal_map(terminal()), terminal_map(discrete(2)), spec)
+    k = constant_type(terminal(), discrete(2), spec)
     env.types["K"] = k
     env.terms["k0"] = LUTerm(k, constant_map(terminal(), discrete(2), "p0"))
     env.base_types["J"] = discrete(2)
@@ -109,9 +107,8 @@ def test_nested_sigma_pair_elaborates():
         "def ns () | () : Sigma (x : A) Sigma (y : B) A := spair(a0, spair(b0, a0))\n"
     )
     env = make_env()
-    pt = LUContext(terminal())
     for ty, term in (("A", "a0"), ("B", "b0")):
-        env.types[ty] = LUType(pt, terminal_map(terminal()), terminal_map(discrete(2)), env.spec)
+        env.types[ty] = constant_type(terminal(), discrete(2), env.spec)
         env.terms[term] = LUTerm(env.types[ty], constant_map(terminal(), discrete(2), "p0"))
     pair = Elaborator(env).elab_decl(check_source(src).decls["ns"])
     assert sigma_proj1(pair.type, pair) == env.terms["a0"]
@@ -136,9 +133,8 @@ def test_hom_app_uses_the_innermost_indexed_variable():
         "def g2 () : Hom(A, B) := \\y. h ()\n"
     )
     env = make_env()
-    pt = LUContext(terminal())
     for ty, term in (("A", "a0"), ("B", "b0")):
-        env.types[ty] = LUType(pt, terminal_map(terminal()), terminal_map(discrete(2)), env.spec)
+        env.types[ty] = constant_type(terminal(), discrete(2), env.spec)
         env.terms[term] = LUTerm(env.types[ty], constant_map(terminal(), discrete(2), "p0"))
     decls = check_source(src).decls
     el = Elaborator(env)
@@ -152,8 +148,8 @@ def test_rebound_indexed_name_becomes_innermost():
     el = Elaborator(env)
     ctx = el.closed_ctx()
     for name in ("x", "y", "x"):
-        k = subst(env.types["K"], terminal_map(ctx.gamma.sset))
-        ctx = el._bind_ind(ctx, ctx_extend(ctx.gamma, k), name)
+        k = subst(env.types["K"], terminal_map(ctx.gamma))
+        ctx = el._bind_ind(ctx, ctx_extend(k), name)
     assert list(ctx.ind_vars) == ["y", "x"]
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import reference
+from ssetkit import joyal
 from ssetkit.joyal import (
     b_functor,
     b_map,
@@ -60,6 +61,30 @@ def test_degenerate_edge_is_invertible():
 def test_qcat_mode_agrees_on_simplex():
     v = invertible_edge(std_simplex(2), nondeg("0_1"), "qcat", level=2)
     assert v.is_no
+
+
+def test_qcat_core_checks_the_object_once(monkeypatch):
+    """One inner-horn scan of x per core, not one per edge; a lone
+    invertible_edge still makes its own."""
+    x = std_simplex(2)
+    calls = []
+    scan = joyal.has_rlp
+    monkeypatch.setattr(joyal, "has_rlp", lambda f, family: calls.append(f) or scan(f, family))
+    joyal._edge_verdicts.cache_clear()
+    res = core_G(x, "qcat", level=2)
+    assert len(calls) == 1 and calls[0] == terminal_map(x)
+    edges = sorted(x.nondegenerate(1))
+    assert sorted(res.verdicts) == edges and len(edges) == 3
+    for c in edges:
+        assert res.verdicts[c] == invertible_edge(x, nondeg(c), "qcat", level=2)
+    assert len(calls) == 1 + len(edges)
+
+
+def test_qcat_core_refuses_an_object_without_inner_fillers():
+    joyal._edge_verdicts.cache_clear()
+    with pytest.raises(SSetError, match="qcat mode requires inner-horn lifting at depth 3"):
+        core_G(horn(2, 1)[0], "qcat", level=2)
+    assert core_G(terminal(), "qcat", level=2).verdicts == {}
 
 
 # -- cores ---------------------------------------------------------------------

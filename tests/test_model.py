@@ -23,12 +23,12 @@ from ssetkit.model import (
     Binder,
     FibClassSpec,
     Former,
-    LUContext,
     LUTerm,
     LUType,
     ModelError,
     SemifibCorpus,
     audit_semifib,
+    constant_type,
     ctx_extend,
     dep_coprod,
     enumerate_terms,
@@ -50,52 +50,62 @@ from ssetkit.model import (
 SPEC = FibClassSpec("kan", 2)
 
 
-def constant_type(gamma: LUContext, fiber) -> LUType:
-    return LUType(gamma, terminal_map(gamma.sset), terminal_map(fiber), SPEC)
-
-
 # -- strict structure ----------------------------------------------------------
 
 
 def test_type_equality_ignores_aux():
-    gamma = LUContext(terminal())
-    a = constant_type(gamma, discrete(2))
-    b = LUType(gamma, a.r, a.p, SPEC, former=Former())
+    a = constant_type(terminal(), discrete(2), SPEC)
+    b = LUType(a.r, a.p, SPEC, former=Former())
     assert a.former is None and a == b
 
 
 def test_type_rejects_misaligned_span():
-    gamma = LUContext(std_simplex(1))
-    with pytest.raises(ModelError):
-        LUType(gamma, terminal_map(terminal()), terminal_map(discrete(2)), SPEC)
+    with pytest.raises(ModelError, match="share the universe"):
+        LUType(identity(std_simplex(1)), terminal_map(discrete(2)), SPEC)
 
 
 def test_term_must_live_over_classifier():
-    gamma = LUContext(std_simplex(1))
-    a = constant_type(gamma, discrete(2))
-    good = LUTerm(a, constant_map(gamma.sset, discrete(2), "p0"))
+    gamma = std_simplex(1)
+    a = constant_type(gamma, discrete(2), SPEC)
+    good = LUTerm(a, constant_map(gamma, discrete(2), "p0"))
     assert compose(a.p, good.section) == a.r
     with pytest.raises(ModelError):
         LUTerm(a, constant_map(terminal(), discrete(2), "p0"))
 
 
 def test_subst_is_strictly_functorial():
-    gamma = LUContext(std_simplex(1))
-    delta = LUContext(terminal())
-    a = constant_type(gamma, discrete(2))
-    sigma = constant_map(delta.sset, gamma.sset, "0")
-    assert subst(a, identity(gamma.sset)) == a
-    assert subst(subst(a, sigma), identity(delta.sset)) == subst(a, sigma)
+    gamma = std_simplex(1)
+    delta = terminal()
+    a = constant_type(gamma, discrete(2), SPEC)
+    sigma = constant_map(delta, gamma, "0")
+    assert subst(a, identity(gamma)) == a
+    assert subst(subst(a, sigma), identity(delta)) == subst(a, sigma)
     tau = terminal_map(std_simplex(2))
     assert subst(subst(a, sigma), tau) == subst(a, compose(sigma, tau))
 
 
+def test_unit_type_is_the_constant_type_with_the_point_as_fiber():
+    for gamma in (terminal(), std_simplex(1), std_simplex(2)):
+        u = unit_type(gamma, SPEC)
+        assert constant_type(gamma, terminal(), SPEC) == u
+        assert u.ctx == gamma and u.p == identity(terminal())
+
+
+@pytest.mark.parametrize("fiber", [terminal(), discrete(2), std_simplex(1)], ids=["point", "two", "interval"])
+def test_constant_type_is_stable_under_substitution(fiber):
+    """On split_substitution_suite's contexts Γ = Δ^1 and Δ = Δ^0, along its
+    vertex substitution σ: Δ -> Γ and τ: Δ^2 -> Γ."""
+    gamma, delta = std_simplex(1), terminal()
+    for sigma in (constant_map(delta, gamma, "0"), constant_map(std_simplex(2), gamma, "1")):
+        assert subst(constant_type(gamma, fiber, SPEC), sigma) == constant_type(sigma.source, fiber, SPEC)
+
+
 def test_extension_projection_and_variable():
-    gamma = LUContext(std_simplex(1))
-    a = constant_type(gamma, discrete(2))
-    ext = ctx_extend(gamma, a)
-    assert ext.proj.source == ext.ctx.sset
-    assert ext.proj.target == gamma.sset
+    gamma = std_simplex(1)
+    a = constant_type(gamma, discrete(2), SPEC)
+    ext = ctx_extend(a)
+    assert ext.proj.source == ext.ctx
+    assert ext.proj.target == gamma
     # the generic variable is a section of the weakened type
     weak = ext.var.type
     assert weak.ctx == ext.ctx
@@ -135,7 +145,7 @@ def test_factor_through_matches_the_map_search(seed):
 
 
 def test_unit_has_exactly_one_term():
-    gamma = LUContext(std_simplex(1))
+    gamma = std_simplex(1)
     u = unit_type(gamma, SPEC)
     terms = enumerate_terms(u)
     assert len(terms) == 1
@@ -143,14 +153,14 @@ def test_unit_has_exactly_one_term():
 
 
 def test_sigma_projections_invert_pairing():
-    gamma = LUContext(terminal())
-    a = constant_type(gamma, discrete(2))
-    ext = ctx_extend(gamma, a)
-    b = constant_type(ext.ctx, discrete(2))
+    gamma = terminal()
+    a = constant_type(gamma, discrete(2), SPEC)
+    ext = ctx_extend(a)
+    b = constant_type(ext.ctx, discrete(2), SPEC)
     s = sigma_type(Binder(a, ext.pb, b))
-    at = LUTerm(a, constant_map(gamma.sset, discrete(2), "p0"))
-    sa = ext.pb.pair(identity(gamma.sset), at.section)
-    bt = LUTerm(subst(b, sa), constant_map(gamma.sset, discrete(2), "p1"))
+    at = LUTerm(a, constant_map(gamma, discrete(2), "p0"))
+    sa = ext.pb.pair(identity(gamma), at.section)
+    bt = LUTerm(subst(b, sa), constant_map(gamma, discrete(2), "p1"))
     pair = sigma_pair(s, at, bt)
     assert sigma_proj1(s, pair) == at
     assert sigma_proj2(s, pair).section == bt.section
@@ -161,18 +171,18 @@ def test_sigma_projections_invert_pairing():
 
 
 def test_binder_refuses_mixed_depths():
-    gamma = LUContext(terminal())
-    a = constant_type(gamma, discrete(2))
-    ext = ctx_extend(gamma, a)
-    deeper = LUType(ext.ctx, terminal_map(ext.ctx.sset), terminal_map(discrete(2)), FibClassSpec("kan", 3))
+    gamma = terminal()
+    a = constant_type(gamma, discrete(2), SPEC)
+    ext = ctx_extend(a)
+    deeper = constant_type(ext.ctx, discrete(2), FibClassSpec("kan", 3))
     with pytest.raises(ModelError, match="depth"):
         Binder(a, ext.pb, deeper)
 
 
 def test_hom_refuses_a_base_class_of_another_depth():
-    gamma = LUContext(terminal())
-    a = constant_type(gamma, discrete(2))
-    ext = ctx_extend(gamma, a)
+    gamma = terminal()
+    a = constant_type(gamma, discrete(2), SPEC)
+    ext = ctx_extend(a)
     pi = pi_type(Binder(a, ext.pb, subst(a, ext.proj)))
     assert hom_type(pi, FibClassSpec("inner", 2)).spec.depth == 2
     with pytest.raises(ModelError, match="depth"):
@@ -188,13 +198,21 @@ def test_id_and_coproduct_factor_in_their_type_class(spec, fiber):
     """Both factor against the class of the type they return, so its spec
     certifies their fibration: an Id over a fiber with an edge lifts in its
     own class, not only in the class it was factored in."""
-    gamma = LUContext(terminal())
-    a = LUType(gamma, terminal_map(gamma.sset), terminal_map(fiber), spec)
-    p0 = LUTerm(a, constant_map(gamma.sset, fiber, fiber.cells[0][0]))
-    ext = ctx_extend(gamma, a)
+    gamma = terminal()
+    a = constant_type(gamma, fiber, spec)
+    p0 = LUTerm(a, constant_map(gamma, fiber, fiber.cells[0][0]))
+    ext = ctx_extend(a)
     for t in (id_type(a, p0, p0, 300), dep_coprod(Binder(a, ext.pb, subst(a, ext.proj)), 300)):
         assert t.spec == spec
         assert spec.check(t.p)[0]
+
+
+def test_id_refuses_endpoints_over_another_context():
+    """Id's classifier is the pair of its endpoints, so they fix its context."""
+    a = constant_type(std_simplex(1), discrete(2), SPEC)
+    p0 = LUTerm(constant_type(terminal(), discrete(2), SPEC), constant_map(terminal(), discrete(2), "p0"))
+    with pytest.raises(ModelError):
+        id_type(a, p0, p0, 300)
 
 
 def test_audit_refuses_a_depth_other_than_the_class_depth():
@@ -203,21 +221,21 @@ def test_audit_refuses_a_depth_other_than_the_class_depth():
 
 
 def test_term_substitution_is_precomposition():
-    gamma = LUContext(std_simplex(1))
-    delta = LUContext(terminal())
-    sigma = constant_map(delta.sset, gamma.sset, "1")
-    a = constant_type(gamma, discrete(2))
-    t = LUTerm(a, constant_map(gamma.sset, discrete(2), "p1"))
+    gamma = std_simplex(1)
+    delta = terminal()
+    sigma = constant_map(delta, gamma, "1")
+    a = constant_type(gamma, discrete(2), SPEC)
+    t = LUTerm(a, constant_map(gamma, discrete(2), "p1"))
     assert subst_term(t, sigma).section == compose(t.section, sigma)
 
 
 def test_weaken_is_substitution_along_the_projection():
-    gamma = LUContext(std_simplex(1))
-    a = constant_type(gamma, discrete(2))
-    ext = ctx_extend(gamma, a)
-    t = LUTerm(a, constant_map(gamma.sset, discrete(2), "p0"))
+    gamma = std_simplex(1)
+    a = constant_type(gamma, discrete(2), SPEC)
+    ext = ctx_extend(a)
+    t = LUTerm(a, constant_map(gamma, discrete(2), "p0"))
     w = weaken(t, ext)
-    assert w.type.ctx.sset == ext.ctx.sset
+    assert w.type.ctx == ext.ctx
     assert w == subst_term(t, ext.proj)
     assert w.section == compose(t.section, ext.proj)
 

@@ -11,10 +11,10 @@ from ssetkit.kernel import boundary, constant_map, pullback, std_simplex, termin
 from ssetkit.model import (
     Binder,
     FibClassSpec,
-    LUContext,
     LUTerm,
     LUType,
     ModelError,
+    constant_type,
     ctx_extend,
     dep_coprod,
     dep_coprod_elim,
@@ -42,25 +42,21 @@ from ssetkit.model import (
 
 SPEC = FibClassSpec("kan", 2)
 BASE_SPEC = FibClassSpec("inner", 2)
-GAMMA = LUContext(std_simplex(1))
-SIGMA = constant_map(terminal(), GAMMA.sset, "0")
-
-
-def const(ctx: LUContext, spec=SPEC) -> LUType:
-    return LUType(ctx, terminal_map(ctx.sset), terminal_map(discrete(2)), spec)
+GAMMA = std_simplex(1)
+SIGMA = constant_map(terminal(), GAMMA, "0")
 
 
 def point(ty: LUType, name: str) -> LUTerm:
-    return LUTerm(ty, constant_map(ty.ctx.sset, discrete(2), name))
+    return LUTerm(ty, constant_map(ty.ctx, discrete(2), name))
 
 
 def family(a: LUType) -> Binder:
     """The constant two-point family over the chosen extension by a."""
-    pb = ctx_extend(GAMMA, a).pb
-    return Binder(a, pb, const(LUContext(pb.sset)))
+    pb = ctx_extend(a).pb
+    return Binder(a, pb, constant_type(pb.sset, discrete(2), SPEC))
 
 
-K = const(GAMMA)
+K = constant_type(GAMMA, discrete(2), SPEC)
 P0 = point(K, "p0")
 
 
@@ -83,27 +79,27 @@ def _hom():
 
 
 def _coprod(variant):
-    c = dep_coprod(family(const(GAMMA, BASE_SPEC)), 300, variant=variant)
+    c = dep_coprod(family(constant_type(GAMMA, discrete(2), BASE_SPEC)), 300, variant=variant)
     return c, _coprod_intro(c, None)
 
 
 def _coprod_intro(c, t, j="p0"):
     """(j, b) into the coproduct, with j and b the vertex named j of the base and the fiber."""
-    j_sec = constant_map(c.ctx.sset, discrete(2), j)
+    j_sec = constant_map(c.ctx, discrete(2), j)
     return dep_coprod_intro(c, j_sec, point(c.former.binder.at(j_sec), j))
 
 
 def _coprod_elim(c, t):
-    d_type = const(ctx_extend(c.ctx, c).ctx)
+    d_type = constant_type(ctx_extend(c).ctx, discrete(2), SPEC)
     b = c.former.binder.b
     d_sec = constant_map(pullback(b.r, b.p).sset, discrete(2), "p1")
     return dep_coprod_elim(c, d_type, d_sec, t)
 
 
 def _path():
-    bd = family(LUType(GAMMA, terminal_map(GAMMA.sset), terminal_map(std_simplex(1)), BASE_SPEC))
+    bd = family(constant_type(GAMMA, std_simplex(1), BASE_SPEC))
     u, j = boundary(1)
-    partial = constant_map(pullback(terminal_map(GAMMA.sset), terminal_map(u)).sset, discrete(2), "p0")
+    partial = constant_map(pullback(terminal_map(GAMMA), terminal_map(u)).sset, discrete(2), "p0")
     e = extension_type(bd, j, partial)
     return e, extension_lam(e, constant_map(bd.pb.sset, discrete(2), "p0"))
 
@@ -111,7 +107,7 @@ def _path():
 CASES = {
     "sigma-proj1": (_sigma, sigma_proj1),
     "sigma-proj2": (_sigma, sigma_proj2),
-    "pi-app": (_pi, lambda s, f: pi_app(s, f, LUTerm(s.former.binder.a, constant_map(s.ctx.sset, discrete(2), "p1")))),
+    "pi-app": (_pi, lambda s, f: pi_app(s, f, LUTerm(s.former.binder.a, constant_map(s.ctx, discrete(2), "p1")))),
     "hom-app": (_hom, hom_app),
     "id-refl": (
         lambda: (id_type(K, P0, P0, 300), P0),
@@ -120,7 +116,7 @@ CASES = {
     "coprod-intro": (lambda: _coprod("stable"), _coprod_intro),
     "unstable-coprod-intro": (lambda: _coprod("unstable"), lambda c, t: _coprod_intro(c, t, "p1")),
     "coprod-elim": (lambda: _coprod("stable"), _coprod_elim),
-    "extension-app": (_path, lambda e, f: extension_app(e, f, constant_map(e.ctx.sset, std_simplex(1), "1"))),
+    "extension-app": (_path, lambda e, f: extension_app(e, f, constant_map(e.ctx, std_simplex(1), "1"))),
 }
 
 
@@ -134,7 +130,7 @@ def test_eliminator_commutes_with_substitution(name):
 def test_pi_app_var_commutes_with_q():
     pi, f = _pi()
     pi_d = subst(pi, SIGMA)
-    q = q_map(SIGMA, pi.former.binder.pb, ctx_extend(pi_d.ctx, subst(K, SIGMA)).pb)
+    q = q_map(SIGMA, pi.former.binder.pb, ctx_extend(subst(K, SIGMA)).pb)
     assert pi_app_var(pi_d, subst_term(f, SIGMA)) == subst_term(pi_app_var(pi, f), q)
 
 

@@ -127,18 +127,16 @@ WORKLOADS = {
 def _factor_map(name: str):
     """The map a factor row factors."""
     from ssetkit.corpus import discrete
-    from ssetkit.kernel import compose, load_smap, std_simplex, terminal, terminal_map
-    from ssetkit.model import Binder, FibClassSpec, LUContext, LUType, ctx_extend
+    from ssetkit.kernel import compose, load_smap, std_simplex, terminal
+    from ssetkit.model import Binder, FibClassSpec, constant_type, ctx_extend
     from ssetkit.model.formers import _pi_universe
 
     if name == "boundary_include":
         return load_smap(MAPS / "boundary_include.smap")
     spec = FibClassSpec("kan", 2)
-    gamma = LUContext(terminal())
-    a = LUType(gamma, terminal_map(gamma.sset), terminal_map(std_simplex(1)), spec)
-    pb = ctx_extend(gamma, a).pb
-    b = LUType(LUContext(pb.sset), terminal_map(pb.sset), terminal_map(discrete(2)), spec)
-    _, pb_u, _, z = _pi_universe(Binder(a, pb, b))
+    a = constant_type(terminal(), std_simplex(1), spec)
+    pb = ctx_extend(a).pb
+    _, pb_u, _, z = _pi_universe(Binder(a, pb, constant_type(pb.sset, discrete(2), spec)))
     return compose(pb_u.proj1, z.proj1)
 
 
