@@ -87,13 +87,21 @@ def audit_semifib(
     if depth != spec.depth:
         raise ModelError(f"audit: depth {depth} is not the class's depth {spec.depth}")
     # a lifting verdict depends only on the map, and the same map recurs as
-    # a probe, a corpus map, an identity, a composite or a chosen pullback
+    # a probe, a corpus map, an identity, a composite or a chosen pullback;
+    # likewise a verdict against this call's probes, for the trivial-cofibration checks
     verdicts_of: dict[SMap, tuple] = {}
+    llp_of: dict[SMap, tuple] = {}
 
     def check(p: SMap) -> tuple:
         found = verdicts_of.get(p)
         if found is None:
             found = verdicts_of[p] = spec.check(p)
+        return found
+
+    def llp(i: SMap) -> tuple:
+        found = llp_of.get(i)
+        if found is None:
+            found = llp_of[i] = has_llp(i, probes)
         return found
 
     probes = [terminal_map(x) for x in corpus.objects if check(terminal_map(x))[0]]
@@ -135,7 +143,7 @@ def audit_semifib(
     notes = []
     ok = True
     # whether each corpus map lifts against the probes, shared with (5)
-    lifts = [has_llp(i, probes)[0] for i in corpus.maps]
+    lifts = [llp(i)[0] for i in corpus.maps]
     for i, lifted in zip(corpus.maps, lifts):
         if not lifted:
             continue
@@ -143,7 +151,7 @@ def audit_semifib(
             if p.target != i.target:
                 continue
             pulled = pullback(p, i).proj1  # p*(A) -> domain of p
-            good, ce = has_llp(pulled, probes)
+            good, ce = llp(pulled)
             if not good:
                 ok = False
                 notes.append(f"pullback along a fibration loses LLP: {ce}")
@@ -155,7 +163,7 @@ def audit_semifib(
     for i, a, b in corpus.over_triples():
         try:
             fac = factor_soa(i, spec.family, budget)
-            if not has_llp(fac.left, probes)[0]:
+            if not llp(fac.left)[0]:
                 status = "fail"
                 notes.append("left factor is not a trivial cofibration vs probes")
         except BudgetExhausted:
@@ -175,7 +183,7 @@ def audit_semifib(
                 continue
             pa, pb = pullback(r, a), pullback(r, b)
             pulled = pb.pair(pa.proj1, compose(i, pa.proj2))
-            good, ce = has_llp(pulled, probes)
+            good, ce = llp(pulled)
             if not good:
                 ok = False
                 notes.append(f"base change loses LLP: {ce}")

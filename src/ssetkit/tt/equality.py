@@ -7,6 +7,14 @@ type at the comparison boundary is known.  The extension-type equation
 ``app(f, j u) = a[u/x]`` needs the comparison maps j from the type, so it
 also fires inside ``equal_terms`` (and inside ``normalize`` for the built-in
 path-type pieces i0/i1).
+
+Both comparisons first ask whether the two sides are alpha-equal, and
+answer ``True`` at once if they are, before unfolding a definition,
+normalizing or eta-expanding: definitional equality is reflexive and
+invariant under alpha, so only work is skipped.  Nearly every conversion the
+checker asks about is of this kind.  One consequence is visible: a
+comparison of alpha-equal sides spends no fuel, so it never raises
+``OutOfFuel``, even over a redex tower longer than ``FUEL``.
 """
 
 from __future__ import annotations
@@ -134,34 +142,33 @@ def normalize(t: Term, fuel: Optional[int] = None) -> Term:
 def _match_one_hole(pattern: Term, hole: str, value: Term) -> Optional[Term]:
     """Match ``value`` against ``pattern`` with ``hole`` as a linear variable."""
     found: list[Term] = []
-
-    def walk(p: Term, v: Term) -> bool:
-        if isinstance(p, Var) and p.name == hole:
-            found.append(v)
-            return True
-        if type(p) is not type(v):
-            return False
-        if isinstance(p, Var):
-            return p.name == v.name
-        if isinstance(p, (One, I0, I1)):
-            return True
-        if isinstance(p, App):
-            return walk(p.f, v.f) and walk(p.a, v.a)
-        if isinstance(p, HomApp):
-            return walk(p.f, v.f)
-        if isinstance(p, (Pinl, Pinr, Fst, Snd, Refl)):
-            return walk(p.t, v.t)
-        if isinstance(p, (In, CPair)):
-            return walk(p.j, v.j) and walk(p.b, v.b)
-        if isinstance(p, Pglue):
-            return walk(p.t, v.t) and walk(p.r, v.r)
-        return alpha_equal(p, v)
-
-    if not walk(pattern, value):
-        return None
-    if len(found) == 1:
+    if _match(pattern, value, hole, found) and len(found) == 1:
         return found[0]
     return None
+
+
+def _match(p: Term, v: Term, hole: str, found: list) -> bool:
+    """Whether ``v`` matches ``p``, appending to ``found`` what ``hole`` meets."""
+    if isinstance(p, Var) and p.name == hole:
+        found.append(v)
+        return True
+    if type(p) is not type(v):
+        return False
+    if isinstance(p, Var):
+        return p.name == v.name
+    if isinstance(p, (One, I0, I1)):
+        return True
+    if isinstance(p, App):
+        return _match(p.f, v.f, hole, found) and _match(p.a, v.a, hole, found)
+    if isinstance(p, HomApp):
+        return _match(p.f, v.f, hole, found)
+    if isinstance(p, (Pinl, Pinr, Fst, Snd, Refl)):
+        return _match(p.t, v.t, hole, found)
+    if isinstance(p, (In, CPair)):
+        return _match(p.j, v.j, hole, found) and _match(p.b, v.b, hole, found)
+    if isinstance(p, Pglue):
+        return _match(p.t, v.t, hole, found) and _match(p.r, v.r, hole, found)
+    return alpha_equal(p, v)
 
 
 def _ext_beta(ty: TExt, t: EApp) -> Optional[Term]:
@@ -184,6 +191,8 @@ def _glue_endpoint(ty: "TPushout", t: Term) -> Term:
 
 def equal_types(t: Type, u: Type, defs: Defs = None) -> bool:
     """Type equality: alpha after normalizing all embedded terms."""
+    if alpha_equal(t, u):
+        return True
     return alpha_equal(_normal_type(unfold(t, defs)), _normal_type(unfold(u, defs)))
 
 
@@ -193,6 +202,8 @@ def _normal_type(ty: Type) -> Type:
 
 def equal_terms(t: Term, u: Term, ty: Optional[Type] = None, defs: Defs = None) -> bool:
     """Definitional equality at a type: normalize, eta-expand, alpha-compare."""
+    if alpha_equal(t, u):
+        return True
     if defs:
         t, u = unfold(t, defs), unfold(u, defs)
         ty = unfold(ty, defs) if ty is not None else None

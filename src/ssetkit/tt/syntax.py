@@ -544,60 +544,83 @@ def subst(t, name: str, value: Term):
     free names of ``value`` and of its scope, from ``name`` and from the
     other binders of its scope (and, for lambda and clause binders, from the
     lambda and clause binders around it).
+
+    The walk is the module-level ``_subst``, which gets ``name``, ``value``
+    and the free names of ``value`` as an explicit ``_Subst`` state.  A
+    nested walker that calls itself would refer to itself through a cell,
+    and that cycle, with every node it captured, would live until the cyclic
+    collector ran; without one, reference counting frees a substitution's
+    garbage at once.
     """
-    fv = None  # the free names of value, computed at the first binder met
+    return _subst(t, _EMPTY, _Subst(name, value))
 
-    def rename(b, kids: list, avoid, shadowed: bool = False) -> tuple:
-        # a fresh name for the binder b, and the kids of its scope with it put
-        # for b, unless a later binder of the scope shadows b there
-        nb = fresh(b, avoid.union(*map(free_vars, kids)))
-        return nb, kids if shadowed else [subst(k, b, Var(nb)) for k in kids]
 
-    def go(t, bound: frozenset):
-        nonlocal fv
-        cls = type(t)
-        if cls is Var:
-            return value if t.name == name else t
-        if cls is TDepHom:
-            if not t.tele:
-                return TDepHom((), go(t.b, _EMPTY))
-            (n, ty), rest = t.tele[0], TDepHom(t.tele[1:], t.b)
-            if n != name:
-                fv = free_vars(value) if fv is None else fv
-                if n in fv:
-                    n, (rest,) = rename(n, [rest], fv | {name})
-                rest = go(rest, _EMPTY)
-            return TDepHom(((n, go(ty, _EMPTY)),) + rest.tele, rest.b)
-        names, _, scopes, _ = _SHAPES[cls]
-        new = {}  # the fields that change
-        for binders, kids in scopes:
-            inner = bound
-            if binders:
-                bs = [getattr(t, b) for b in binders]
-                if name in bs:
-                    continue  # shadowed
-                fv = free_vars(value) if fv is None else fv
-                if not fv.isdisjoint(bs):
-                    sub = [getattr(t, k) for k in kids]
-                    for j, b in enumerate(bs):
-                        if b in fv:
-                            avoid = fv | bound | {name, *bs}
-                            bs[j], sub = rename(b, sub, avoid, b in bs[j + 1:])
-                            new[binders[j]] = bs[j]
-                    new.update(zip(kids, sub))
-                inner = bound.union(bs) if cls in _LEXICAL else _EMPTY
-            for k in kids:
-                old = getattr(t, k)
-                v = new.get(k, old)
-                if type(v) is tuple:
-                    v = tuple([go(e, inner) for e in v])
-                    if any(map(is_not, v, old)):
-                        new[k] = v
-                elif (v := go(v, inner)) is not old:
+class _Subst:
+    """What one substitution carries down: the name, the value, and the
+    free names of the value, computed at the first binder met."""
+
+    __slots__ = ("name", "value", "_fv")
+
+    def __init__(self, name: str, value: Term):
+        self.name, self.value, self._fv = name, value, None
+
+    @property
+    def fv(self) -> frozenset:
+        if self._fv is None:
+            self._fv = free_vars(self.value)
+        return self._fv
+
+
+def _rename(b, kids: list, avoid, shadowed: bool = False) -> tuple:
+    """A fresh name for the binder b, and the kids of its scope with it put
+    for b, unless a later binder of the scope shadows b there."""
+    nb = fresh(b, avoid.union(*map(free_vars, kids)))
+    return nb, kids if shadowed else [subst(k, b, Var(nb)) for k in kids]
+
+
+def _subst(t, bound: frozenset, s: _Subst):
+    cls = type(t)
+    if cls is Var:
+        return s.value if t.name == s.name else t
+    name = s.name
+    if cls is TDepHom:
+        if not t.tele:
+            return TDepHom((), _subst(t.b, _EMPTY, s))
+        (n, ty), rest = t.tele[0], TDepHom(t.tele[1:], t.b)
+        if n != name:
+            fv = s.fv
+            if n in fv:
+                n, (rest,) = _rename(n, [rest], fv | {name})
+            rest = _subst(rest, _EMPTY, s)
+        return TDepHom(((n, _subst(ty, _EMPTY, s)),) + rest.tele, rest.b)
+    names, _, scopes, _ = _SHAPES[cls]
+    new = {}  # the fields that change
+    for binders, kids in scopes:
+        inner = bound
+        if binders:
+            bs = [getattr(t, b) for b in binders]
+            if name in bs:
+                continue  # shadowed
+            fv = s.fv
+            if not fv.isdisjoint(bs):
+                sub = [getattr(t, k) for k in kids]
+                for j, b in enumerate(bs):
+                    if b in fv:
+                        avoid = fv | bound | {name, *bs}
+                        bs[j], sub = _rename(b, sub, avoid, b in bs[j + 1:])
+                        new[binders[j]] = bs[j]
+                new.update(zip(kids, sub))
+            inner = bound.union(bs) if cls in _LEXICAL else _EMPTY
+        for k in kids:
+            old = getattr(t, k)
+            v = new.get(k, old)
+            if type(v) is tuple:
+                v = tuple([_subst(e, inner, s) for e in v])
+                if any(map(is_not, v, old)):
                     new[k] = v
-        return cls(*[new.get(f, getattr(t, f)) for f in names]) if new else t
-
-    return go(t, _EMPTY)
+            elif (v := _subst(v, inner, s)) is not old:
+                new[k] = v
+    return cls(*[new.get(f, getattr(t, f)) for f in names]) if new else t
 
 
 subst_type = subst

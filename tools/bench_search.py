@@ -79,7 +79,12 @@ Workloads:
 The factor rows also store the cells they attach, ``pushout``, ``pullback``
 and ``pushforward`` the cells they build, and ``parse``, ``check`` and
 ``interp`` what they count, in every timed run; these must agree between
-the runs and between the trees.
+the runs and between the trees.  The counting run of ``check`` and
+``interp`` also counts the calls of ``equality.normalize``, rebound
+wherever ssetkit imported it, and the objects that ``gc.collect()`` frees
+after the run, which runs with the cyclic collector disabled: the
+``normalize_calls`` and ``cyclic_garbage`` of those rows.  These two differ
+between trees that change the checker.
 """
 
 from __future__ import annotations
@@ -398,7 +403,31 @@ def child(name: str, count: bool) -> dict:
 
     counted("simplices_with_faces")
     counted("face")
-    run()
+    if name not in ("check", "interp"):
+        run()
+        return calls
+    from ssetkit.tt import equality
+
+    calls["normalize_calls"] = 0
+    normalize = equality.normalize
+
+    def counted_normalize(*args):
+        calls["normalize_calls"] += 1
+        return normalize(*args)
+
+    # rebound wherever ssetkit imported it, so the checker's and the elaborator's own calls count too
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "ssetkit"]:
+        for attr, value in list(vars(module).items()):
+            if value is normalize:
+                setattr(module, attr, counted_normalize)
+    # the cyclic garbage of the whole run: none of it is freed before the collection after it
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        calls["cyclic_garbage"] = gc.collect()
+    finally:
+        gc.enable()
     return calls
 
 
@@ -465,6 +494,7 @@ def measure(trees: dict[str, Path]) -> dict:
                 "runs_s": [round(s, 6) for s in seconds[column]],
                 "simplices_with_faces_calls": calls["simplices_with_faces"],
                 "face_calls": calls["face"],
+                **{count: calls[count] for count in ("normalize_calls", "cyclic_garbage") if count in calls},
                 **runs[column][0],
             }
             print(f"{name} [{column}]: {columns[column][name]['median_s']:.4f} s "
