@@ -50,8 +50,10 @@ from .syntax import (
     Type,
     Var,
     free_vars,
+    fresh,
     subst,
     subst_type,
+    type_to_src,
 )
 
 __all__ = ["CheckError", "Telescope", "Declaration", "Checker", "check_source"]
@@ -188,16 +190,10 @@ class Checker:
             self.check_type(ctx, t.xtype, "ind")
             self.check_type(ctx.bind_ind(t.x, t.xtype), t.body, "ind")
             return
-        if isinstance(t, TId):
+        if isinstance(t, (TId, TPath)):
+            name = "Id" if isinstance(t, TId) else "Path"
             if zone != "ind":
-                raise CheckError("Id-form", "Id types live in the indexed zone")
-            self.check_type(ctx, t.a, "ind")
-            self.check_term(ctx, t.left, t.a)
-            self.check_term(ctx, t.right, t.a)
-            return
-        if isinstance(t, TPath):
-            if zone != "ind":
-                raise CheckError("Path-form", "Path types live in the indexed zone")
+                raise CheckError(f"{name}-form", f"{name} types live in the indexed zone")
             self.check_type(ctx, t.a, "ind")
             self.check_term(ctx, t.left, t.a)
             self.check_term(ctx, t.right, t.a)
@@ -273,7 +269,8 @@ class Checker:
             # inferable in the non-dependent case
             at = self.infer(ctx, t.a)
             bt = self.infer(ctx, t.b)
-            return TSigma("_", at, bt)
+            # the binder is named apart from bt, which it does not scope over
+            return TSigma(fresh("_", free_vars(bt)), at, bt)
         if isinstance(t, Fst):
             st = self.infer(ctx, t.t)
             if not isinstance(st, TSigma):
@@ -447,22 +444,11 @@ class Checker:
                 return
         # fall back to inference plus conversion
         got = self.infer(ctx, t)
-        if not self._convertible(got, ty):
+        if not equal_types(got, ty, defs=self.defs):
             raise CheckError(
                 "conv",
-                f"type mismatch: inferred {self._show(got)}, expected {self._show(ty)}",
+                f"type mismatch: inferred {type_to_src(got)}, expected {type_to_src(ty)}",
             )
-
-    # -------------------------------------------------------------- helpers
-
-    def _convertible(self, got: Type, want: Type) -> bool:
-        return equal_types(got, want, defs=self.defs)
-
-    @staticmethod
-    def _show(ty: Type) -> str:
-        from .syntax import type_to_src
-
-        return type_to_src(ty)
 
     # -------------------------------------------------------------- declarations
 

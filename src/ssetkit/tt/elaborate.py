@@ -155,7 +155,7 @@ class Elaborator:
             right = self.elab_term(ctx, ty.right, a)
             return id_type(a, left, right, env.budget)
         if isinstance(ty, S.THom):
-            pi = self._hom_pi(ctx, ty.a, "_", ty.b)
+            pi = self._hom_pi(ctx, ty.a, None, ty.b)
             return hom_type(pi, env.base_spec)
         if isinstance(ty, S.TDepHom):
             if len(ty.tele) > 1:
@@ -320,7 +320,7 @@ class Elaborator:
         b = self.elab_type(self._bind_base_pb(ctx, pb, i), body)
         return Binder(a, pb, b)
 
-    def _hom_pi(self, ctx: SemCtx, a_ty: S.Type, x: str, b_ty: S.Type) -> LUType:
+    def _hom_pi(self, ctx: SemCtx, a_ty: S.Type, x: Optional[str], b_ty: S.Type) -> LUType:
         a = self.elab_type(ctx, a_ty)
         ext = ctx_extend(a)
         inner = self._bind_ind(ctx, ext, x)

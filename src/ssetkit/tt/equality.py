@@ -171,8 +171,11 @@ def _match(p: Term, v: Term, hole: str, found: list) -> bool:
     return alpha_equal(p, v)
 
 
-def _ext_beta(ty: TExt, t: EApp) -> Optional[Term]:
-    """app_{x.a}(f, j u) = a[u/x], matching v against the type's pieces."""
+def _ext_beta(ty: TExt, t: Term) -> Optional[Term]:
+    """app_{x.a}(f, j u) = a[u/x], matching v against the type's pieces;
+    None when t is no such redex."""
+    if not isinstance(t, EApp):
+        return None
     for c in ty.clauses:
         u = _match_one_hole(normalize(c.j), c.x, t.v)
         if u is not None:
@@ -221,15 +224,11 @@ def equal_terms(t: Term, u: Term, ty: Optional[Type] = None, defs: Defs = None) 
                 App(t, Var(i)), App(u, Var(i)), subst_type(ty.body, ty.i, Var(i))
             )
         if isinstance(ty, TExt):
-            # resolve app(f, j u) redexes visible only with the type in hand
-            if isinstance(t, EApp):
-                red = _ext_beta(ty, t)
-                if red is not None:
-                    return equal_terms(red, u, None)
-            if isinstance(u, EApp):
-                red = _ext_beta(ty, u)
-                if red is not None:
-                    return equal_terms(t, red, None)
+            # resolve app(f, j u) redexes visible only with the type in hand,
+            # on both sides
+            rt, ru = _ext_beta(ty, t), _ext_beta(ty, u)
+            if rt is not None or ru is not None:
+                return equal_terms(t if rt is None else rt, u if ru is None else ru, None)
             y = fresh("y", avoid)
             cl = tuple(EAppClause(c.x, c.body) for c in ty.clauses)
             ta = subst_type(ty.a, ty.y, Var(y))

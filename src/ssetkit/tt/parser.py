@@ -26,6 +26,11 @@ and dispatches a type or an atom on its first token through a table.  A
 position is computed only when it is needed, for ``RawDecl.line`` and for a
 ``ParseError``: the line by bisecting the index of each line's first token,
 and the column by scanning that one line again.
+
+The keyword forms are declared in ``syntax.KEYWORDS`` and
+``syntax.BINDER_TYPES``, which the printer reads too.  Each entry's rule is
+built by one function, ``_keyword_rule`` or ``_type_binder``, and the type
+keywords are the names among the type rules.
 """
 
 from __future__ import annotations
@@ -35,42 +40,28 @@ import string
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
-from typing import Callable, Optional
+from typing import Callable, Optional, get_args
 
 from .syntax import (
+    BINDER_TYPES,
+    KEYWORD_SLOTS,
+    KEYWORDS,
     App,
-    CoprodElim,
     CPair,
     EApp,
     EAppClause,
     ExtClause,
-    Fst,
     HomApp,
     HomLam,
     I0,
     I1,
-    IdJ,
-    In,
     Lam,
     One,
-    Pglue,
-    Pinl,
-    Pinr,
-    PushElim,
-    Refl,
-    SPair,
-    Snd,
     TConst,
-    TCoprod,
     TDepHom,
     TExt,
     THom,
-    TId,
     TInterval,
-    TPath,
-    TPi,
-    TPushout,
-    TSigma,
     TUnit,
     Term,
     Type,
@@ -119,16 +110,8 @@ _ONE_CHAR = frozenset(s for s in _SYMBOLS if len(s) == 1).union(string.ascii_let
 # deeper input is a ParseError rather than a RecursionError.
 _MAX_NESTING = 256
 
-_TYPE_KEYWORDS = {
-    "One", "I1", "Hom", "Pi", "Coprod", "Sigma", "Id", "Path", "Pushout",
-}
-_RESERVED = _TYPE_KEYWORDS | {"def", "postulate", "Type", "Base"}
-
-# What is not a name, the end of input (None) included; what is no variable;
-# and what ends an application spine: anything but '(', '\' and a variable.
+# What is not a name: the symbols and the end of input (None).
 _NOT_NAME = _SYMBOLS | {None}
-_NOT_VARIABLE = _NOT_NAME | _RESERVED
-_NOT_ARGUMENT = _NOT_VARIABLE - {"(", "\\"}
 
 
 class _Tokens:
@@ -276,38 +259,13 @@ def _type_hom(ts: _Tokens) -> Type:
 
 
 def _type_binder(node) -> Callable:
-    """``Pi``, ``Coprod`` and ``Sigma``: a binder head, then the body type."""
+    """The rule of a type of ``BINDER_TYPES``: a binder head, then the body type."""
 
     def rule(ts: _Tokens) -> Type:
         n, ty = _parse_binder_head(ts)
         return node(n, ty, _parse_type(ts))
 
     return rule
-
-
-def _type_equality(node) -> Callable:
-    """``Id`` and ``Path``: a type and two terms in parentheses."""
-
-    def rule(ts: _Tokens) -> Type:
-        ts.expect("(")
-        a = _parse_type(ts)
-        ts.expect(",")
-        left = _parse_term(ts)
-        ts.expect(",")
-        right = _parse_term(ts)
-        ts.expect(")")
-        return node(a, left, right)
-
-    return rule
-
-
-def _type_pushout(ts: _Tokens) -> Type:
-    ts.expect("(")
-    f = _parse_term(ts)
-    ts.expect(",")
-    g = _parse_term(ts)
-    ts.expect(")")
-    return TPushout(f, g)
 
 
 def _type_ext(ts: _Tokens) -> Type:
@@ -337,21 +295,6 @@ def _type_applied(ts: _Tokens) -> Type:
         args.append(_atom_rule(ts)(ts))
     ts.expect(")")
     return TConst(name, tuple(args))
-
-
-_TYPE_RULES = {
-    "One": lambda ts: TUnit(),
-    "I1": lambda ts: TInterval(),
-    "Hom": _type_hom,
-    "Pi": _type_binder(TPi),
-    "Coprod": _type_binder(TCoprod),
-    "Sigma": _type_binder(TSigma),
-    "Id": _type_equality(TId),
-    "Path": _type_equality(TPath),
-    "Pushout": _type_pushout,
-    "<": _type_ext,
-    "(": _type_applied,
-}
 
 
 # ---------------------------------------------------------------- terms
@@ -439,86 +382,28 @@ def _term_ext_app(ts: _Tokens) -> Term:
     return EApp(tuple(clauses), f, v)
 
 
-def _term_binary(node) -> Callable:
-    """``spair``, ``in`` and ``pglue``: two terms in parentheses."""
+def _keyword_rule(node) -> Callable:
+    """The rule of a form of ``KEYWORDS``: its slots in parentheses, split by
+    commas, each its binder names and a '.' when it has binders, then its
+    child, a type or a term."""
+    slots = tuple(
+        ("," if k else "(", len(binders), _parse_type if is_type else _parse_term)
+        for k, (binders, _, is_type) in enumerate(KEYWORD_SLOTS[node])
+    )
 
-    def rule(ts: _Tokens) -> Term:
-        ts.expect("(")
-        a = _parse_term(ts)
-        ts.expect(",")
-        b = _parse_term(ts)
+    def rule(ts: _Tokens):
+        args = []
+        for opener, binders, parse in slots:
+            ts.expect(opener)
+            if binders:
+                for _ in range(binders):
+                    args.append(_parse_name(ts))
+                ts.expect(".")
+            args.append(parse(ts))
         ts.expect(")")
-        return node(a, b)
+        return node(*args)
 
     return rule
-
-
-def _term_unary(node) -> Callable:
-    """``fst``, ``snd``, ``refl``, ``pinl`` and ``pinr``: one term in parentheses."""
-
-    def rule(ts: _Tokens) -> Term:
-        ts.expect("(")
-        inner = _parse_term(ts)
-        ts.expect(")")
-        return node(inner)
-
-    return rule
-
-
-def _term_id_elim(ts: _Tokens) -> Term:
-    ts.expect("(")
-    z = _parse_name(ts)
-    p = _parse_name(ts)
-    ts.expect(".")
-    dtype = _parse_type(ts)
-    ts.expect(",")
-    x = _parse_name(ts)
-    ts.expect(".")
-    d = _parse_term(ts)
-    ts.expect(",")
-    q = _parse_term(ts)
-    ts.expect(")")
-    return IdJ(z, p, dtype, x, d, q)
-
-
-def _term_coprod_elim(ts: _Tokens) -> Term:
-    ts.expect("(")
-    z = _parse_name(ts)
-    ts.expect(".")
-    dtype = _parse_type(ts)
-    ts.expect(",")
-    i = _parse_name(ts)
-    x = _parse_name(ts)
-    ts.expect(".")
-    d = _parse_term(ts)
-    ts.expect(",")
-    scrut = _parse_term(ts)
-    ts.expect(")")
-    return CoprodElim(z, dtype, i, x, d, scrut)
-
-
-def _term_pushout_elim(ts: _Tokens) -> Term:
-    ts.expect("(")
-    w = _parse_name(ts)
-    ts.expect(".")
-    dtype = _parse_type(ts)
-    ts.expect(",")
-    y = _parse_name(ts)
-    ts.expect(".")
-    d1 = _parse_term(ts)
-    ts.expect(",")
-    z = _parse_name(ts)
-    ts.expect(".")
-    d2 = _parse_term(ts)
-    ts.expect(",")
-    x = _parse_name(ts)
-    i = _parse_name(ts)
-    ts.expect(".")
-    d3 = _parse_term(ts)
-    ts.expect(",")
-    scrut = _parse_term(ts)
-    ts.expect(")")
-    return PushElim(w, dtype, y, d1, z, d2, x, i, d3, scrut)
 
 
 def _term_paren(ts: _Tokens) -> Term:
@@ -532,6 +417,16 @@ def _term_paren(ts: _Tokens) -> Term:
     return a
 
 
+_TYPE_RULES = {
+    "One": lambda ts: TUnit(),
+    "I1": lambda ts: TInterval(),
+    "Hom": _type_hom,
+    "<": _type_ext,
+    "(": _type_applied,
+    **{keyword: _type_binder(node) for node, keyword in BINDER_TYPES.items()},
+    **{kw: _keyword_rule(node) for node, kw in KEYWORDS.items() if node in get_args(Type)},
+}
+
 _ATOM_RULES = {
     "one": lambda ts: One(),
     "i0": lambda ts: I0(),
@@ -539,19 +434,17 @@ _ATOM_RULES = {
     "\\": _term_lam,
     "lam": _term_hom_lam,
     "app": _term_ext_app,
-    "spair": _term_binary(SPair),
-    "in": _term_binary(In),
-    "pglue": _term_binary(Pglue),
-    "fst": _term_unary(Fst),
-    "snd": _term_unary(Snd),
-    "refl": _term_unary(Refl),
-    "pinl": _term_unary(Pinl),
-    "pinr": _term_unary(Pinr),
-    "idJ": _term_id_elim,
-    "coprod-elim": _term_coprod_elim,
-    "pelim": _term_pushout_elim,
     "(": _term_paren,
+    **{kw: _keyword_rule(node) for node, kw in KEYWORDS.items() if node not in get_args(Type)},
 }
+
+_TYPE_KEYWORDS = _TYPE_RULES.keys() - _SYMBOLS
+_RESERVED = _TYPE_KEYWORDS | {"def", "postulate", "Type", "Base"}
+
+# What is no variable, and what ends an application spine: anything but '(',
+# '\' and a variable.
+_NOT_VARIABLE = _NOT_NAME | _RESERVED
+_NOT_ARGUMENT = _NOT_VARIABLE - {"(", "\\"}
 
 
 # ---------------------------------------------------------------- files

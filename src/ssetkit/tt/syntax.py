@@ -1,7 +1,14 @@
 """AST for the two-zone type theory, with printing and substitution.
 
 Terms and types are named (not de Bruijn), and the printer is the inverse
-of the parser on ASTs.  The binding structure is declared once, in
+of the parser on ASTs.  The concrete syntax of the keyword forms is declared
+once, for both: ``KEYWORDS`` holds the keyword of each form written
+``keyword(slot, ..., slot)``, whose slots are its fields in field order (the
+binder fields before a child, a '.', then the child), and ``BINDER_TYPES``
+that of each type written ``keyword (x : A) B``.  The printer here and the
+parser's rule for each of these forms are one function over those tables.
+
+The binding structure is declared once, in
 ``BINDERS``: for each node with binders, its scopes, each a pair (binder
 fields, child fields those binders scope over); every other child is in no
 scope.  Free names, capture-avoiding substitution, alpha-equivalence and
@@ -342,12 +349,56 @@ Term = Union[
 
 # ---------------------------------------------------------------- printing
 
+#: node -> keyword, for the forms written keyword(slot, ..., slot), with
+#: the slots of ``KEYWORD_SLOTS``
+KEYWORDS = {
+    TId: "Id", TPath: "Path", TPushout: "Pushout", SPair: "spair", In: "in", Pglue: "pglue",
+    Fst: "fst", Snd: "snd", Refl: "refl", Pinl: "pinl", Pinr: "pinr",
+    IdJ: "idJ", CoprodElim: "coprod-elim", PushElim: "pelim",
+}
+
+#: node -> keyword, for the types written keyword (x : A) B
+BINDER_TYPES = {TPi: "Pi", TCoprod: "Coprod", TSigma: "Sigma"}
+
+
+def _slots(cls) -> tuple:
+    """The slots of a keyword form, in field order: each child field, after
+    the binder (``str``) fields just before it, which are written before a
+    '.'; each (binder fields, child field, whether the child is a type).
+    The ``__future__`` import quotes the annotation ``"Type"`` once more."""
+    slots, binders = [], ()
+    for f in fields(cls):
+        if f.type == "str":
+            binders += (f.name,)
+        else:
+            slots.append((binders, f.name, f.type.strip("'") == "Type"))
+            binders = ()
+    return tuple(slots)
+
+
+#: node -> its slots, for each node of KEYWORDS
+KEYWORD_SLOTS = {cls: _slots(cls) for cls in KEYWORDS}
+
+
+def _keyword_src(t) -> str:
+    slots = []
+    for binders, child, is_type in KEYWORD_SLOTS[type(t)]:
+        src = (type_to_src if is_type else term_to_src)(getattr(t, child))
+        slots.append(" ".join([getattr(t, b) for b in binders]) + ". " + src if binders else src)
+    return f"{KEYWORDS[type(t)]}({', '.join(slots)})"
+
 
 def _tele_src(tele) -> str:
     return " ".join(f"({n} : {type_to_src(t)})" for n, t in tele)
 
 
 def type_to_src(t: Type) -> str:
+    cls = type(t)
+    if cls in KEYWORDS:
+        return _keyword_src(t)
+    if cls in BINDER_TYPES:
+        x, a, b = (getattr(t, f.name) for f in fields(cls))
+        return f"{BINDER_TYPES[cls]} ({x} : {type_to_src(a)}) {type_to_src(b)}"
     if isinstance(t, TConst):
         if t.args:
             return "(" + t.name + " " + " ".join(_atom_src(a) for a in t.args) + ")"
@@ -360,24 +411,12 @@ def type_to_src(t: Type) -> str:
         return f"Hom({type_to_src(t.a)}, {type_to_src(t.b)})"
     if isinstance(t, TDepHom):
         return f"Hom({_tele_src(t.tele)} . {type_to_src(t.b)})"
-    if isinstance(t, TPi):
-        return f"Pi ({t.i} : {type_to_src(t.itype)}) {type_to_src(t.body)}"
-    if isinstance(t, TCoprod):
-        return f"Coprod ({t.i} : {type_to_src(t.itype)}) {type_to_src(t.body)}"
-    if isinstance(t, TSigma):
-        return f"Sigma ({t.x} : {type_to_src(t.xtype)}) {type_to_src(t.body)}"
-    if isinstance(t, TId):
-        return f"Id({type_to_src(t.a)}, {term_to_src(t.left)}, {term_to_src(t.right)})"
-    if isinstance(t, TPath):
-        return f"Path({type_to_src(t.a)}, {term_to_src(t.left)}, {term_to_src(t.right)})"
     if isinstance(t, TExt):
         cl = ", ".join(
             f"({c.x} : {type_to_src(c.u)}) {_atom_src(c.j)} . {term_to_src(c.body)}"
             for c in t.clauses
         )
         return f"<Pi ({t.y} : {type_to_src(t.v)}) {type_to_src(t.a)} | {cl}>"
-    if isinstance(t, TPushout):
-        return f"Pushout({term_to_src(t.f)}, {term_to_src(t.g)})"
     raise TypeError(f"not a type node: {t!r}")
 
 
@@ -391,6 +430,8 @@ def _atom_src(t: Term) -> str:
 
 
 def term_to_src(t: Term) -> str:
+    if type(t) in KEYWORDS:
+        return _keyword_src(t)
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Lam):
@@ -410,40 +451,8 @@ def term_to_src(t: Term) -> str:
         return "i0"
     if isinstance(t, I1):
         return "i1"
-    if isinstance(t, SPair):
-        return f"spair({term_to_src(t.a)}, {term_to_src(t.b)})"
-    if isinstance(t, Fst):
-        return f"fst({term_to_src(t.t)})"
-    if isinstance(t, Snd):
-        return f"snd({term_to_src(t.t)})"
-    if isinstance(t, Refl):
-        return f"refl({term_to_src(t.t)})"
-    if isinstance(t, IdJ):
-        return (
-            f"idJ({t.z} {t.p}. {type_to_src(t.dtype)}, {t.x}. {term_to_src(t.d)}, "
-            f"{term_to_src(t.q)})"
-        )
-    if isinstance(t, In):
-        return f"in({term_to_src(t.j)}, {term_to_src(t.b)})"
     if isinstance(t, CPair):
         return f"({term_to_src(t.j)}, {term_to_src(t.b)})"
-    if isinstance(t, CoprodElim):
-        return (
-            f"coprod-elim({t.z}. {type_to_src(t.dtype)}, {t.i} {t.x}. {term_to_src(t.d)}, "
-            f"{term_to_src(t.scrut)})"
-        )
-    if isinstance(t, Pinl):
-        return f"pinl({term_to_src(t.t)})"
-    if isinstance(t, Pinr):
-        return f"pinr({term_to_src(t.t)})"
-    if isinstance(t, Pglue):
-        return f"pglue({term_to_src(t.t)}, {term_to_src(t.r)})"
-    if isinstance(t, PushElim):
-        return (
-            f"pelim({t.w}. {type_to_src(t.dtype)}, {t.y}. {term_to_src(t.d1)}, "
-            f"{t.z}. {term_to_src(t.d2)}, {t.x} {t.i}. {term_to_src(t.d3)}, "
-            f"{term_to_src(t.scrut)})"
-        )
     raise TypeError(f"not a term node: {t!r}")
 
 

@@ -76,6 +76,11 @@ tuples, positions kept for every token, or raises the package's
 recursive descent over those tuples that the parser over token texts
 replaced.  All are kept verbatim but for ``tokens`` being a function, and
 the nesting bound is the package's ``_MAX_NESTING``.
+
+``type_to_src`` and ``term_to_src`` are the printer of ``.itt`` syntax with
+a branch per node, kept verbatim, that ``ssetkit.tt.syntax`` replaced by one
+function over its tables of keyword forms (``KEYWORDS`` and
+``BINDER_TYPES``).
 """
 
 from __future__ import annotations
@@ -1406,6 +1411,118 @@ def alpha_equal_type(t: Type, u: Type, env: tuple = ()) -> bool:
     if isinstance(t, TPushout):
         return alpha_equal(t.f, u.f, env) and alpha_equal(t.g, u.g, env)
     raise TypeError(f"not a type node: {t!r}")
+
+
+def _tele_src(tele) -> str:
+    return " ".join(f"({n} : {type_to_src(t)})" for n, t in tele)
+
+
+def type_to_src(t: Type) -> str:
+    if isinstance(t, TConst):
+        if t.args:
+            return "(" + t.name + " " + " ".join(_atom_src(a) for a in t.args) + ")"
+        return t.name
+    if isinstance(t, TUnit):
+        return "One"
+    if isinstance(t, TInterval):
+        return "I1"
+    if isinstance(t, THom):
+        return f"Hom({type_to_src(t.a)}, {type_to_src(t.b)})"
+    if isinstance(t, TDepHom):
+        return f"Hom({_tele_src(t.tele)} . {type_to_src(t.b)})"
+    if isinstance(t, TPi):
+        return f"Pi ({t.i} : {type_to_src(t.itype)}) {type_to_src(t.body)}"
+    if isinstance(t, TCoprod):
+        return f"Coprod ({t.i} : {type_to_src(t.itype)}) {type_to_src(t.body)}"
+    if isinstance(t, TSigma):
+        return f"Sigma ({t.x} : {type_to_src(t.xtype)}) {type_to_src(t.body)}"
+    if isinstance(t, TId):
+        return f"Id({type_to_src(t.a)}, {term_to_src(t.left)}, {term_to_src(t.right)})"
+    if isinstance(t, TPath):
+        return f"Path({type_to_src(t.a)}, {term_to_src(t.left)}, {term_to_src(t.right)})"
+    if isinstance(t, TExt):
+        cl = ", ".join(
+            f"({c.x} : {type_to_src(c.u)}) {_atom_src(c.j)} . {term_to_src(c.body)}"
+            for c in t.clauses
+        )
+        return f"<Pi ({t.y} : {type_to_src(t.v)}) {type_to_src(t.a)} | {cl}>"
+    if isinstance(t, TPushout):
+        return f"Pushout({term_to_src(t.f)}, {term_to_src(t.g)})"
+    raise TypeError(f"not a type node: {t!r}")
+
+
+def _atom_src(t: Term) -> str:
+    s = term_to_src(t)
+    if isinstance(t, (Var, One, I0, I1, HomApp)) or s.startswith("("):
+        return s
+    if isinstance(t, (SPair, CPair)):
+        return s
+    return f"({s})"
+
+
+def term_to_src(t: Term) -> str:
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Lam):
+        return f"\\{t.x}. {term_to_src(t.body)}"
+    if isinstance(t, App):
+        return f"{_head_src(t.f)} {_atom_src(t.a)}"
+    if isinstance(t, HomLam):
+        return f"lam({term_to_src(t.body)})"
+    if isinstance(t, HomApp):
+        return f"{_head_src(t.f)} ()"
+    if isinstance(t, EApp):
+        cl = ", ".join(f"{c.x}. {term_to_src(c.body)}" for c in t.clauses)
+        return f"app{{{cl}}}({term_to_src(t.f)}, {term_to_src(t.v)})"
+    if isinstance(t, One):
+        return "one"
+    if isinstance(t, I0):
+        return "i0"
+    if isinstance(t, I1):
+        return "i1"
+    if isinstance(t, SPair):
+        return f"spair({term_to_src(t.a)}, {term_to_src(t.b)})"
+    if isinstance(t, Fst):
+        return f"fst({term_to_src(t.t)})"
+    if isinstance(t, Snd):
+        return f"snd({term_to_src(t.t)})"
+    if isinstance(t, Refl):
+        return f"refl({term_to_src(t.t)})"
+    if isinstance(t, IdJ):
+        return (
+            f"idJ({t.z} {t.p}. {type_to_src(t.dtype)}, {t.x}. {term_to_src(t.d)}, "
+            f"{term_to_src(t.q)})"
+        )
+    if isinstance(t, In):
+        return f"in({term_to_src(t.j)}, {term_to_src(t.b)})"
+    if isinstance(t, CPair):
+        return f"({term_to_src(t.j)}, {term_to_src(t.b)})"
+    if isinstance(t, CoprodElim):
+        return (
+            f"coprod-elim({t.z}. {type_to_src(t.dtype)}, {t.i} {t.x}. {term_to_src(t.d)}, "
+            f"{term_to_src(t.scrut)})"
+        )
+    if isinstance(t, Pinl):
+        return f"pinl({term_to_src(t.t)})"
+    if isinstance(t, Pinr):
+        return f"pinr({term_to_src(t.t)})"
+    if isinstance(t, Pglue):
+        return f"pglue({term_to_src(t.t)}, {term_to_src(t.r)})"
+    if isinstance(t, PushElim):
+        return (
+            f"pelim({t.w}. {type_to_src(t.dtype)}, {t.y}. {term_to_src(t.d1)}, "
+            f"{t.z}. {term_to_src(t.d2)}, {t.x} {t.i}. {term_to_src(t.d3)}, "
+            f"{term_to_src(t.scrut)})"
+        )
+    raise TypeError(f"not a term node: {t!r}")
+
+
+def _head_src(t: Term) -> str:
+    # heads of applications: lambdas and eliminators need parentheses
+    s = term_to_src(t)
+    if isinstance(t, (Lam, HomLam, CoprodElim, IdJ, PushElim, In, CPair, EApp)):
+        return f"({s})"
+    return s
 
 
 _TOKEN = re.compile(

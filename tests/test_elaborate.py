@@ -117,6 +117,15 @@ def test_nested_sigma_pair_elaborates():
     assert sigma_proj2(inner.type, inner).section == env.terms["a0"].section
 
 
+def test_hom_binds_no_name_in_its_codomain():
+    """Hom(A, B) binds A's variable under no name, so a global named ``_``
+    in B stays the global."""
+    env = make_env()
+    env.terms["_"] = env.terms["k1"] = LUTerm(env.types["K"], constant_map(terminal(), discrete(2), "p1"))
+    got = elaborate_type(env, parse_type("Hom(K, Id(K, _, k0))"))
+    assert got == elaborate_type(env, parse_type("Hom(K, Id(K, k1, k0))"))
+
+
 def test_hom_app_uses_the_innermost_indexed_variable():
     """f () applies f to the innermost indexed variable, whatever its name.
 

@@ -1,17 +1,21 @@
 """Surface language: parsing, printing, conversion, checking, reduction."""
 
+import sys
 from pathlib import Path
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as R
 from ssetkit.tt import syntax as S
 from ssetkit.tt.checker import CheckError, check_source
 from ssetkit.tt.equality import equal_terms, equal_types, normalize, step, unfold
-from ssetkit.tt.parser import _MAX_NESTING, ParseError, parse_term, parse_type
+from ssetkit.tt.parser import _MAX_NESTING, ParseError, parse_file, parse_term, parse_type
 
-ITT_DIR = Path(__file__).resolve().parents[1] / "corpus" / "itt"
+ROOT = Path(__file__).resolve().parents[1]
+ITT_DIR = ROOT / "corpus" / "itt"
 ITT_FILES = sorted(ITT_DIR.glob("*.itt"))
 
 
@@ -63,6 +67,11 @@ def nested_type(levels: int, outer: str) -> str:
     return ty
 
 
+def fst_chain(levels: int) -> str:
+    """A term nesting ``levels`` deep through one keyword form, fst."""
+    return "fst(" * (levels - 1) + "a0" + ")" * (levels - 1)
+
+
 # a type applied to an atom, and an extension type's clause atom
 THROUGH_AN_ATOM = ["(C {})", "<Pi (y : V) A | (x : U) {} . a>"]
 
@@ -73,6 +82,7 @@ def test_nesting_at_the_bound_checks():
     assert parse_type("Sigma (y : A) " * (_MAX_NESTING - 1) + "A") is not None
     for outer in THROUGH_AN_ATOM:
         assert parse_type(nested_type(_MAX_NESTING, outer)) is not None
+    assert parse_term(fst_chain(_MAX_NESTING)) is not None
     # an application spine at the bound is checked (and rejected) without a
     # RecursionError
     with pytest.raises(CheckError, match="cannot apply"):
@@ -87,6 +97,8 @@ def test_nesting_above_the_bound_is_a_parse_error():
     for outer in THROUGH_AN_ATOM:
         with pytest.raises(ParseError, match="nesting deeper than"):
             parse_type(nested_type(_MAX_NESTING + 1, outer))
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_term(fst_chain(_MAX_NESTING + 1))
     with pytest.raises(ParseError, match="nesting deeper than"):
         parse_term("\\x. " * 5000 + "x")
     with pytest.raises(ParseError, match="nesting deeper than"):
@@ -112,12 +124,15 @@ TERM_SOURCES = [
     "pelim(w. D0, y. d0, z. d0, x i. d4, ps)",
     "app{u. a0, u. a0}(pth, i0)",
     "app{x. hA x}(ff, j0)",
+    "(fst(s), b0)",
+    "(idJ(z p. A, x. x, q)) a0",
 ]
 
 TYPE_SOURCES = [
     "One",
     "A",
     "(P j0)",
+    "(P (fst(s)))",
     "Hom(A, B)",
     "Hom((x : A) . (C x))",
     "Pi (x : A) B",
@@ -128,6 +143,35 @@ TYPE_SOURCES = [
     "<Pi (y : I1) A | (x : I1) x . hA x>",
     "Pushout(hf, hg)",
 ]
+
+# one source of each keyword form, as the printer writes it
+KEYWORD_SOURCES = {
+    S.TId: "Id(A, a0, a1)",
+    S.TPath: "Path(A, a0, a0)",
+    S.TPushout: "Pushout(hf, hg)",
+    S.SPair: "spair(a0, fst(s))",
+    S.In: "in(j0, a0)",
+    S.Pglue: "pglue(a0, i1)",
+    S.Fst: "fst(spair(a0, b0))",
+    S.Snd: "snd(s)",
+    S.Refl: "refl(f a0)",
+    S.Pinl: "pinl(a0)",
+    S.Pinr: "pinr(hg a0)",
+    S.IdJ: "idJ(z p. Id(A, z, a0), x. a0, q01)",
+    S.CoprodElim: "coprod-elim(z. B, i x. b0, sc)",
+    S.PushElim: "pelim(w. D0, y. d0, z. d0, x i. d4, ps)",
+    S.TPi: "Pi (x : A) B",
+    S.TCoprod: "Coprod (i : I1) A",
+    S.TSigma: "Sigma (x : A) Id(A, x, a0)",
+}
+
+
+def is_type(t) -> bool:
+    return type(t) in get_args(S.Type)
+
+
+def to_src(t) -> str:
+    return S.type_to_src(t) if is_type(t) else S.term_to_src(t)
 
 
 @pytest.mark.parametrize("src", TERM_SOURCES)
@@ -140,6 +184,64 @@ def test_term_print_parse_round_trip(src):
 def test_type_print_parse_round_trip(src):
     t = parse_type(src)
     assert S.alpha_equal_type(parse_type(S.type_to_src(t)), t)
+
+
+@pytest.mark.parametrize("node", [*S.KEYWORDS, *S.BINDER_TYPES], ids=lambda node: node.__name__)
+def test_keyword_form_print_parse_round_trip(node):
+    # every form of the tables has a source here, read as that form and
+    # printed back byte for byte
+    src = KEYWORD_SOURCES[node]
+    t = (parse_type if node in get_args(S.Type) else parse_term)(src)
+    assert type(t) is node
+    assert to_src(t) == src
+
+
+def subterms(t):
+    """``t`` and every term and type inside it, through clauses, telescopes
+    and a constant's arguments."""
+    if isinstance(t, tuple):
+        for u in t:
+            yield from subterms(u)
+    elif hasattr(t, "__dataclass_fields__"):
+        if not isinstance(t, (S.EAppClause, S.ExtClause)):
+            yield t
+        for name in t.__dataclass_fields__:
+            yield from subterms(getattr(t, name))
+
+
+def program_syntax(src: str) -> list:
+    """Every term and type of a program's declarations; none if it does not parse."""
+    try:
+        _, decls = parse_file(src)
+    except ParseError:
+        return []
+    return [
+        u for d in decls for part in (d.btele, d.itele or (), d.rhs, d.body) for u in subterms(part)
+    ]
+
+
+def generated_programs() -> dict:
+    """The typecheck workload's generated programs, good and bad, by name."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench.workloads import generate_program
+
+    return {
+        f"generated-{size}-{'bad' if bad else 'good'}": generate_program(size, 0, bad)[0]
+        for size in (10, 25, 50, 100, 200, 400)
+        for bad in (False, True)
+    }
+
+
+PROGRAMS = {**{p.stem: p.read_text() for p in ITT_FILES}, **generated_programs()}
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_printer_prints_as_before(name):
+    # the printer over the keyword tables writes every subterm byte for byte
+    # as the per-node printer it replaced
+    for t in program_syntax(PROGRAMS[name]):
+        old = R.type_to_src(t) if is_type(t) else R.term_to_src(t)
+        assert to_src(t) == old
 
 
 def test_parse_rejects_unbalanced():
@@ -180,6 +282,18 @@ def test_extension_application_restricts():
     ty = parse_type("<Pi (y : I1) A | (x : I1) x . hA x>")
     t = parse_term("app{x. hA x}(ff, j0)")
     assert equal_terms(t, parse_term("hA j0"), ty=ty)
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["in-order", "flipped"])
+def test_extension_application_restricts_on_both_sides(flip):
+    # both sides are redexes of the type's piece, one only after normalizing
+    ty = parse_type("<Pi (y : I1) A | (x : I1) x . hA x>")
+    t = parse_term("app{x. hA x}(ff, j0)")
+    same = parse_term("app{x. hA x}(ff, fst(spair(j0, b0)))")
+    other = parse_term("app{x. hA x}(ff, fst(spair(j1, b0)))")
+    order = (lambda a, b: (b, a)) if flip else (lambda a, b: (a, b))
+    assert equal_terms(*order(t, same), ty=ty)
+    assert not equal_terms(*order(t, other), ty=ty)
 
 
 def test_path_application_hits_endpoints():
@@ -301,6 +415,17 @@ def test_check_error_carries_rule():
     with pytest.raises(CheckError) as exc:
         check_source(PRELUDE + "def d () | () : A := one\n")
     assert exc.value.rule == "conv"
+
+
+def test_pair_type_names_its_binder_apart():
+    # spair(a0, refl(_)) infers Sigma (_' : A) Id(A, _, _): a binder named
+    # _ would capture the global _, and snd would give Id(A, a0, a0), at
+    # which the normal form refl(_) does not check
+    src = PRELUDE + "postulate _ () | () : A\n"
+    with pytest.raises(CheckError) as exc:
+        check_source(src + "def bad () | () : Id(A, a0, a0) := snd(spair(a0, refl(_)))\n")
+    assert "inferred Id(A, _, _)" in str(exc.value)
+    check_source(src + "def ok () | () : Id(A, _, _) := snd(spair(a0, refl(_)))\n")
 
 
 def test_unknown_constant_is_reported():

@@ -196,6 +196,12 @@ def test_free_vars_agrees_with_the_reference(t):
     assert S.free_vars(t) == _ref(t, R.free_vars, R.free_vars_type)(t)
 
 
+@given(t=either)
+@settings(max_examples=300, deadline=None)
+def test_printer_agrees_with_the_reference(t):
+    assert _show(t) == _ref(t, R.term_to_src, R.type_to_src)(t)
+
+
 @given(
     sort=st.sampled_from("tT"),
     data=st.data(),

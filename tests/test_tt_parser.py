@@ -23,7 +23,8 @@ from ssetkit.tt.parser import ParseError, parse_file, parse_term, parse_type
 
 PROGRAMS = sorted((Path(__file__).resolve().parents[1] / "corpus" / "itt").glob("*.itt"))
 PIECES = ("$", "λ", "\t", "\r", "\n", " ", "-", "--", ":=", "()", "(", ")", ":", ",", ".",
-          "\\", "#", "<", "|", "x", "0", "'", "def ", "lam")
+          "\\", "#", "<", "|", "x", "0", "'", "def ", "lam", "spair", "idJ", "coprod-elim",
+          "pelim", "Id", "Pushout")
 
 
 def tokens(src: str) -> list:
