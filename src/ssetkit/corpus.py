@@ -66,11 +66,7 @@ def _attach_edge(rng: random.Random, cells, faces) -> None:
 
 def _edges_between(x: FinSSet, u: str, w: str) -> list[Simplex]:
     """All 1-simplices (degenerate included) from vertex u to vertex w."""
-    out = []
-    for s in x.simplices(1):
-        if x.restrict_along(s, (0,)) == nondeg(u) and x.restrict_along(s, (1,)) == nondeg(w):
-            out.append(s)
-    return out
+    return x.simplices_with_faces(1, (nondeg(w), nondeg(u)))
 
 
 def _attach_triangle(rng: random.Random, x: FinSSet, cells, faces) -> bool:

@@ -1,12 +1,15 @@
 """Invertible edges, cores, and the interval-completion functor b.
 
-An edge is invertible when its classifying map extends along the edge of the
-classifying interval (the nerve of the walking isomorphism).  Since that
-interval is infinite-dimensional, verdicts are tri-state: a failed extension
-at a skeleton level is a sound refutation, while a successful one certifies
-"up to level".  The core of a complex collects the simplices all of whose
-edges are invertible; b(X) freely inverts every edge by gluing a copy of the
-(truncated) classifying interval onto each nondegenerate edge.
+An edge is invertible when its classifying map ``yoneda(x, e)`` extends
+along the edge of the classifying interval (the nerve of the walking
+isomorphism).  Since that interval is infinite-dimensional, verdicts are
+tri-state: a failed extension at a skeleton level is a sound refutation,
+while a successful one certifies "up to level".  An object's verdicts form
+one table, ``_edge_verdicts``.  The core of a complex collects the
+simplices all of whose edges are invertible; each edge of an n-simplex,
+n >= 2, lies in one of its facets, so the core is read off stored faces.
+b(X) freely inverts every edge by gluing a copy of the (truncated)
+classifying interval onto each nondegenerate edge.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .kernel import (
     interval_groupoid_skeleton,
     nondeg,
     pushout,
-    std_simplex,
     terminal_map,
+    yoneda,
 )
 from .lifting import (
     CellFactorization,
@@ -62,22 +65,10 @@ __all__ = [
     "core_kan_check",
     "CompositeReport",
     "composite_invertibility_check",
-    "edge_classifier",
 ]
 
 def _retag(x: FinSSet, bound: Optional[int]) -> FinSSet:
     return FinSSet(x.cells, x.faces, bound)
-
-
-def edge_classifier(x: FinSSet, e: Simplex) -> SMap:
-    """The map std(1) -> x picking the edge value e."""
-    if x.simplex_dim(e) != 1:
-        raise SSetError("edge_classifier expects a 1-simplex")
-    return SMap(
-        std_simplex(1),
-        x,
-        {"0": x.restrict_along(e, (0,)), "1": x.restrict_along(e, (1,)), "0_1": e},
-    )
 
 
 @dataclass(frozen=True)
@@ -109,7 +100,7 @@ def _skeletal_verdict(x: FinSSet, e: Simplex, level: int) -> InvertVerdict:
     problem = LiftingProblem(
         left=edge,
         right=terminal_map(x),
-        top=edge_classifier(x, e),
+        top=yoneda(x, e),
         bottom=terminal_map(sk),
     )
     filler = solve_lift(problem)
@@ -133,12 +124,10 @@ def _require_qcat(x: FinSSet) -> None:
 
 def _qcat_verdict(x: FinSSet, e: Simplex) -> InvertVerdict:
     """The inverse witnesses of e, on an x that passed ``_require_qcat``."""
-    u, v = x.restrict_along(e, (0,)), x.restrict_along(e, (1,))
+    u, v = x.face(e, 1), x.face(e, 0)
     linv = rinv = None
     for t in x.simplices(2):
-        e01 = x.restrict_along(t, (0, 1))
-        e12 = x.restrict_along(t, (1, 2))
-        e02 = x.restrict_along(t, (0, 2))
+        e12, e02, e01 = x.face(t, 0), x.face(t, 1), x.face(t, 2)
         if linv is None and e01 == e and e02 == x.degen(u, 0):
             linv = t  # e followed by the 12-edge is the identity on u
         if rinv is None and e12 == e and e02 == x.degen(v, 0):
@@ -173,10 +162,9 @@ def invertible_edge(x: FinSSet, e: Simplex, mode: str = "skeletal", *, level: in
 
 
 @lru_cache(maxsize=None)
-def _edge_verdicts(
-    x: FinSSet, mode: str, level: int
-) -> Mapping[str, InvertVerdict]:
-    """The verdict of each nondegenerate edge; qcat mode checks x once."""
+def _edge_verdicts(x: FinSSet, mode: str, level: int) -> Mapping[str, InvertVerdict]:
+    """The verdict of each nondegenerate edge, the one table of them that
+    the cores and the checks below read; qcat mode checks x once."""
     edges = tuple(x.nondegenerate(1))
     if mode != "qcat":
         return {c: invertible_edge(x, nondeg(c), mode, level=level) for c in edges}
@@ -202,20 +190,13 @@ def core_G(x: FinSSet, mode: str = "skeletal", *, level: int) -> CoreResult:
     was not shown invertible.
     """
     verdicts = _edge_verdicts(x, mode, level)
-    good = {c for c, verdict in verdicts.items() if verdict.is_yes}
-
-    def admissible(cell: str) -> bool:
-        n = x.cell_dim(cell)
-        s = nondeg(cell)
-        for a in range(n + 1):
-            for b in range(a + 1, n + 1):
-                edge = x.restrict_along(s, (a, b))
-                if not edge.word and edge.base not in good:
-                    return False
-        return True
-
-    gens = [c for c in x.nondegenerate() if admissible(c)]
-    core, incl = x.subcomplex(gens)
+    inside: set[str] = set()  # filled level by level, so a cell's faces are decided first
+    for c in x.nondegenerate():
+        # an edge by its verdict; any other cell by its faces, which hold all its edges
+        ok = verdicts[c].is_yes if c in verdicts else all(f.base in inside for f in x.faces.get(c, ()))
+        if ok:
+            inside.add(c)
+    core, incl = x.subcomplex(c for c in x.nondegenerate() if c in inside)
     if x.dim_bound is not None:
         core = _retag(core, x.dim_bound)
         incl = SMap(core, x, incl.assignment)
@@ -254,7 +235,6 @@ class BResult:
     unit: SMap  # X -> b(X)
     edges: tuple[str, ...]
     copies: Mapping[str, SMap] = field(compare=False)
-    level: int
 
     def induce(self, on_base: SMap, on_copies: Mapping[str, SMap]) -> SMap:
         """The map b(X) -> Z from a cocone: a map on X and one per copy.
@@ -285,7 +265,7 @@ def b_functor(x: FinSSet, level: int) -> BResult:
     unit = identity(x)
     copies: dict[str, SMap] = {}
     for e in edges:
-        classifier = compose(unit, edge_classifier(x, nondeg(e)))
+        classifier = compose(unit, yoneda(x, nondeg(e)))
         po = pushout(classifier, edge)
         for prev in copies:
             copies[prev] = compose(po.inl, copies[prev])
@@ -297,7 +277,7 @@ def b_functor(x: FinSSet, level: int) -> BResult:
         current = _retag(current, bound)
         unit = SMap(x, current, unit.assignment)
         copies = {e: SMap(sk, current, m.assignment) for e, m in copies.items()}
-    return BResult(current, unit, edges, copies, level)
+    return BResult(current, unit, edges, copies)
 
 
 def b_map(f: SMap, level: int) -> SMap:
@@ -375,6 +355,12 @@ class GKanReport:
         return self.right_is_kan and self.middle_all_invertible
 
 
+def _all_edges_invertible(x: FinSSet, level: int) -> bool:
+    """Whether every edge of x has a "yes" verdict, that is, whether its
+    skeletal core is all of x."""
+    return all(v.is_yes for v in _edge_verdicts(x, "skeletal", level).values())
+
+
 def factor_g_kan(f: SMap, level: int, budget: int) -> GKanReport:
     """Factor f over the freely-inverted horn inclusions and re-verify.
 
@@ -383,13 +369,11 @@ def factor_g_kan(f: SMap, level: int, budget: int) -> GKanReport:
     all-edges-invertible, both at the given level.
     """
     for side, x in (("source", f.source), ("target", f.target)):
-        rep = lemma_four_conditions(x, level)
-        if not rep.core_is_all:
+        if not _all_edges_invertible(x, level):
             raise SSetError(f"{side} has a non-invertible edge")
     fac = factor_soa(f, b_horn_family(level), budget)
     kan_ok, _ = has_rlp(fac.right, kan_family(level))
-    mid = lemma_four_conditions(fac.middle, level)
-    return GKanReport(fac, kan_ok, mid.core_is_all)
+    return GKanReport(fac, kan_ok, _all_edges_invertible(fac.middle, level))
 
 
 @dataclass(frozen=True)
@@ -439,17 +423,13 @@ def composite_invertibility_check(x: FinSSet, level: int) -> CompositeReport:
 
     failures: list[str] = []
     unknowns: list[str] = []
-    if x.dim >= 2:
-        for c in x.nondegenerate(2):
-            s = nondeg(c)
-            first = status(x.restrict_along(s, (0, 1)))
-            second = status(x.restrict_along(s, (1, 2)))
-            if first == "yes" and second == "yes":
-                outcome = status(x.restrict_along(s, (0, 2)))
-                if outcome == "no":
-                    failures.append(c)
-                elif outcome == "unknown":
-                    unknowns.append(c)
-            elif "unknown" in (first, second):
+    for c in x.nondegenerate(2):
+        second, outcome, first = map(status, x.faces[c])  # d0, d1, d2: the 12-, 02- and 01-edges
+        if first == "yes" and second == "yes":
+            if outcome == "no":
+                failures.append(c)
+            elif outcome == "unknown":
                 unknowns.append(c)
+        elif "unknown" in (first, second):
+            unknowns.append(c)
     return CompositeReport(not failures, tuple(failures), tuple(unknowns))

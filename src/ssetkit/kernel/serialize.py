@@ -56,6 +56,8 @@ def sset_from_dict(data: dict) -> FinSSet:
     bound = data.get("dim_bound", "exact")
     dim_bound = None if bound == "exact" else int(bound)
     cells = {int(n): tuple(level) for n, level in data.get("cells", {}).items()}
+    if any(n < 0 for n in cells):
+        raise _malformed("cell levels >= 0")
     faces = {c: tuple(map(_simplex, fs)) for c, fs in data.get("faces", {}).items()}
     return FinSSet.make(cells, faces, dim_bound)
 

@@ -207,7 +207,8 @@ class FinSSet:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:
-        problems: list[str] = []
+        # a face entry outside every level would still count in key() and in save_sset
+        problems = [f"faces listed for {c!r}, a cell in no level" for c in self.faces if c not in self._dims]
         for n, level in enumerate(self.cells):
             for c in level:
                 if n == 0:

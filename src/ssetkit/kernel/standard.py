@@ -77,14 +77,8 @@ def simplex_space_map(m: int, n: int, vmap: Sequence[int]) -> SMap:
     """The simplicial map std(m) -> std(n) induced by a monotone vertex map."""
     if len(vmap) != m + 1 or any(a > b for a, b in zip(vmap, vmap[1:])):
         raise SSetError("vertex map must be weakly monotone of length m+1")
-    src, tgt = std_simplex(m), std_simplex(n)
-    assign = {}
-    for c in src.nondegenerate():
-        vs = tuple(int(p) for p in c.split("_"))
-        values = tuple(vmap[v] for v in vs)
-        word, support = collapse_word(values)
-        assign[c] = Simplex(word, _subset_id(support))
-    return SMap(src, tgt, assign)
+    word, support = collapse_word(tuple(vmap))
+    return yoneda(std_simplex(n), Simplex(word, _subset_id(support)))
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,6 @@ from .parser import parse_file, parse_term, parse_type, ParseError  # noqa: F401
 from .checker import (  # noqa: F401
     CheckError,
     Checker,
-    Declaration,
     Telescope,
     check_source,
 )

@@ -56,7 +56,7 @@ from .syntax import (
     type_to_src,
 )
 
-__all__ = ["CheckError", "Telescope", "Declaration", "Checker", "check_source"]
+__all__ = ["CheckError", "Telescope", "Checker", "check_source"]
 
 
 def _endpoint_pieces(ty: TExt) -> bool:
@@ -82,18 +82,6 @@ class CheckError(Exception):
 
 
 Telescope = tuple  # of (name, Type)
-
-
-@dataclass(frozen=True)
-class Declaration:
-    """A checked declaration in the global environment."""
-
-    name: str
-    kind: str  # "base-type" | "ind-type" | "term"
-    btele: Telescope
-    itele: Optional[Telescope]
-    rhs: object  # a Type for terms, "Type"/"Base" for type constants
-    body: Optional[Term]
 
 
 @dataclass
@@ -124,7 +112,7 @@ class Checker:
     """Checks declarations one at a time against a growing environment."""
 
     def __init__(self, stable_coproducts: bool = False):
-        self.decls: dict[str, Declaration] = {}
+        self.decls: dict[str, RawDecl] = {}  # the checked declarations
         self.stable = stable_coproducts
         # bodies of zero-telescope defs, for delta-unfolding in conversion
         self.defs: dict[str, Term] = {}
@@ -452,7 +440,7 @@ class Checker:
 
     # -------------------------------------------------------------- declarations
 
-    def check_decl(self, d: RawDecl) -> Declaration:
+    def check_decl(self, d: RawDecl) -> RawDecl:
         if d.name in self.decls:
             raise CheckError("decl", f"duplicate declaration {d.name}")
         ctx = Ctx()
@@ -463,16 +451,11 @@ class Checker:
             for n, ty in d.itele:
                 self.check_type(ctx, ty, "ind")
                 ctx = ctx.bind_ind(n, ty)
-        if d.rhs == "Type":
+        if d.kind != "term":
             if d.keyword == "def" or d.body is not None:
                 raise CheckError("decl", "type constants must be postulates")
-            decl = Declaration(d.name, "ind-type", d.btele, d.itele or (), "Type", None)
-        elif d.rhs == "Base":
-            if d.keyword == "def" or d.body is not None:
-                raise CheckError("decl", "type constants must be postulates")
-            if d.itele:
+            if d.kind == "base-type" and d.itele:
                 raise CheckError("decl", "base type constants take no indexed telescope")
-            decl = Declaration(d.name, "base-type", d.btele, None, "Base", None)
         else:
             zone = "ind" if d.itele is not None else "base"
             self.check_type(ctx, d.rhs, zone)
@@ -480,11 +463,10 @@ class Checker:
                 if d.body is None:
                     raise CheckError("decl", "def requires a body")
                 self.check_term(ctx, d.body, d.rhs)
-            decl = Declaration(d.name, "term", d.btele, d.itele, d.rhs, d.body)
             if d.body is not None and not d.btele and not (d.itele or ()):
                 self.defs[d.name] = normalize(unfold(d.body, self.defs))
-        self.decls[d.name] = decl
-        return decl
+        self.decls[d.name] = d
+        return d
 
 
 def check_source(src: str) -> Checker:

@@ -82,7 +82,7 @@ class ParseError(Exception):
 
 @dataclass(frozen=True)
 class RawDecl:
-    """One parsed declaration, before checking."""
+    """One parsed declaration; the checker keeps it as it checks it."""
 
     keyword: str  # "def" | "postulate"
     name: str
@@ -91,6 +91,14 @@ class RawDecl:
     rhs: object  # "Type" | "Base" | a Type node
     body: Optional[Term]
     line: int = field(default=0, compare=False)
+
+    @property
+    def kind(self) -> str:
+        """The declaration's kind: "ind-type" or "base-type" for a type
+        constant (rhs ``Type`` or ``Base``), else "term"."""
+        if self.rhs == "Type":
+            return "ind-type"
+        return "base-type" if self.rhs == "Base" else "term"
 
 
 _SYMBOLS = frozenset({":=", "()", "(", ")", "<", ">", "{", "}", "|", ",", ".", ":", "\\", "#"})

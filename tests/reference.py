@@ -61,7 +61,21 @@ alternating chains per level directly.  ``BResult``, ``b_functor`` and
 every pushout it glued, so that ``induce`` could replay them; the package's
 ``induce`` assigns each cell of b(X) its cocone image directly.  They are
 kept verbatim but for the module prefix of ``Pushout``, ``pushout``,
-``constant_map``, ``edge_classifier`` and ``_retag``.
+``constant_map`` and ``_retag``, and for ``b_functor`` classifying each
+edge with ``kernel.yoneda`` where it called ``joyal.edge_classifier``, which
+built the same map and is kept below.
+
+``edge_classifier``, ``core_G``, ``_qcat_verdict``,
+``composite_invertibility_check`` and ``factor_g_kan`` are the Joyal layer
+that found an object's edges and 2-cells by restricting its simplices to
+pairs of their vertices (``FinSSet.restrict_along``), and that re-verified a
+g-Kan factorization through ``lemma_four_conditions``; ``ssetkit.joyal``
+now reads stored faces and its one table of edge verdicts.
+``simplex_space_map`` is the cell loop that ``ssetkit.kernel.standard``
+replaced by ``yoneda`` of the simplex the vertex map names, and
+``_edges_between`` the scan of every 1-simplex that ``ssetkit.corpus``
+replaced by one ``simplices_with_faces`` lookup.  All are kept verbatim but
+for the module prefix of the package's names.
 
 ``free_vars``, ``free_vars_type``, ``subst``, ``subst_type``,
 ``alpha_equal`` and ``alpha_equal_type`` are the per-node walkers over
@@ -101,7 +115,8 @@ from ssetkit.kernel import (
     terminal_map,
     yoneda,
 )
-from ssetkit.kernel.simplex import Simplex, nondeg, word_is_valid
+from ssetkit.kernel.simplex import Simplex, collapse_word, nondeg, word_is_valid
+from ssetkit.kernel.standard import _subset_id
 from ssetkit.kernel.limits import _joint_bound
 from ssetkit.kernel.sset import EMPTY, FinSSet, SMap, SSetError, Truncated, compose, identity
 from ssetkit.lifting import (
@@ -1042,6 +1057,8 @@ def b_functor(x: FinSSet, level: int) -> BResult:
 
     Levels <= ``level`` of the result agree with the untruncated completion;
     the result is marked truncated accordingly (unless nothing was glued).
+    Each edge is classified by ``yoneda``, where this copy called
+    ``joyal.edge_classifier``, which built the same map.
     """
     sk, edge = interval_groupoid_skeleton(level)
     edges = tuple(x.nondegenerate(1)) if x.dim >= 1 else ()
@@ -1050,7 +1067,7 @@ def b_functor(x: FinSSet, level: int) -> BResult:
     copies: dict[str, SMap] = {}
     steps: list[kernel.Pushout] = []
     for e in edges:
-        classifier = compose(unit, joyal.edge_classifier(x, nondeg(e)))
+        classifier = compose(unit, yoneda(x, nondeg(e)))
         po = kernel.pushout(classifier, edge)
         for prev in copies:
             copies[prev] = compose(po.inl, copies[prev])
@@ -1082,6 +1099,132 @@ def b_map(f: SMap, level: int) -> SMap:
         else:
             on_copies[e] = by.copies[img.base]
     return bx.induce(on_base, on_copies)
+
+
+# ------------------------------------------- the Joyal layer by vertex restrictions
+
+
+def edge_classifier(x: FinSSet, e: Simplex) -> SMap:
+    """The map std(1) -> x picking the edge value e."""
+    if x.simplex_dim(e) != 1:
+        raise SSetError("edge_classifier expects a 1-simplex")
+    return SMap(
+        kernel.std_simplex(1),
+        x,
+        {"0": x.restrict_along(e, (0,)), "1": x.restrict_along(e, (1,)), "0_1": e},
+    )
+
+
+def _qcat_verdict(x: FinSSet, e: Simplex) -> joyal.InvertVerdict:
+    """The inverse witnesses of e, on an x that passed ``_require_qcat``."""
+    u, v = x.restrict_along(e, (0,)), x.restrict_along(e, (1,))
+    linv = rinv = None
+    for t in x.simplices(2):
+        e01 = x.restrict_along(t, (0, 1))
+        e12 = x.restrict_along(t, (1, 2))
+        e02 = x.restrict_along(t, (0, 2))
+        if linv is None and e01 == e and e02 == x.degen(u, 0):
+            linv = t  # e followed by the 12-edge is the identity on u
+        if rinv is None and e12 == e and e02 == x.degen(v, 0):
+            rinv = t  # the 01-edge followed by e is the identity on v
+        if linv is not None and rinv is not None:
+            return joyal.InvertVerdict("yes", 2, evidence=(linv, rinv))
+    return joyal.InvertVerdict("no", 2)
+
+
+def core_G(x: FinSSet, mode: str = "skeletal", *, level: int) -> joyal.CoreResult:
+    """Compute the core: simplices whose edges all carry a "yes" verdict.
+
+    "Unknown" edges are excluded, so the core never includes an edge that
+    was not shown invertible.
+    """
+    verdicts = joyal._edge_verdicts(x, mode, level)
+    good = {c for c, verdict in verdicts.items() if verdict.is_yes}
+
+    def admissible(cell: str) -> bool:
+        n = x.cell_dim(cell)
+        s = nondeg(cell)
+        for a in range(n + 1):
+            for b in range(a + 1, n + 1):
+                edge = x.restrict_along(s, (a, b))
+                if not edge.word and edge.base not in good:
+                    return False
+        return True
+
+    gens = [c for c in x.nondegenerate() if admissible(c)]
+    core, incl = x.subcomplex(gens)
+    if x.dim_bound is not None:
+        core = joyal._retag(core, x.dim_bound)
+        incl = SMap(core, x, incl.assignment)
+    return joyal.CoreResult(core, incl, verdicts)
+
+
+def factor_g_kan(f: SMap, level: int, budget: int) -> joyal.GKanReport:
+    """Factor f over the freely-inverted horn inclusions and re-verify.
+
+    Requires every edge of the source and target to be invertible; the right
+    leg is re-checked for Kan lifting and the middle object for
+    all-edges-invertible, both at the given level.
+    """
+    for side, x in (("source", f.source), ("target", f.target)):
+        rep = joyal.lemma_four_conditions(x, level)
+        if not rep.core_is_all:
+            raise SSetError(f"{side} has a non-invertible edge")
+    fac = lifting.factor_soa(f, joyal.b_horn_family(level), budget)
+    kan_ok, _ = lifting.has_rlp(fac.right, lifting.kan_family(level))
+    mid = joyal.lemma_four_conditions(fac.middle, level)
+    return joyal.GKanReport(fac, kan_ok, mid.core_is_all)
+
+
+def composite_invertibility_check(x: FinSSet, level: int) -> joyal.CompositeReport:
+    """On every 2-simplex: if the 01- and 12-edges are invertible, so is 02."""
+    ok, _ = lifting.has_rlp(terminal_map(x), lifting.inner_family(max(level, 2)))
+    if not ok:
+        raise SSetError("composite check requires inner-horn lifting")
+    verdicts = joyal._edge_verdicts(x, "skeletal", level)
+
+    def status(e: Simplex) -> str:
+        return "yes" if e.word else verdicts[e.base].status
+
+    failures: list[str] = []
+    unknowns: list[str] = []
+    if x.dim >= 2:
+        for c in x.nondegenerate(2):
+            s = nondeg(c)
+            first = status(x.restrict_along(s, (0, 1)))
+            second = status(x.restrict_along(s, (1, 2)))
+            if first == "yes" and second == "yes":
+                outcome = status(x.restrict_along(s, (0, 2)))
+                if outcome == "no":
+                    failures.append(c)
+                elif outcome == "unknown":
+                    unknowns.append(c)
+            elif "unknown" in (first, second):
+                unknowns.append(c)
+    return joyal.CompositeReport(not failures, tuple(failures), tuple(unknowns))
+
+
+def simplex_space_map(m: int, n: int, vmap: Sequence[int]) -> SMap:
+    """The simplicial map std(m) -> std(n) induced by a monotone vertex map."""
+    if len(vmap) != m + 1 or any(a > b for a, b in zip(vmap, vmap[1:])):
+        raise SSetError("vertex map must be weakly monotone of length m+1")
+    src, tgt = kernel.std_simplex(m), kernel.std_simplex(n)
+    assign = {}
+    for c in src.nondegenerate():
+        vs = tuple(int(p) for p in c.split("_"))
+        values = tuple(vmap[v] for v in vs)
+        word, support = collapse_word(values)
+        assign[c] = Simplex(word, _subset_id(support))
+    return SMap(src, tgt, assign)
+
+
+def _edges_between(x: FinSSet, u: str, w: str) -> list[Simplex]:
+    """All 1-simplices (degenerate included) from vertex u to vertex w."""
+    out = []
+    for s in x.simplices(1):
+        if x.restrict_along(s, (0,)) == nondeg(u) and x.restrict_along(s, (1,)) == nondeg(w):
+            out.append(s)
+    return out
 
 
 # ------------------------------------------------------- .itt syntax walkers

@@ -165,3 +165,26 @@ def test_malformed_files_exit_2_without_a_traceback(verb, name, content, tmp_pat
     )
     assert r.returncode == 2
     assert r.stderr.startswith("ssetkit: ") and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "content, problem",
+    [
+        ('{"cells": {"-1": ["a"], "0": ["v"]}, "faces": {}}', "malformed file: expected cell levels >= 0"),
+        (
+            '{"cells": {"0": ["v"], "1": ["e"]}, "faces": {"e": [{"degen": [], "base": "v"},'
+            ' {"degen": [], "base": "v"}], "ghost": [{"degen": [], "base": "v"}]}}',
+            "faces listed for 'ghost', a cell in no level",
+        ),
+    ],
+    ids=["negative-level", "ghost-face"],
+)
+def test_cells_outside_every_level_are_refused(content, problem, tmp_path, capsys):
+    """A cell at a negative level, or a face entry for a cell in no level,
+    is refused: the loader used to drop the first and keep the second, in
+    the object's key and in what ``save_sset`` writes."""
+    path = tmp_path / "bad.sset"
+    path.write_text(content)
+    code, err = run(["sset", str(path), "--json"], capsys)
+    assert code == 2
+    assert err == f"ssetkit: cannot load simplicial set {path}: {problem}\n"

@@ -1,4 +1,4 @@
-"""Time the map search, the small object argument, (co)limits, pushforwards, the .itt front end and interp, and count their work; stdlib only.
+"""Time the map search, the small object argument, the Joyal layer, (co)limits, pushforwards, the .itt front end and interp, and count their work; stdlib only.
 
 Usage, from the root of a checkout:
 
@@ -8,21 +8,24 @@ Usage, from the root of a checkout:
 
 Each workload runs in rounds, one timed run per tree a round, each run in a
 fresh interpreter that imports ssetkit from that tree's ``DIR`` (default,
-for a single column: this checkout's ``src``).  With two trees the rounds
+for a single column: this checkout's ``src``).  Round k runs every tree
+with ``PYTHONHASHSEED=k``, so set and dict orders vary between rounds but
+never between the trees of one round.  With two trees the rounds
 alternate which tree runs first, A B, B A, A B, ..., so that drift of the
 host over the invocation falls on both alike, and they go on until the
 interquartile ranges of the trees' seconds are disjoint, at least
 ``MIN_ROUNDS`` and at most ``MAX_ROUNDS`` rounds; a single tree runs
-``MIN_ROUNDS``.  Each tree then runs once more with
-``FinSSet.simplices_with_faces`` and ``FinSSet.face`` wrapped to count their
-calls, a machine-independent measure of the search.  The median wall
+``MIN_ROUNDS``.  Each tree then runs once more, with ``PYTHONHASHSEED=0``,
+with ``FinSSet.simplices_with_faces`` and ``FinSSet.face`` wrapped to count
+their calls, a machine-independent measure of the search.  The median wall
 seconds with their interquartile range, the rounds in which the tree was
 fastest, the single runs and the counts are stored under each ``NAME`` in
 each workload of ``BENCH_search.json``; other columns in that file are
 kept.  Inputs are built, and their garbage collected, before the clock
 starts.  The file's ``method`` records how each column was measured: the
 columns from before ``56195ca`` took five runs per tree with no collection
-before the clock, so compare columns only when their methods agree.
+before the clock, and those without a ``hash_seed`` gave each run a random
+one, so compare columns only when their methods agree.
 
 Workloads:
 
@@ -41,6 +44,11 @@ Workloads:
   over ``lemma_corpus(400)``, then ``b_functor(Δ^1, level=l).sset`` against
   ``interval_groupoid_skeleton(l)`` for l = 1, 2, 3: the calls that
   ``lemma_four_conditions`` and criterion 4 make.
+- ``joyal``: ``core_G(x, level=3)`` over ``lemma_corpus(400)``;
+  ``core_G(x, "qcat", level=2)`` and ``composite_invertibility_check(x,
+  level=3)`` over ``qcat_corpus()``; and ``factor_g_kan(f, level=2,
+  budget=500)`` over ``gkan_corpus(20)``, with ``b_horn_family(2)`` and
+  ``kan_family(2)`` built before the clock starts.
 - ``boundary_include/B``: ``factor_soa`` of
   ``corpus/maps/boundary_include.smap`` against ``kan_family(2)`` at budget
   B = 20, 40, 80, 120, which completes or exhausts its budget.
@@ -76,6 +84,8 @@ Workloads:
   the clock starts, counting the definitions interpreted, skipped and
   failed.
 
+``joyal`` stores the cells of its cores, the 2-cells its composite checks
+report (violations and unknowns) and the cells its factorizations attach.
 The factor rows also store the cells they attach, ``pushout``, ``pullback``
 and ``pushforward`` the cells they build, and ``parse``, ``check`` and
 ``interp`` what they count, in every timed run; these must agree between
@@ -117,6 +127,9 @@ WORKLOADS = {
     "classify_random": "classify(f, 3) and g_fib_check(f, 3) over the first 128 fibcheck random maps",
     "find_isomorphism": "find_isomorphism(x, core_G(x, level=3).core) over lemma_corpus(400), "
                         "and b(Δ^1) against the interval groupoid skeleton at levels 1-3",
+    "joyal": "core_G over lemma_corpus(400) at level 3 and qcat_corpus() in qcat mode at level 2, "
+             "composite_invertibility_check over qcat_corpus() at level 3, "
+             "and factor_g_kan over gkan_corpus(20) at level 2, budget 500",
     **{f"boundary_include/{b}": f"factor_soa(boundary_include, kan_family(2), {b})" for b in (20, 40, 80, 120)},
     **{f"coprod_z/{b}": f"factor_soa(Z -> 1 of Coprod (i : I1) A, kan_family(2), {b})" for b in (25, 50, 100, 200)},
     "pushout": "pushout(f, g) over the spans of boundary_include/120, coprod_z/200 "
@@ -316,6 +329,30 @@ def _interp_inputs():
     return interp
 
 
+def _joyal_inputs():
+    """The ``joyal`` workload's function over its corpora."""
+    from ssetkit.corpus import gkan_corpus, lemma_corpus, qcat_corpus
+    from ssetkit.joyal import b_horn_family, composite_invertibility_check, core_G, factor_g_kan
+    from ssetkit.lifting import kan_family
+
+    lemma, qcats, maps = lemma_corpus(400), qcat_corpus(), gkan_corpus(20)
+    b_horn_family(2), kan_family(2)  # cached, so the generators are built before the clock starts
+
+    def run():
+        cells = sum(core_G(x, level=3).core.size() for x in lemma)
+        cells += sum(core_G(x, "qcat", level=2).core.size() for x in qcats)
+        reports = [composite_invertibility_check(x, level=3) for x in qcats]
+        attached = sum(len(factor_g_kan(f, level=2, budget=500).factorization.attachments) for f in maps)
+        return {
+            "core_cells": cells,
+            "violations": sum(len(r.failures) for r in reports),
+            "unknowns": sum(len(r.unknowns) for r in reports),
+            "attachments": attached,
+        }
+
+    return run
+
+
 def _inputs(name: str):
     """The workload's inputs and a function running it on them."""
     from ssetkit.corpus import catfib_corpus, lemma_corpus, random_map, random_sset
@@ -351,6 +388,8 @@ def _inputs(name: str):
             for level in (1, 2, 3)
         ]
         return lambda: [find_isomorphism(x, y) for x, y in pairs]
+    if name == "joyal":
+        return _joyal_inputs()
     if name == "classify_random":
         maps, k = [], 0
         while len(maps) < RANDOM_MAPS:
@@ -441,8 +480,8 @@ def _cpu() -> str:
     return platform.processor() or "unknown"
 
 
-def _spawn(src: Path, name: str, count: bool) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
+def _spawn(src: Path, name: str, count: bool, hash_seed: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(hash_seed))
     argv = [sys.executable, __file__, "--child", name] + (["--count"] if count else [])
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -469,7 +508,7 @@ def measure(trees: dict[str, Path]) -> dict:
         wins = dict.fromkeys(trees, 0)
         for k in range(MAX_ROUNDS):
             for column, src in order if k % 2 == 0 else order[::-1]:
-                run = _spawn(src, name, False)
+                run = _spawn(src, name, False, k)
                 seconds[column].append(run.pop("seconds"))
                 runs[column].append(run)
             times = {column: s[-1] for column, s in seconds.items()}
@@ -485,7 +524,7 @@ def measure(trees: dict[str, Path]) -> dict:
         if len(set.union(*works.values())) != 1:
             raise RuntimeError(f"{name}: work differs between trees: {works}")
         for column, src in trees.items():
-            calls = _spawn(src, name, True)
+            calls = _spawn(src, name, True, 0)
             q1, q3 = _quartiles(seconds[column])
             columns[column][name] = {
                 "median_s": round(statistics.median(seconds[column]), 6),
@@ -531,7 +570,8 @@ def main() -> int:
         "nproc": os.cpu_count(),
     }
     doc.setdefault("machine", {}).update({column: machine for column in columns})
-    method = {"min_rounds": MIN_ROUNDS, "max_rounds": MAX_ROUNDS, "collect_before_clock": True}
+    method = {"min_rounds": MIN_ROUNDS, "max_rounds": MAX_ROUNDS, "collect_before_clock": True,
+              "hash_seed": "the round number, the same for every tree; 0 for the counting run"}
     doc.setdefault("method", {}).update({column: method for column in columns})
     workloads = doc.setdefault("workloads", {})
     for name, what in WORKLOADS.items():
